@@ -10,13 +10,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from .experiments import (
-    CheckResult,
-    capacity_dp_exactness,
-    run_experiment,
-)
+from .experiments import capacity_dp_exactness, run_experiment
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "verify_all", "summary_json"]
 
@@ -30,7 +26,7 @@ class CriterionResult:
     wall_time: float
 
 
-def _from_experiment(experiment: str, params: dict, time_limit: float = 0.0):
+def _from_experiment(experiment: str, params: dict):
     def runner(seed: int):
         result = run_experiment(experiment, params, seed)
         return list(result.checks)

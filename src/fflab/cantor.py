@@ -9,14 +9,15 @@ branching count, the node weight and the layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .capacity import DyadicCovering
 from .measures import CubeMeasure, ShiftSample
+from .spectral import FreqGrid, centred_moments, expected_transform
 
 __all__ = [
     "SpacingViolation",
@@ -162,7 +163,8 @@ def build_tree(params: ConstructionParams) -> CubeTree:
                     raise SpacingViolation(k, r_prev, r, m_min)
             raise SpacingViolation(k, r_prev, r, m_min)
         kid_weight = node.weight / m
-        assert kid_weight <= Fraction(1, 2 ** (node.layer + 1))
+        if kid_weight > Fraction(1, 2 ** (node.layer + 1)):
+            raise RuntimeError(f"node {k}: kid weight {kid_weight} exceeds 2^-{node.layer + 1}")
         first = len(nodes)
         for j in range(m):
             nodes.append(TreeNode(first + j, k, node.layer + 1, kid_weight, r))
@@ -237,18 +239,7 @@ class NuSelection:
     certificate: SelectionCertificate
 
 
-def _centred_moment_integrals(sample: ShiftSample, grid, expected_vals, exponents) -> tuple:
-    from .spectral import random_transform
-
-    vals = random_transform(sample, grid).values
-    dev = np.abs(vals - expected_vals)
-    cell = grid.cell_volume
-    return tuple(float(np.sum(dev**pe) * cell) for pe in exponents)
-
-
-def _default_selection_grid(d: int, r: float):
-    from .spectral import FreqGrid
-
+def _default_selection_grid(d: int, r: float) -> FreqGrid:
     extent = min(4.0 / r, 512.0)
     if d == 1:
         n = int(min(4096, max(256, 16 * math.ceil(extent))))
@@ -272,15 +263,15 @@ def select_nu(
 ) -> NuSelection:
     """Rejection-sample a shift configuration with small centred moments.
 
-    Both integrals int |nu_hat - E mu_hat|^{p_i} over the truncated grid must
-    fall below 4x the calibration median; by Markov's inequality each draw
-    fails a single threshold with probability at most 1/4, so a pair of
-    thresholds is met with probability at least 1/2 per draw.
+    ``calibration_draws`` samples fix each threshold at 4x the median of
+    their integral int |nu_hat - E mu_hat|^{p_i} over the truncated grid.
+    Then up to ``budget`` fresh samples are drawn, and the first whose two
+    integrals both fall at or below their thresholds is returned;
+    otherwise SelectionBudgetError carries the sample with the smallest
+    worst ratio of integral to threshold.
     """
     if not p1 > p2 > 2:
         raise ValueError("need p1 > p2 > 2")
-    from .spectral import expected_transform
-
     if grid is None:
         grid = _default_selection_grid(d, r)
     expected_vals = expected_transform(M, r, grid).values
@@ -288,7 +279,7 @@ def select_nu(
     calib = []
     for i in range(calibration_draws):
         s = sample_shifts(M, r, rng, d, lineage=(*lineage, "calib", i))
-        calib.append(_centred_moment_integrals(s, grid, expected_vals, exponents))
+        calib.append(centred_moments(s, grid, expected_vals, exponents))
     calib_arr = np.asarray(calib)
     thresholds = tuple(4.0 * np.median(calib_arr[:, j]) for j in range(2))
 
@@ -297,7 +288,7 @@ def select_nu(
     best_score = math.inf
     for i in range(budget):
         s = sample_shifts(M, r, rng, d, lineage=(*lineage, "draw", i))
-        integrals = _centred_moment_integrals(s, grid, expected_vals, exponents)
+        integrals = centred_moments(s, grid, expected_vals, exponents)
         cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, calibration_draws)
         score = max(
             ii / t if t > 0 else math.inf for ii, t in zip(integrals, thresholds)
@@ -338,7 +329,6 @@ def realize_tree(
     active = {0: Fraction(1)}
     fractions0 = (Fraction(1),)
     measures = [CubeMeasure(d, ((tree.nodes[0].corner, 1.0, 1.0),), fractions0)]
-    root_seq = np.random.SeedSequence(params.seed)
 
     for k, m, r in tree.steps:
         node = tree.nodes[k]
@@ -352,7 +342,8 @@ def realize_tree(
         for kid_index, v in zip(node.kids, sel.sample.shifts):
             kid = tree.nodes[kid_index]
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
-            assert abs(kid.side - r) < 1e-12
+            if abs(kid.side - r) >= 1e-12:
+                raise RuntimeError(f"node {kid_index}: side {kid.side} differs from step side {r}")
         share = active.pop(k) / m
         for kid_index in node.kids:
             active[kid_index] = share

@@ -13,12 +13,12 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
-from .lorentz import INFINITY, LorentzExponents, dyadic_block_index, is_infinite, lorentz_seq_norm
+from .lorentz import LorentzExponents, dyadic_block_index, is_infinite, lorentz_seq_norm
 
 __all__ = [
     "ResourceLimitError",
@@ -387,7 +387,7 @@ def _merge_factor(params: CapacityParams) -> float:
     return 2.0 ** (params.q - 1.0)
 
 
-def _profile_terms(profile, alpha):
+def _profile_terms(profile):
     ks = np.arange(1, len(profile) + 1)
     return np.asarray(profile, dtype=float), 2.0 ** (-ks)
 
@@ -438,7 +438,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         return HlpVerdict(ok, lhs, factor * rhs, "two-sided bounds (gauge not additive)")
 
     if item is HlpItem.Q_MONOTONE:
-        counts, diams = _profile_terms(inst.profile, None)
+        counts, diams = _profile_terms(inst.profile)
         s = counts * diams**inst.alpha
         s = s[s > 0]
 
@@ -452,7 +452,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         return HlpVerdict(lhs <= rhs * (1 + 1e-12), lhs, rhs)
 
     if item is HlpItem.ALPHA_JUMP:
-        counts, diams = _profile_terms(inst.profile, None)
+        counts, diams = _profile_terms(inst.profile)
         sup1 = float(np.max(counts * diams**inst.alpha))
         tail2 = counts * diams**inst.alpha2
         lhs = float(tail2[-1])
@@ -460,7 +460,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         bound = sup1 * 2.0 ** (-(len(counts)) * (inst.alpha2 - inst.alpha))
         return HlpVerdict(lhs <= bound * (1 + 1e-12), lhs, bound)
 
-    counts, diams = _profile_terms(inst.profile, None)
+    counts, diams = _profile_terms(inst.profile)
     f_vals = np.array([inst.gauge(t) for t in diams])
     if item is HlpItem.GAUGE_LOWER:
         qv = inst.q

@@ -101,7 +101,7 @@ def spectrum_cmd(measure_path, p, q, extent, samples, out):
     """Transform a stored measure and report its grid Lorentz norm."""
     try:
         mu = CubeMeasure.from_json(Path(measure_path).read_text())
-        grid = FreqGrid(1 if mu.d == 1 else mu.d, extent, samples)
+        grid = FreqGrid(mu.d, extent, samples)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

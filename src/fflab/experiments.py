@@ -15,7 +15,7 @@ import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .capacity import (
     nh_capacity_delta,
     nh_covering_sum,
 )
-from .cantor import ConstructionParams, build_tree, layer_covering, realize_tree
+from .cantor import build_tree, layer_covering, realize_tree
 from .lorentz import (
     INFINITY,
     LorentzExponents,
@@ -44,10 +44,7 @@ from .lorentz import (
     check_pplus,
     check_quasi_triangle,
     is_infinite,
-    lorentz_norm,
-    overlay_sum,
 )
-from .measures import CubeMeasure
 from .presets import preset
 from .spectral import (
     BumpFamily,
@@ -55,10 +52,9 @@ from .spectral import (
     SeriesVerdict,
     bump_sum_norms,
     cube_measure_transform,
-    expected_transform,
     lorentz_spectrum_norm,
+    np_moment_estimate,
     np_variance_oracle,
-    random_transform,
     resl_series,
 )
 
@@ -372,28 +368,8 @@ def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
         rng = _rng(seed, "np", i)
         extent = 4.0 / r
         grid = FreqGrid(1, extent, int(16 * extent))
-        expected = expected_transform(m, r, grid).values
-        cell = grid.cell_volume
-        s2 = np.empty(trials)
-        s4 = np.empty(trials)
-        for t in range(trials):
-            draws = rng.random((m, 1)) * (1.0 - r)
-            from .measures import ShiftSample
-
-            sample = ShiftSample(m, r, tuple(map(tuple, draws)), 1)
-            dev = np.abs(random_transform(sample, grid).values - expected)
-            s2[t] = np.sum(dev**2) * cell
-            s4[t] = np.sum(dev**4) * cell
-        oracle = np_variance_oracle(m, r, grid)
-        return (
-            m,
-            r,
-            float(np.mean(s2)),
-            float(np.std(s2, ddof=1) / math.sqrt(trials)),
-            oracle,
-            float(np.mean(s4)),
-            float(np.std(s4, ddof=1) / math.sqrt(trials)),
-        )
+        (e2, se2), (e4, se4) = np_moment_estimate(m, r, (2.0, 4.0), grid, trials, rng)
+        return (m, r, e2, se2, np_variance_oracle(m, r, grid), e4, se4)
 
     points = list(enumerate((m, r) for m in ms for r in rs))
     results = parallel_map(one_point, points)

@@ -12,8 +12,6 @@ EMBEDDING_CONSTANTS = {('1.0', '0.5', '1.0'): 1.05, ('1.0', '1.0', '2.0'): 1.05,
 
 DD_CORPUS_MAX = {'l2': 1.701813179, 'sobolev': 1.084411197}
 
-DD_ONE_BUMP = {'l2_ratio': 1.4303685, 'sobolev_ratio': 1.182399224}
-
 FROSTMAN = {'hypothesis': 5.597386995, 'conclusion': 85.333333333, 'K': 16.007469}
 
 NORM_GROWTH = {'C': 1.216378, 'norms': [0.971913902, 1.370852849, 1.439352843, 1.540356017]}

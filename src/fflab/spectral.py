@@ -3,6 +3,7 @@
 Transforms of cube measures are evaluated analytically as products of
 modulated sinc factors, so there is no aliasing anywhere; domain truncation
 is the only approximation and it carries an explicit sinc-decay tail bound.
+The smooth bump profile's transform is closed-form too, a Bessel quotient.
 """
 
 from __future__ import annotations
@@ -12,15 +13,13 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-from scipy.special import j0
+from scipy.special import jv, spherical_jn
 
 from .lorentz import LorentzExponents, _norm_from_arrays
 from .measures import CubeMeasure, ShiftSample
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 __all__ = [
     "TruncationWarning",
@@ -29,12 +28,14 @@ __all__ = [
     "cube_measure_transform",
     "expected_transform",
     "random_transform",
+    "centred_moments",
     "np_moment_estimate",
     "np_variance_oracle",
     "sinc_tail_bound",
     "ooo_deviation",
     "BumpFamily",
     "smooth_bump_profile",
+    "smooth_bump_transform",
     "bump_sum_norms",
     "lorentz_spectrum_norm",
     "SeriesVerdict",
@@ -156,37 +157,44 @@ def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float
     return d * per_axis * (2.0 * half_extent) ** (d - 1)
 
 
+def centred_moments(sample: ShiftSample, grid: FreqGrid, expected: np.ndarray, exponents) -> tuple:
+    """Riemann sums over the grid of |nu_hat - E mu_hat|^p, one per exponent,
+    where nu is the sample's measure and ``expected`` holds E mu_hat."""
+    dev = np.abs(random_transform(sample, grid).values - expected)
+    cell = grid.cell_volume
+    return tuple(float(np.sum(dev**pe) * cell) for pe in exponents)
+
+
 def np_moment_estimate(
     M: int,
     r: float,
-    p_exp: float,
+    exponents: Sequence[float],
     grid: FreqGrid,
     trials: int,
     rng: np.random.Generator,
-) -> Tuple[float, float]:
-    """Monte-Carlo estimate of the centred p-th moment integral.
+) -> Tuple[Tuple[float, float], ...]:
+    """Monte-Carlo estimates of the centred moment integrals.
 
-    Averages over ``trials`` independent shift draws the Riemann sum of
-    |random transform - expected transform|^p over the grid; returns the
-    estimate with its standard error.
+    Averages the centred moments of ``trials`` independent shift draws;
+    returns one (estimate, standard error) pair per exponent.
     """
     if trials < 30:
         raise ValueError("need at least 30 trials")
     if grid.half_extent < 1.0 / r:
-        tail = sinc_tail_bound(r, p_exp, grid.half_extent, grid.d)
+        tails = [sinc_tail_bound(r, pe, grid.half_extent, grid.d) for pe in exponents]
         warnings.warn(
-            f"window {grid.half_extent} below 1/r = {1 / r}; tail bound {tail}",
+            f"window {grid.half_extent} below 1/r = {1 / r}; tail bounds {tails}",
             TruncationWarning,
         )
     expected = expected_transform(M, r, grid).values
-    cell = grid.cell_volume
-    sums = np.empty(trials)
+    sums = np.empty((len(exponents), trials))
     for t in range(trials):
         draws = rng.random((M, grid.d)) * (1.0 - r)
         sample = ShiftSample(M, r, tuple(map(tuple, draws)), grid.d)
-        dev = np.abs(random_transform(sample, grid).values - expected)
-        sums[t] = np.sum(dev**p_exp) * cell
-    return float(np.mean(sums)), float(np.std(sums, ddof=1) / math.sqrt(trials))
+        sums[:, t] = centred_moments(sample, grid, expected, exponents)
+    return tuple(
+        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(trials))) for row in sums
+    )
 
 
 def np_variance_oracle(M: int, r: float, grid: FreqGrid) -> float:
@@ -258,46 +266,28 @@ class BumpFamily:
                     raise ValueError(f"balls {i} and {k} overlap")
 
 
-def _profile_transform_direct(s: np.ndarray, d: int, quad_points: int = 3000) -> np.ndarray:
-    """Radial transform of the profile at |xi| values, for d = 1 or 2."""
-    t = np.linspace(0.0, 3.0, quad_points)
-    psi = smooth_bump_profile(t)
-    out = np.empty(s.size)
-    chunk = max(1, 10_000_000 // quad_points)
-    for start in range(0, s.size, chunk):
-        block = s[start : start + chunk, None]
-        if d == 1:
-            kern = np.cos(2.0 * math.pi * t[None, :] * block)
-            out[start : start + chunk] = 2.0 * _trapz(psi[None, :] * kern, t, axis=1)
-        else:
-            kern = j0(2.0 * math.pi * t[None, :] * block)
-            out[start : start + chunk] = 2.0 * math.pi * _trapz(
-                (psi * t)[None, :] * kern, t, axis=1
-            )
-    return out
+def smooth_bump_transform(s, d: int) -> np.ndarray:
+    """Fourier transform of the profile, as a radial function on R^d, at
+    frequencies of modulus |s|.
 
-
-_profile_tables: dict = {}
-_TABLE_STEP = 1e-3
-
-
-def _profile_transform(radii_scaled: np.ndarray, d: int) -> np.ndarray:
-    """Table-interpolated radial transform; the table is refined on demand.
-
-    The transform is smooth and bounded, so linear interpolation at step 1e-3
-    contributes error far below the quadrature tolerance of the callers.
+    With k = 6 pi |s| it is 288 j_3(k)/k^3 in d = 1 and 864 pi J_4(k)/k^4 in
+    d = 2 (Stein & Weiss, Fourier Analysis on Euclidean Spaces, ch. IV;
+    Grafakos, Classical Fourier Analysis, App. B.5).  Below k = 1e-2 the
+    Taylor series through k^4 replaces the quotient.
     """
-    s = np.abs(np.asarray(radii_scaled, dtype=float)).ravel()
-    s_max = min(float(s.max()) if s.size else 1.0, 64.0)
-    grid, vals = _profile_tables.get(d, (None, None))
-    if grid is None or grid[-1] < s_max:
-        hi = max(4.0, s_max * 1.05)
-        grid = np.arange(0.0, hi + _TABLE_STEP, _TABLE_STEP)
-        vals = _profile_transform_direct(grid, d)
-        _profile_tables[d] = (grid, vals)
-    # beyond the table the smooth profile's transform is below 1e-10; treat as 0
-    out = np.interp(s, grid, vals, right=0.0)
-    return out.reshape(np.shape(radii_scaled))
+    if d not in (1, 2):
+        raise ValueError(f"the bump transform has a closed form for d = 1, 2, not d = {d}")
+    k = 6.0 * math.pi * np.abs(np.asarray(s, dtype=float))
+    k2 = k * k
+    small = k < 1e-2
+    kk = np.where(small, 1.0, k)
+    if d == 1:
+        series = 288.0 * (1.0 / 105.0 - k2 / 1890.0 + k2 * k2 / 83160.0)
+        quotient = 288.0 * spherical_jn(3, kk) / kk**3
+    else:
+        series = 864.0 * math.pi * (1.0 / 384.0 - k2 / 7680.0 + k2 * k2 / 368640.0)
+        quotient = 864.0 * math.pi * jv(4, kk) / kk**4
+    return np.where(small, series, quotient)
 
 
 def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float, float]:
@@ -305,7 +295,8 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
 
     The L2 norm is a physical-space quadrature at resolution tied to the
     smallest radius; the order-d Sobolev norm is the spectral integral of
-    (1 + |2 pi xi|^2)^{d/2} against the transform on the truncated grid.
+    (1 + |2 pi xi|^2)^{d/2} against the transform on the truncated grid,
+    where each bump's transform is the closed form smooth_bump_transform.
     The reference bounds are (Sigma r^d)^{1/2} and (Sigma r^{-d})^{1/2}.
     """
     d = fam.d
@@ -336,7 +327,7 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
         phase = np.zeros(mesh_f[0].shape)
         for a in range(d):
             phase = phase + x[a] * mesh_f[a]
-        ghat += np.exp(-2j * math.pi * phase) * r**d * _profile_transform(r * rho, d)
+        ghat += np.exp(-2j * math.pi * phase) * r**d * smooth_bump_transform(r * rho, d)
     weight = (1.0 + (2.0 * math.pi) ** 2 * rho**2) ** (d / 2.0)
     sob = float(
         np.sqrt(np.sum(weight**2 * np.abs(ghat) ** 2) * grid.cell_volume)

@@ -6,34 +6,29 @@ The default seed 0 is the one the acceptance suite uses.
 
 from __future__ import annotations
 
-import math
 import sys
 from pathlib import Path
-
-import numpy as np
 
 DEFAULT_SEED = 0
 
 
 def measure(seed: int = DEFAULT_SEED) -> dict:
+    """Constants from the tables of the experiments that check them; only
+    EMBEDDING_CONSTANTS, which no experiment checks, has its own loop."""
     from fflab import experiments as ex
-    from fflab.capacity import frostman_ratio
-    from fflab.lorentz import INFINITY, LorentzExponents, check_lornor_equivalence, lorentz_norm
-    from fflab.spectral import BumpFamily, FreqGrid, bump_sum_norms, ooo_deviation
+    from fflab.lorentz import INFINITY, LorentzExponents, lorentz_norm
+    from fflab.spectral import ooo_deviation
+
+    def table(experiment: str, name: str) -> list:
+        return ex.run_experiment(experiment, {}, seed).tables[name][1]
 
     out: dict = {}
 
     bands = {}
-    for alpha in ex.LORNOR_ALPHAS:
-        for q in ex.LORNOR_QS:
-            ratios = [
-                check_lornor_equivalence(a, alpha, q)
-                for a in ex.lornor_corpus(alpha, q, seed, 10_000)
-            ]
-            lo, hi = min(ratios), max(ratios)
-            c = max(hi, 1.0 / lo) * 1.05
-            bands[(repr(float(alpha)), ex._q_key(q))] = round(c, 6)
-            print(f"lornor alpha={alpha} q={ex._q_key(q)}: [{lo:.4f}, {hi:.4f}] -> C={c:.4f}")
+    for alpha, q_key, lo, hi, _, _ in table("LORNOR", "bands"):
+        c = max(hi, 1.0 / lo) * 1.05
+        bands[(repr(float(alpha)), q_key)] = round(c, 6)
+        print(f"lornor alpha={alpha} q={q_key}: [{lo:.4f}, {hi:.4f}] -> C={c:.4f}")
     out["LORNOR_BANDS"] = bands
 
     emb = {}
@@ -47,54 +42,24 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
             print(f"embedding p={p} {q1}->{ex._q_key(q2)}: max ratio {worst:.4f}")
     out["EMBEDDING_CONSTANTS"] = emb
 
-    max_l2, max_sob = 0.0, 0.0
-    for fam in ex.dd_corpus(seed, 50):
-        min_r = min(r for _, r in fam.bumps)
-        extent = 16.0 / min_r
-        n = int(max(4096, 8 * math.ceil(extent)))
-        n += n % 2
-        l2, sob, l2b, sobb = bump_sum_norms(fam, FreqGrid(1, extent, n))
-        max_l2 = max(max_l2, l2 / l2b)
-        max_sob = max(max_sob, sob / sobb)
+    ratios = table("DD_CORPUS", "ratios")
+    max_l2 = max(row[3] for row in ratios)
+    max_sob = max(row[4] for row in ratios)
     print(f"dd corpus maxima: l2 {max_l2:.6f}, sobolev {max_sob:.6f}")
     out["DD_CORPUS_MAX"] = {"l2": round(max_l2 * (1 + 1e-6), 9), "sobolev": round(max_sob * (1 + 1e-6), 9)}
 
-    r0 = 0.5
-    grid = FreqGrid(1, 16.0 / r0, 8192)
-    l2, sob, l2b, sobb = bump_sum_norms(BumpFamily((((0.0,), r0),), 1), grid)
-    out["DD_ONE_BUMP"] = {"l2_ratio": round(l2 / l2b, 9), "sobolev_ratio": round(sob / sobb, 9)}
-    print(f"one-bump ratios: {out['DD_ONE_BUMP']}")
-
-    mu = ex.frostman_measure(seed=7)
-    res = frostman_ratio(mu, 0.5, 1.0, 1.0, rng=ex._rng(seed, "frostman"))
-    k = res.conclusion_constant / res.hypothesis_constant * 1.05
+    ((hyp, concl, _, _, _),) = table("FROSTMAN", "constants")
     out["FROSTMAN"] = {
-        "hypothesis": round(res.hypothesis_constant, 9),
-        "conclusion": round(res.conclusion_constant, 9),
-        "K": round(k, 6),
+        "hypothesis": round(hyp, 9),
+        "conclusion": round(concl, 9),
+        "K": round(concl / hyp * 1.05, 6),
     }
     print(f"frostman: {out['FROSTMAN']}")
 
-    from fflab.cantor import build_tree, realize_tree
-    from fflab.presets import preset
-    from fflab.spectral import cube_measure_transform, lorentz_spectrum_norm
-
-    cp = preset("norm-growth", seed=seed)
-    tree = build_tree(cp)
-    tree, mus = realize_tree(tree, cp, budget=64)
-    e = LorentzExponents(cp.p, cp.q)
-    min_side = min(side for _, side, _ in mus[-1].atoms)
-    grid = FreqGrid(1, 4.0 / min_side, 2**17)
-    norms = [lorentz_spectrum_norm(cube_measure_transform(m, grid), e) for m in mus]
-    c_needed = 0.0
-    for k_step, (ki, m, r) in enumerate(tree.steps):
-        node = tree.nodes[ki]
-        b = float(node.weight)
-        incr = b ** (cp.q - cp.q / (2.0 * cp.beta)) * (node.layer + 1) ** (cp.q * cp.d / cp.p)
-        c_needed = max(c_needed, (norms[k_step + 1] ** cp.q - norms[k_step] ** cp.q) / incr)
+    growth = table("SPECTRUM_NORM", "growth")
     out["NORM_GROWTH"] = {
-        "C": round(c_needed * 1.1, 6),
-        "norms": [round(v, 9) for v in norms],
+        "C": round(max([0.0] + [row[5] for row in growth]) * 1.1, 6),
+        "norms": [round(v, 9) for v in [growth[0][1]] + [row[2] for row in growth]],
     }
     print(f"norm growth: {out['NORM_GROWTH']}")
 

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import j0
 
 from fflab.lorentz import LorentzExponents
 from fflab.measures import CubeMeasure, ShiftSample
@@ -19,8 +20,6 @@ from fflab.spectral import (
     SeriesVerdict,
     SpectrumField,
     TruncationWarning,
-    _profile_transform,
-    _profile_transform_direct,
     bump_sum_norms,
     cube_measure_transform,
     expected_transform,
@@ -33,6 +32,7 @@ from fflab.spectral import (
     resl_series,
     sinc_tail_bound,
     smooth_bump_profile,
+    smooth_bump_transform,
     write_spectrum,
 )
 
@@ -144,7 +144,7 @@ class TestRandomAndExpected:
     def test_monte_carlo_matches_variance_oracle(self):
         M, r = 16, 0.25
         grid = FreqGrid(1, 8.0, 64)
-        est, se = np_moment_estimate(M, r, 2.0, grid, trials=60, rng=np.random.default_rng(5))
+        ((est, se),) = np_moment_estimate(M, r, (2.0,), grid, trials=60, rng=np.random.default_rng(5))
         oracle = np_variance_oracle(M, r, grid)
         assert abs(est - oracle) <= 3.0 * se
 
@@ -157,7 +157,7 @@ class TestRandomAndExpected:
     def test_truncation_warning(self):
         grid = FreqGrid(1, 2.0, 32)
         with pytest.warns(TruncationWarning):
-            np_moment_estimate(4, 0.1, 4.0, grid, trials=30, rng=np.random.default_rng(0))
+            np_moment_estimate(4, 0.1, (4.0,), grid, trials=30, rng=np.random.default_rng(0))
 
     def test_tail_bound_positive_and_decreasing(self):
         b1 = sinc_tail_bound(0.1, 4.0, 16.0, 1)
@@ -204,11 +204,28 @@ class TestBumps:
         with pytest.raises(ValueError):
             BumpFamily((((0.3,), 0.2), ((0.5,), 0.2)), 1)
 
-    def test_table_matches_direct(self):
-        s = np.random.default_rng(6).uniform(0.0, 10.0, 50)
-        table = _profile_transform(s, 1)
-        direct = _profile_transform_direct(s, 1)
-        assert np.allclose(table, direct, atol=1e-6)
+    def test_closed_form_matches_quadrature(self):
+        # Trapezoid rule for 2 int psi(t) cos(2 pi s t) dt (d = 1) and
+        # 2 pi int psi(t) t J_0(2 pi s t) dt (d = 2) on [0, 3].  By
+        # Euler-Maclaurin its error for an integrand f is h^2/12 (f'(3) -
+        # f'(0)) + O(h^4).  The h^2 term vanishes in d = 1, where f'(0) =
+        # f'(3) = 0; in d = 2 f = psi t J_0 has f'(0) = 1 and f'(3) = 0, so
+        # the term is 2 pi h^2/12 = 1.2e-10 with h = 1.5e-5.
+        t = np.linspace(0.0, 3.0, 200_001)
+        psi = smooth_bump_profile(t)
+        switch = 1e-2 / (6.0 * math.pi)  # k = 6 pi s = 1e-2
+        s = np.concatenate([np.linspace(0.0, 10.0, 101), switch * np.array([0.5, 0.999, 1.001, 2.0])])
+        for d, tol in ((1, 1e-12), (2, 1e-9)):
+            for si in s:
+                if d == 1:
+                    quad = 2.0 * np.trapezoid(psi * np.cos(2.0 * math.pi * si * t), t)
+                else:
+                    quad = 2.0 * math.pi * np.trapezoid(psi * t * j0(2.0 * math.pi * si * t), t)
+                assert abs(smooth_bump_transform(si, d) - quad) <= tol, (d, si)
+
+    def test_closed_form_rejects_other_dimensions(self):
+        with pytest.raises(ValueError):
+            smooth_bump_transform(np.array([0.5]), 3)
 
     def test_single_bump_l2(self):
         r = 0.25
@@ -221,6 +238,16 @@ class TestBumps:
         assert l2_bound == pytest.approx(math.sqrt(r))
         assert sob_bound == pytest.approx(math.sqrt(1.0 / r))
         assert sob > 0
+
+    def test_single_bump_sobolev_parseval(self):
+        # Parseval: int (1 + (2 pi xi)^2) |g_hat|^2 = |g|_2^2 + |g'|_2^2, and
+        # both are polynomial integrals for g = psi(|x - c| / r)
+        r = 0.25
+        psi = np.polynomial.Polynomial([1.0, 0.0, -1.0 / 9.0]) ** 3
+        sq, dsq = (psi**2).integ(), (psi.deriv() ** 2).integ()
+        exact = math.sqrt(2.0 * r * (sq(3.0) - sq(0.0)) + 2.0 / r * (dsq(3.0) - dsq(0.0)))
+        _, sob, _, _ = bump_sum_norms(BumpFamily((((0.5,), r),), 1), FreqGrid(1, 64.0, 4096))
+        assert sob == pytest.approx(exact, rel=1e-8)
 
     def test_far_bumps_add_orthogonally(self):
         r = 0.1
