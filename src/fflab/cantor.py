@@ -143,19 +143,19 @@ def build_tree(params: ConstructionParams) -> CubeTree:
     """Grow the tree by expanding node k at step k with M_k kids.
 
     Weights are exact rationals; kid sides follow the size rule.  The kid
-    sides over consecutive steps must drop strictly below half the previous
-    step's value, otherwise SpacingViolation reports the minimal branching
-    count that would restore it.
+    sides over consecutive steps, starting from the root's side 1, must drop
+    strictly below half the previous value, otherwise SpacingViolation
+    reports the minimal branching count that would restore it.
     """
     nodes = [TreeNode(0, None, 0, Fraction(1), 1.0)]
     steps: List[tuple] = []
-    r_prev = None
+    r_prev = 1.0
     for k, m in enumerate(params.M):
         if k >= len(nodes):
             raise ValueError(f"step {k} has no node to expand; branching list too long")
         node = nodes[k]
         r = _kid_side(params.d, params.p, params.beta, m, node.weight, node.layer)
-        if r_prev is not None and not r < r_prev / 2:
+        if not r < r_prev / 2:
             m_min = m
             while not _kid_side(params.d, params.p, params.beta, m_min, node.weight, node.layer) < r_prev / 2:
                 m_min += 1
@@ -176,11 +176,11 @@ def build_tree(params: ConstructionParams) -> CubeTree:
 
 def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tuple:
     """Branching counts chosen greedily: the minimal M_k >= 2 per step that
-    keeps the kid sides strictly halving, continued until ``layers`` full
-    layers exist."""
+    keeps the kid sides strictly halving, from the root's side 1 on,
+    continued until ``layers`` full layers exist."""
     nodes = [(0, Fraction(1))]  # (layer, weight)
     ms: List[int] = []
-    r_prev = None
+    r_prev = 1.0
     k = 0
     while True:
         layer, weight = nodes[k]
@@ -189,7 +189,7 @@ def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tupl
         m = 2
         while True:
             r = _kid_side(d, p, beta, m, weight, layer)
-            if r_prev is None or r < r_prev / 2:
+            if r < r_prev / 2:
                 break
             m += 1
             if m > 10**6:

@@ -45,11 +45,7 @@ __all__ = [
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when a search exceeds its desk-scale budget; carries a partial bound."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
+    """Raised when a search exceeds its desk-scale budget."""
 
 
 def _check_regular(f: Callable[[float], float], name: str) -> None:
@@ -224,10 +220,7 @@ def _frontier(points, g: int, g_min: int, depth: int, counter: list):
         )
         counter[0] += len(acc)
         if counter[0] > _FRONTIER_BUDGET:
-            raise ResourceLimitError(
-                "covering search exceeded its budget; reduce depth",
-                partial=None,
-            )
+            raise ResourceLimitError("covering search exceeded its budget; reduce depth")
     return _prune(acc + [take])
 
 
@@ -528,7 +521,6 @@ def bump_pairing(mu: GridMeasure, center, radius: float) -> float:
 class FrostmanResult:
     hypothesis_constant: float
     conclusion_constant: float
-    truncated: bool
     families_tried: int
     sets_tried: int
 
@@ -564,7 +556,7 @@ def frostman_ratio(
     if mu.d not in (1, 2):
         raise ValueError("only d = 1 and d = 2 are supported at desk scale")
     if not mu.points:
-        return FrostmanResult(0.0, 0.0, False, 0, 0)
+        return FrostmanResult(0.0, 0.0, 0, 0)
     rng = rng if rng is not None else np.random.default_rng(0)
     candidates = list(_dyadic_ball_candidates(mu.d))
 
@@ -616,4 +608,4 @@ def frostman_ratio(
         cap = nh_capacity_delta(cloud, params, 0.5, dp_depth)
         if cap > 0:
             conc = max(conc, mass / cap**gamma)
-    return FrostmanResult(hyp, conc, False, len(families), len(boxes))
+    return FrostmanResult(hyp, conc, len(families), len(boxes))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -72,17 +72,6 @@ class LorentzExponents:
         if not (is_infinite(self.q) or self.q > 0):
             raise ValueError(f"q must be positive or INFINITY, got {self.q}")
 
-    @property
-    def dual_q(self):
-        """q' with 1/q + 1/q' = 1; defined for q = 1, q > 1 and q = INFINITY."""
-        if is_infinite(self.q):
-            return 1.0
-        if self.q == 1:
-            return INFINITY
-        if self.q > 1:
-            return self.q / (self.q - 1.0)
-        raise ValueError(f"dual exponent undefined for q = {self.q}")
-
 
 @dataclass(frozen=True)
 class WeightedSample:
@@ -110,10 +99,6 @@ class WeightedSample:
     @classmethod
     def from_sequence(cls, values: Iterable[float]) -> "WeightedSample":
         return cls(tuple((abs(float(v)), 1.0) for v in values))
-
-    @classmethod
-    def indicator(cls, measure: float) -> "WeightedSample":
-        return cls(((1.0, float(measure)),))
 
     @property
     def total_mass(self) -> float:

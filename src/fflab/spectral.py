@@ -3,6 +3,8 @@
 Transforms of cube measures are evaluated analytically as products of
 modulated sinc factors, so there is no aliasing anywhere; domain truncation
 is the only approximation and it carries an explicit sinc-decay tail bound.
+The sums of phases over shifts or cube corners are exact split-index GEMMs,
+in O(M sqrt(N)) memory in d = 1 and O(M N) in d = 2 (see _split_phases).
 The smooth bump profile's transform is closed-form too, a Bessel quotient.
 """
 
@@ -58,6 +60,8 @@ class FreqGrid:
     samples: int
 
     def __post_init__(self):
+        if self.d not in (1, 2):
+            raise ValueError(f"frequency grids are implemented for d = 1, 2, not d = {self.d}")
         if self.samples % 2 != 0:
             raise ValueError("samples per axis must be even")
         if not self.half_extent > 0:
@@ -68,10 +72,7 @@ class FreqGrid:
         return -x + (2.0 * x / n) * np.arange(n)
 
     def mesh(self) -> Tuple[np.ndarray, ...]:
-        ax = self.axis()
-        if self.d == 1:
-            return (ax,)
-        return tuple(np.meshgrid(*([ax] * self.d), indexing="ij"))
+        return tuple(np.meshgrid(*([self.axis()] * self.d), indexing="ij"))
 
     @property
     def cell_volume(self) -> float:
@@ -106,16 +107,52 @@ def _axis_cube_factor(xi: np.ndarray, side: float) -> np.ndarray:
     return np.exp(-1j * math.pi * side * xi) * np.sinc(side * xi)
 
 
+def _cube_envelope(grid: FreqGrid, side: float) -> np.ndarray:
+    """Transform of the normalized uniform measure on [0, side]^d on the grid."""
+    f = _axis_cube_factor(grid.axis(), side)
+    return f if grid.d == 1 else np.outer(f, f)
+
+
+def _split_phases(s: np.ndarray, grid: FreqGrid) -> Tuple[np.ndarray, np.ndarray]:
+    """Exact factors of the phases exp(-2 pi i s_k xi_j) on one axis.
+
+    With j = a*B + b, B = isqrt(N), A = ceil(N/B), h = 2X/N, c = N/2 (where
+    xi = 0) and b0 = c mod B: xi_j = h*(a*B - c + b0) + h*(b - b0), so the
+    phase is hi[a, k] * lo[k, b] with hi (A, K) and lo (K, B), from K*(A + B)
+    exponentials instead of K*N.  Both factors are exactly 1 at xi = 0.
+    """
+    n = grid.samples
+    bs = math.isqrt(n)
+    b0 = (n // 2) % bs
+    h = 2.0 * grid.half_extent / n
+    lo = np.exp(-2j * math.pi * np.outer(s, h * (np.arange(bs) - b0)))
+    hi = np.exp(-2j * math.pi * np.outer(h * (bs * np.arange(-(-n // bs)) - n // 2 + b0), s))
+    return hi, lo
+
+
+def _phase_sum(points: np.ndarray, weights: np.ndarray, grid: FreqGrid) -> np.ndarray:
+    """sum_k weights[k] exp(-2 pi i points[k] . xi) at every grid point xi:
+    one GEMM hi @ (w lo) in d = 1, and (w E_1)^T @ E_2 of the per-axis (K, N)
+    phase matrices in d = 2.  No (K, N^d) array is formed."""
+    n = grid.samples
+    if grid.d == 1:
+        hi, lo = _split_phases(points[:, 0], grid)
+        return (hi @ (weights[:, None] * lo)).ravel()[:n]
+    axes = []
+    for a in range(2):
+        hi, lo = _split_phases(points[:, a], grid)
+        axes.append((hi.T[:, :, None] * lo[:, None, :]).reshape(len(points), -1)[:, :n])
+    return (weights[:, None] * axes[0]).T @ axes[1]
+
+
 def cube_measure_transform(mu: CubeMeasure, grid: FreqGrid) -> SpectrumField:
-    """Exact transform of a sum of weighted normalized cube measures."""
-    mesh = grid.mesh()
-    out = np.zeros(mesh[0].shape, dtype=complex)
-    for corner, side, mass in mu.atoms:
-        factor = np.full(mesh[0].shape, mass, dtype=complex)
-        for a in range(grid.d):
-            xi = mesh[a]
-            factor = factor * np.exp(-2j * math.pi * corner[a] * xi) * _axis_cube_factor(xi, side)
-        out += factor
+    """Exact transform of a sum of weighted normalized cube measures: one
+    mass-weighted phase sum per distinct side, times that side's envelope."""
+    corners, sides, masses = mu.corners_sides_masses()
+    out = np.zeros((grid.samples,) * grid.d, dtype=complex)
+    for side in np.unique(sides):
+        group = sides == side
+        out += _phase_sum(corners[group], masses[group], grid) * _cube_envelope(grid, side)
     return SpectrumField(grid, out)
 
 
@@ -126,26 +163,14 @@ def expected_transform(M: int, r: float, grid: FreqGrid) -> SpectrumField:
     del M
     if not 0 < r < 0.5:
         raise ValueError(f"r must lie in (0, 1/2), got {r}")
-    mesh = grid.mesh()
-    out = np.ones(mesh[0].shape, dtype=complex)
-    for a in range(grid.d):
-        xi = mesh[a]
-        out = out * _axis_cube_factor(xi, r) * _axis_cube_factor(xi, 1.0 - r)
-    return SpectrumField(grid, out)
+    return SpectrumField(grid, _cube_envelope(grid, r) * _cube_envelope(grid, 1.0 - r))
 
 
 def random_transform(s: ShiftSample, grid: FreqGrid) -> SpectrumField:
     """Transform of the average of M shifted side-r cube measures."""
-    mesh = grid.mesh()
     shifts = np.asarray(s.shifts)  # (M, d)
-    phase = np.zeros((s.M,) + mesh[0].shape)
-    for a in range(grid.d):
-        phase = phase + shifts[:, a].reshape((s.M,) + (1,) * grid.d) * mesh[a][None, ...]
-    mean = np.exp(-2j * math.pi * phase).mean(axis=0)
-    envelope = np.ones(mesh[0].shape, dtype=complex)
-    for a in range(grid.d):
-        envelope = envelope * _axis_cube_factor(mesh[a], s.r)
-    return SpectrumField(grid, mean * envelope)
+    mean = _phase_sum(shifts, np.full(s.M, 1.0 / s.M), grid)
+    return SpectrumField(grid, mean * _cube_envelope(grid, s.r))
 
 
 def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float:
@@ -203,12 +228,8 @@ def np_variance_oracle(M: int, r: float, grid: FreqGrid) -> float:
     Pointwise the variance of the random transform is
     |cube envelope|^2 (1 - |shift characteristic function|^2) / M.
     """
-    mesh = grid.mesh()
-    envelope = np.ones(mesh[0].shape, dtype=complex)
-    char = np.ones(mesh[0].shape, dtype=complex)
-    for a in range(grid.d):
-        envelope = envelope * _axis_cube_factor(mesh[a], r)
-        char = char * _axis_cube_factor(mesh[a], 1.0 - r)
+    envelope = _cube_envelope(grid, r)
+    char = _cube_envelope(grid, 1.0 - r)
     var = np.abs(envelope) ** 2 * (1.0 - np.abs(char) ** 2) / M
     return float(np.sum(var) * grid.cell_volume)
 

@@ -19,6 +19,7 @@ from fflab.cantor import (
 from fflab.capacity import CapacityParams, nh_covering_sum
 from fflab.measures import CubeMeasure
 from fflab.presets import preset
+from fflab.spectral import FreqGrid, cube_measure_transform
 
 
 class TestParams:
@@ -91,6 +92,13 @@ class TestGreedyBranching:
         shallow = greedy_spacing_branching(1, 4.0, 1.0, 2)
         deep = greedy_spacing_branching(1, 4.0, 1.0, 3)
         assert deep[: len(shallow)] == shallow
+
+    def test_first_side_below_half(self):
+        # at M_0 = 2 the d = 2 kid side is 2^(-p/4) = 1/2, which no shift fits
+        assert greedy_spacing_branching(2, 4.0, 2.0, 2) == (3, 2, 5, 11)
+        with pytest.raises(SpacingViolation) as exc:
+            build_tree(ConstructionParams(2, 4.0, 2.0, 2.0, (2, 2)))
+        assert (exc.value.step, exc.value.suggested_m) == (0, 3)
 
 
 class TestLayerCovering:
@@ -184,6 +192,20 @@ class TestRealizeTree:
         back = CubeMeasure.from_json(mu.to_json())
         assert back == mu
         assert back.mass_fractions == mu.mass_fractions
+
+    def test_two_dimensional_end_to_end(self):
+        params = ConstructionParams(2, 4.0, 2.0, 2.0, greedy_spacing_branching(2, 4.0, 2.0, 2))
+        tree, measures = realize_tree(build_tree(params), params)
+        assert len(measures[-1].atoms) == 18
+        for mu in measures:
+            assert sum(mu.mass_fractions) == Fraction(1)
+            assert mu.total_mass == pytest.approx(1.0, abs=1e-12)
+            field = cube_measure_transform(mu, FreqGrid(2, 32.0, 64))
+            assert field.at_zero == pytest.approx(mu.total_mass, abs=1e-12)
+        for node in tree.nodes[1:]:
+            parent = tree.nodes[node.parent]
+            for c, pc in zip(node.corner, parent.corner):
+                assert pc - 1e-12 <= c and c + node.side <= pc + parent.side + 1e-12
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):

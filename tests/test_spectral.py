@@ -7,6 +7,7 @@ themselves.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -57,6 +58,10 @@ class TestGrid:
     def test_odd_samples_rejected(self):
         with pytest.raises(ValueError):
             FreqGrid(1, 4.0, 7)
+
+    def test_other_dimensions_rejected(self):
+        with pytest.raises(ValueError):
+            FreqGrid(3, 4.0, 8)
 
     def test_field_shape_checked(self):
         with pytest.raises(ValueError):
@@ -163,6 +168,66 @@ class TestRandomAndExpected:
         b1 = sinc_tail_bound(0.1, 4.0, 16.0, 1)
         b2 = sinc_tail_bound(0.1, 4.0, 64.0, 1)
         assert 0 < b2 < b1
+
+
+def direct_transform(points, sides, masses, grid: FreqGrid) -> np.ndarray:
+    """sum_k masses[k] prod_a exp(-2 pi i points[k, a] xi_a) phi(sides[k] xi_a),
+    with phi the side-s cube factor exp(-i pi s xi) sinc(s xi), summed over an
+    explicit (K, N^d) phase tensor."""
+    mesh = grid.mesh()
+    shape = (-1,) + (1,) * grid.d
+    phase = sum(points[:, a].reshape(shape) * mesh[a] for a in range(grid.d))
+    atoms = np.exp(-2j * math.pi * phase) * masses.reshape(shape)
+    for a in range(grid.d):
+        s = sides.reshape(shape)
+        atoms = atoms * np.exp(-1j * math.pi * s * mesh[a]) * np.sinc(s * mesh[a])
+    return atoms.sum(axis=0)
+
+
+class TestSplitGemm:
+    # Both forms round each phase 2 pi s xi, with |s| <= 1 and |xi| <= X <= 512,
+    # to within 2 pi |s xi| 2^-53 <= 4e-13 (the unit roundoff), hence atol 1e-12.
+
+    @pytest.mark.parametrize("M", [1, 7, 300])
+    @pytest.mark.parametrize("d, N, X", [(1, 250, 64.0), (1, 4098, 512.0), (2, 64, 32.0)])
+    def test_random_transform_matches_direct_sum(self, d, N, X, M):
+        rng = np.random.default_rng(N + M)
+        r = 0.05
+        shifts = rng.random((M, d)) * (1.0 - r)
+        grid = FreqGrid(d, X, N)
+        got = random_transform(ShiftSample(M, r, tuple(map(tuple, shifts)), d), grid).values
+        want = direct_transform(shifts, np.full(M, r), np.full(M, 1.0 / M), grid)
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("d, N, X", [(1, 4098, 512.0), (2, 64, 32.0)])
+    def test_cube_measure_mixed_sides_matches_direct_sum(self, d, N, X):
+        rng = np.random.default_rng(d)
+        K = 40
+        corners = rng.random((K, d)) * 0.7
+        sides = rng.choice([0.3, 0.05, 0.125], K)
+        masses = rng.random(K) + 0.1
+        masses /= masses.sum()
+        mu = CubeMeasure(d, tuple((tuple(c), s, m) for c, s, m in zip(corners, sides, masses)))
+        grid = FreqGrid(d, X, N)
+        got = cube_measure_transform(mu, grid).values
+        assert np.max(np.abs(got - direct_transform(corners, sides, masses, grid))) <= 1e-12
+        assert got[grid.zero_index] == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("d, M, N, limit_mib", [(1, 1746, 4096, 16), (2, 40, 256, 8)])
+    def test_no_phase_tensor(self, d, M, N, limit_mib):
+        # an (M, N^d) complex phase tensor alone would take 109 MiB (d = 1)
+        # and 40 MiB (d = 2)
+        rng = np.random.default_rng(0)
+        r = 0.01
+        s = ShiftSample(M, r, tuple(map(tuple, rng.random((M, d)) * (1.0 - r))), d)
+        grid = FreqGrid(d, 512.0, N)
+        tracemalloc.start()
+        try:
+            random_transform(s, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit_mib * 2**20
 
 
 class TestOooDeviation:
