@@ -76,9 +76,8 @@ class ConstructionParams:
             raise ValueError("p must exceed 2")
         if not self.q > 1:
             raise ValueError("q must exceed 1")
-        qp = self.q / (self.q - 1.0)
-        if not self.beta > qp / 2.0:
-            raise ValueError(f"beta must exceed q'/2 = {qp / 2}")
+        if not self.beta > self.q_dual / 2.0:
+            raise ValueError(f"beta must exceed q'/2 = {self.q_dual / 2}")
         for m in self.M:
             if m < 2:
                 raise ValueError("every branching count must be at least 2")
@@ -213,12 +212,10 @@ def layer_covering(tree: CubeTree, n: int) -> DyadicCovering:
     return DyadicCovering(diams)
 
 
-def sample_shifts(M: int, r: float, rng: np.random.Generator, d: int = 1, lineage=()) -> ShiftSample:
+def sample_shifts(M: int, r: float, rng: np.random.Generator, d: int = 1) -> ShiftSample:
     """M independent uniform shifts in [0, 1-r]^d."""
-    if not 0 < r < 0.5:
-        raise ValueError(f"r must lie in (0, 1/2), got {r}")
     draws = rng.random((int(M), d)) * (1.0 - r)
-    return ShiftSample(int(M), r, tuple(map(tuple, draws)), d, tuple(lineage))
+    return ShiftSample(int(M), r, draws, d)
 
 
 @dataclass(frozen=True)
@@ -259,7 +256,6 @@ def select_nu(
     d: int = 1,
     grid=None,
     calibration_draws: int = 15,
-    lineage=(),
 ) -> NuSelection:
     """Rejection-sample a shift configuration with small centred moments.
 
@@ -276,18 +272,15 @@ def select_nu(
         grid = _default_selection_grid(d, r)
     expected_vals = expected_transform(M, r, grid).values
     exponents = (p1, p2)
-    calib = []
-    for i in range(calibration_draws):
-        s = sample_shifts(M, r, rng, d, lineage=(*lineage, "calib", i))
-        calib.append(centred_moments(s, grid, expected_vals, exponents))
-    calib_arr = np.asarray(calib)
-    thresholds = tuple(4.0 * np.median(calib_arr[:, j]) for j in range(2))
+    calib = np.asarray([
+        centred_moments(sample_shifts(M, r, rng, d), grid, expected_vals, exponents)
+        for _ in range(calibration_draws)
+    ])
+    thresholds = tuple(4.0 * np.median(calib[:, j]) for j in range(2))
 
-    best = None
-    best_cert = None
-    best_score = math.inf
+    best, best_cert, best_score = None, None, math.inf
     for i in range(budget):
-        s = sample_shifts(M, r, rng, d, lineage=(*lineage, "draw", i))
+        s = sample_shifts(M, r, rng, d)
         integrals = centred_moments(s, grid, expected_vals, exponents)
         cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, calibration_draws)
         score = max(
@@ -336,10 +329,8 @@ def realize_tree(
             raise RuntimeError(f"node {k} expanded before receiving geometry")
         rel_r = r / node.side
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(k,)))
-        sel = select_nu(
-            m, rel_r, p1, p2, budget, rng, d=d, lineage=(params.seed, k)
-        )
-        for kid_index, v in zip(node.kids, sel.sample.shifts):
+        sel = select_nu(m, rel_r, p1, p2, budget, rng, d=d)
+        for kid_index, v in zip(node.kids, sel.sample.shifts.tolist()):
             kid = tree.nodes[kid_index]
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
             if abs(kid.side - r) >= 1e-12:
@@ -347,11 +338,7 @@ def realize_tree(
         share = active.pop(k) / m
         for kid_index in node.kids:
             active[kid_index] = share
-        atoms = []
-        fracs = []
-        for idx in sorted(active):
-            nd = tree.nodes[idx]
-            atoms.append((nd.corner, nd.side, float(active[idx])))
-            fracs.append(active[idx])
-        measures.append(CubeMeasure(d, tuple(atoms), tuple(fracs)))
+        order = sorted(active)
+        atoms = tuple((tree.nodes[i].corner, tree.nodes[i].side, float(active[i])) for i in order)
+        measures.append(CubeMeasure(d, atoms, tuple(active[i] for i in order)))
     return tree, measures

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lorentz import LorentzExponents, dyadic_block_index, is_infinite, lorentz_seq_norm
+from .lorentz import LorentzExponents, WeightedSample, _sample_norms, dyadic_block_index, is_infinite
 
 __all__ = [
     "ResourceLimitError",
@@ -580,10 +580,13 @@ def frostman_ratio(
             families.append(fam)
 
     hyp = 0.0
-    for fam in families:
+    radii_norms = _sample_norms(
+        [WeightedSample.from_sequence(r for _, r in fam) for fam in families],
+        LorentzExponents(alpha, q),
+    )
+    for fam, radii_norm in zip(families, radii_norms.tolist()):
         total = sum(bump_pairing(mu, center, r) for center, r in fam)
-        radii = [r for _, r in fam]
-        denom = lorentz_seq_norm(radii, LorentzExponents(alpha, q)) ** (q * gamma)
+        denom = radii_norm ** (q * gamma)
         if denom > 0:
             hyp = max(hyp, abs(total) / denom)
 

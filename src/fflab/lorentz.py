@@ -1,10 +1,12 @@
 """Exact Lorentz quasi-norms for simple functions and finite sequences.
 
 All norm inputs are finite plateau lists, so every integral in sight reduces
-to a closed form and nothing here carries quadrature error.  The dyadic-block
-sequence norm and its comparison against the Lorentz sequence norm live here
-as well, together with runnable checks for the quasi-triangle inequality and
-the asymptotic addition bound used by the spectral experiments.
+to a closed form and nothing here carries quadrature error.  The Lorentz
+norm and the dyadic-block sequence norm each have one kernel over row
+batches (``_lorentz_norms``, ``_block_norms``), with ragged rows padded by
+the value 0, which adds nothing to either norm.  The per-sample functions
+call them with a batch of one; the quasi-triangle and asymptotic-addition
+checks batch their norms per instance.
 """
 
 from __future__ import annotations
@@ -109,12 +111,6 @@ class WeightedSample:
             raise ValueError("scaling constant must be nonnegative")
         return WeightedSample(tuple((c * v, m) for v, m in self.entries), self.origin)
 
-    def values_masses(self):
-        if not self.entries:
-            return np.empty(0), np.empty(0)
-        a = np.asarray(self.entries)
-        return a[:, 0], a[:, 1]
-
 
 def distribution_function(f: WeightedSample, t: float) -> float:
     """m_f(t): total mass where the plateau value is >= t (for t >= 0)."""
@@ -123,23 +119,43 @@ def distribution_function(f: WeightedSample, t: float) -> float:
     return float(sum(m for v, m in f.entries if v >= t))
 
 
-def _norm_from_arrays(values: np.ndarray, masses: np.ndarray, p: float, q) -> float:
-    """Closed-form Lorentz quasi-norm of the simple function given by arrays."""
-    keep = values > 0
-    values, masses = values[keep], masses[keep]
-    if values.size == 0:
-        return 0.0
-    # merge equal values so the plateau boundaries are distinct, descending
-    uniq, inverse = np.unique(-values, return_inverse=True)
-    v = -uniq
-    m = np.zeros_like(v)
-    np.add.at(m, inverse, masses)
-    w = np.cumsum(m)
+def _pad_rows(flat: np.ndarray, lengths) -> np.ndarray:
+    """Consecutive runs of ``flat`` of the given lengths, as rows padded with 0."""
+    lengths = np.asarray(lengths)
+    fill = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    rows = np.zeros(fill.shape + flat.shape[1:])
+    rows[fill] = flat
+    return rows
+
+
+def _lorentz_norms(values: np.ndarray, masses: np.ndarray, p: float, q) -> np.ndarray:
+    """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
+    (rows, n) arrays holds the plateau values >= 0 and masses of one.
+
+    With a row sorted by descending value, the mass w_i of the first i
+    plateaus is m_f on [v_{i+1}, v_i), so the norm is (sum_i w_i^{q/p}
+    (v_i^q - v_{i+1}^q))^{1/q} with v_{n+1} = 0, or max_i w_i^{1/p} v_i for
+    q = INFINITY.  Ties need no merging (all members but the last add zero
+    terms, and the last has the largest w), nor do zero values.  The masses
+    are summed per row, so a row of huge masses costs the others no precision.
+    """
+    if values.shape[1] == 0:
+        return np.zeros(values.shape[0])
+    sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
+    v = values[sort]
+    w = np.cumsum(masses[sort], axis=1)
     if is_infinite(q):
-        return float(np.max(w ** (1.0 / p) * v))
-    v_next = np.append(v[1:], 0.0)
-    terms = w ** (q / p) * (v**q - v_next**q)
-    return float(np.sum(terms) ** (1.0 / q))
+        return np.max(w ** (1.0 / p) * v, axis=1)
+    vq = v**q
+    gaps = vq.copy()  # v_i^q - v_{i+1}^q
+    gaps[:, :-1] -= vq[:, 1:]
+    return np.sum(w ** (q / p) * gaps, axis=1) ** (1.0 / q)
+
+
+def _sample_norms(samples: Sequence[WeightedSample], e: LorentzExponents) -> np.ndarray:
+    flat = np.array([pair for f in samples for pair in f.entries]).reshape(-1, 2)
+    rows = _pad_rows(flat, [len(f.entries) for f in samples])
+    return _lorentz_norms(rows[..., 0], rows[..., 1], e.p, e.q)
 
 
 def lorentz_norm(f: WeightedSample, e: LorentzExponents) -> float:
@@ -150,14 +166,12 @@ def lorentz_norm(f: WeightedSample, e: LorentzExponents) -> float:
     constant; for q = INFINITY it is the sup of m_f(t)^{1/p} t over the
     plateau values.
     """
-    values, masses = f.values_masses()
-    return _norm_from_arrays(values, masses, e.p, e.q)
+    return float(_sample_norms([f], e)[0])
 
 
 def lorentz_seq_norm(a: Sequence[float], e: LorentzExponents) -> float:
     """Lorentz sequence-space quasi-norm: the sample with unit masses on |a_j|."""
-    arr = np.abs(np.asarray(list(a), dtype=float))
-    return _norm_from_arrays(arr, np.ones_like(arr), e.p, e.q)
+    return lorentz_norm(WeightedSample.from_sequence(a), e)
 
 
 def dyadic_block_index(v: float) -> int:
@@ -168,44 +182,54 @@ def dyadic_block_index(v: float) -> int:
     return -exp
 
 
-def _block_indices(values: np.ndarray) -> np.ndarray:
+def _block_norms(values: np.ndarray, alpha: float, q) -> np.ndarray:
+    """Block-aggregated norms of nonnegative sequences, one per row: the
+    alpha-th powers are summed per dyadic range [2^{-k-1}, 2^{-k}) with one
+    bincount on row * nb + k, and the block sums aggregated in l_q (max for
+    q = INFINITY), all raised to 1/(q*alpha) (1/alpha).  Padding 0s add 0."""
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    n_rows = values.shape[0]
+    pos = values > 0
+    if not pos.any():
+        return np.zeros(n_rows)
     _, exps = np.frexp(values)
-    return -exps
+    k = -exps
+    k_min = k[pos].min()
+    nb = k[pos].max() - k_min + 1
+    bins = np.arange(n_rows)[:, None] * nb + np.where(pos, k - k_min, 0)
+    sums = np.bincount(
+        bins.ravel(), weights=(values**alpha).ravel(), minlength=n_rows * nb
+    ).reshape(n_rows, nb)
+    if is_infinite(q):
+        return np.max(sums, axis=1) ** (1.0 / alpha)
+    return np.sum(sums**q, axis=1) ** (1.0 / (q * alpha))
+
+
+def _block_row(a: Sequence[float]) -> np.ndarray:
+    row = np.abs(np.asarray(list(a), dtype=float)).reshape(1, -1)
+    if np.any(row == 0):
+        raise ValueError("zero entries rejected: no dyadic block contains 0")
+    return row
 
 
 def dyadic_block_norm(a: Sequence[float], alpha: float, q) -> float:
-    """Block-aggregated sequence norm.
+    """Block-aggregated sequence norm of |a| (see ``_block_norms``)."""
+    return float(_block_norms(_block_row(a), alpha, q)[0])
 
-    Groups |a_j| by the dyadic range [2^{-k-1}, 2^{-k}), takes the alpha-power
-    sum per block, and aggregates blocks in l_q, all raised to 1/(q*alpha).
-    For q = INFINITY the block sums are aggregated by sup (power 1/alpha).
-    """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    arr = np.abs(np.asarray(list(a), dtype=float))
-    if arr.size == 0:
-        return 0.0
-    if np.any(arr == 0):
-        raise ValueError("zero entries rejected: no dyadic block contains 0")
-    ks = _block_indices(arr)
-    k_min = ks.min()
-    sums = np.zeros(ks.max() - k_min + 1)
-    np.add.at(sums, ks - k_min, arr**alpha)
-    sums = sums[sums > 0]
-    if is_infinite(q):
-        return float(np.max(sums) ** (1.0 / alpha))
-    return float(np.sum(sums**q) ** (1.0 / (q * alpha)))
+
+def _lornor_ratios(rows: np.ndarray, alpha: float, q) -> np.ndarray:
+    """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
+    seq_q = INFINITY if is_infinite(q) else alpha * q
+    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, np.ones_like(rows), alpha, seq_q)
 
 
 def check_lornor_equivalence(a: Sequence[float], alpha: float, q) -> float:
     """Ratio of the dyadic-block norm to the l_{alpha, alpha*q} sequence norm."""
-    arr = list(a)
-    if not arr:
+    row = _block_row(a)
+    if row.size == 0:
         raise ValueError("empty sequence")
-    block = dyadic_block_norm(arr, alpha, q)
-    seq_q = INFINITY if is_infinite(q) else alpha * q
-    seq = lorentz_seq_norm(arr, LorentzExponents(alpha, seq_q))
-    return block / seq
+    return float(_lornor_ratios(row, alpha, q)[0])
 
 
 def elementary_power_constant(r: float, alpha: float) -> float:
@@ -254,20 +278,11 @@ def quasi_triangle_constants(e: LorentzExponents, eps: float):
     return delta, a_coeff, c_coeff
 
 
-def _breakpoints(f: WeightedSample):
-    xs = [f.origin]
-    for _, m in f.entries:
-        xs.append(xs[-1] + m)
-    return xs
-
-
-def _value_at(f: WeightedSample, x: float) -> float:
-    pos = f.origin
-    for v, m in f.entries:
-        if pos <= x < pos + m:
-            return v
-        pos += m
-    return 0.0
+def _steps(f: WeightedSample):
+    """Plateau edges from the origin in list order, and the values padded with
+    the 0 outside them: f(x) = padded[edges.searchsorted(x, "right")]."""
+    edges = np.add.accumulate([f.origin, *(m for _, m in f.entries)])
+    return edges, np.array([0.0, *(v for v, _ in f.entries), 0.0])
 
 
 def overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
@@ -275,16 +290,18 @@ def overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
 
     Each sample is read as a step function on the half-line (plateaus laid
     out from its origin in list order); the sum is computed on the common
-    refinement of the two plateau partitions.
+    refinement of the two plateau partitions, whose cells of width 0 (edges
+    the samples share) are dropped.
     """
-    cuts = sorted(set(_breakpoints(f)) | set(_breakpoints(g)))
-    entries = []
-    for left, right in zip(cuts[:-1], cuts[1:]):
-        mid = 0.5 * (left + right)
-        val = _value_at(f, mid) + _value_at(g, mid)
-        if val > 0:
-            entries.append((val, right - left))
-    return WeightedSample(tuple(entries), origin=cuts[0] if cuts else 0.0)
+    (ef, vf), (eg, vg) = _steps(f), _steps(g)
+    cuts = np.sort(np.concatenate((ef, eg)))
+    left, right = cuts[:-1], cuts[1:]
+    mids = 0.5 * (left + right)
+    vals = vf[ef.searchsorted(mids, "right")] + vg[eg.searchsorted(mids, "right")]
+    widths = right - left
+    keep = (vals > 0) & (widths > 0)
+    entries = zip(vals[keep].tolist(), widths[keep].tolist())
+    return WeightedSample(tuple(entries), origin=float(cuts[0]))
 
 
 def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponents, eps: float):
@@ -294,8 +311,8 @@ def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponen
     be; the randomized corpora in the test-suite search for counterexamples).
     """
     _, a_coeff, c_coeff = quasi_triangle_constants(e, eps)
-    lhs = lorentz_norm(overlay_sum(f, g), e)
-    rhs = (1.0 + eps) * lorentz_norm(f, e) + c_coeff * lorentz_norm(g, e)
+    lhs, norm_f, norm_g = _sample_norms([overlay_sum(f, g), f, g], e).tolist()
+    rhs = (1.0 + eps) * norm_f + c_coeff * norm_g
     if lhs > rhs * (1.0 + 1e-12):
         raise AssertionError(
             f"quasi-triangle violation: lhs={lhs!r} rhs={rhs!r} (A={a_coeff}, C={c_coeff})"
@@ -317,22 +334,21 @@ class PplusVerdict:
     detail: str = ""
 
 
-def check_pplus(
-    f: WeightedSample,
-    gs: Sequence[WeightedSample],
-    e: LorentzExponents,
-    p1: float,
-    a_limit: float,
-    tol: float = 1e-6,
-    tail_fraction: float = 0.25,
-    precondition_rtol: float = 5e-2,
-) -> PplusVerdict:
-    """Check limsup_j ||f + g_j||^q <= ||f||^q + A^q + tol.
+_PPLUS_TOL = 1e-6
+_PPLUS_TAIL_FRACTION = 0.25
+_PPLUS_PRECONDITION_RTOL = 5e-2
 
-    The limsup is approximated by the max over the trailing ``tail_fraction``
-    of the sequence.  Preconditions (||g_j||_{p,q} -> A in the tail and
-    ||g_j||_{p1} -> 0) are checked numerically; failures yield
-    NOT_APPLICABLE rather than a verdict.
+
+def check_pplus(
+    f: WeightedSample, gs: Sequence[WeightedSample], e: LorentzExponents, p1: float, a_limit: float
+) -> PplusVerdict:
+    """Check limsup_j ||f + g_j||^q <= ||f||^q + A^q + 1e-6.
+
+    The limsup is approximated by the max over the trailing quarter of the
+    sequence.  Preconditions are checked numerically, and failures yield
+    NOT_APPLICABLE rather than a verdict: ||g_j||_{p,q} must lie within
+    5e-2 * A + 1e-12 of A throughout the tail, and ||g_j||_{p1} must decay
+    (the tail minimum at most a quarter of the head maximum).
     """
     if is_infinite(e.q):
         raise ValueError("check requires finite q")
@@ -341,28 +357,28 @@ def check_pplus(
     if not gs:
         raise ValueError("empty sequence of perturbations")
     n = len(gs)
-    tail_start = max(0, n - max(1, int(math.ceil(tail_fraction * n))))
+    tail_start = max(0, n - max(1, int(math.ceil(_PPLUS_TAIL_FRACTION * n))))
     tail = list(gs)[tail_start:]
-    e1 = LorentzExponents(p1, p1)
 
-    g_pq_tail = [lorentz_norm(g, e) for g in tail]
-    for val in g_pq_tail:
-        ref = max(abs(a_limit), 1e-30)
-        if abs(val - a_limit) > precondition_rtol * ref + 1e-12:
-            return PplusVerdict(
-                PplusStatus.NOT_APPLICABLE, math.nan, math.nan,
-                f"||g_j||_(p,q) = {val} not near A = {a_limit} in the tail",
-            )
-    g_p1_all = [lorentz_norm(g, e1) for g in gs]
-    head_scale = max(g_p1_all[: max(1, n // 4)]) if any(g_p1_all) else 0.0
-    if head_scale > 0 and min(g_p1_all[tail_start:]) > 0.25 * head_scale:
+    g_pq_tail = _sample_norms(tail, e)
+    ref = max(abs(a_limit), 1e-30)
+    off = np.abs(g_pq_tail - a_limit) > _PPLUS_PRECONDITION_RTOL * ref + 1e-12
+    if off.any():
+        return PplusVerdict(
+            PplusStatus.NOT_APPLICABLE, math.nan, math.nan,
+            f"||g_j||_(p,q) = {float(g_pq_tail[off.argmax()])} not near A = {a_limit} in the tail",
+        )
+    g_p1 = _sample_norms(gs, LorentzExponents(p1, p1))
+    head_scale = g_p1[: max(1, n // 4)].max()
+    if head_scale > 0 and g_p1[tail_start:].min() > 0.25 * head_scale:
         return PplusVerdict(
             PplusStatus.NOT_APPLICABLE, math.nan, math.nan,
             "||g_j||_(p1) does not decay along the sequence",
         )
 
     q = e.q
-    limsup_q = max(lorentz_norm(overlay_sum(f, g), e) ** q for g in tail)
-    bound = lorentz_norm(f, e) ** q + a_limit**q + tol
+    norm_f, *sums = _sample_norms([f] + [overlay_sum(f, g) for g in tail], e).tolist()
+    limsup_q = max(s**q for s in sums)
+    bound = norm_f**q + a_limit**q + _PPLUS_TOL
     status = PplusStatus.OK if limsup_q <= bound else PplusStatus.VIOLATION
     return PplusVerdict(status, limsup_q, bound)

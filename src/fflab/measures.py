@@ -91,30 +91,26 @@ class CubeMeasure:
         return cls(int(doc["d"]), tuple(atoms), mf)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShiftSample:
     """M uniform shifts in [0, 1-r]^d defining one realization of the
     random average of shifted side-r cube measures."""
 
     M: int
     r: float
-    shifts: tuple  # of coordinate tuples
+    shifts: np.ndarray  # (M, d) float array
     d: int
-    seed_lineage: tuple = ()
 
     def __post_init__(self):
-        sh = tuple(tuple(float(c) for c in v) for v in self.shifts)
+        sh = np.asarray(self.shifts, dtype=float)
         object.__setattr__(self, "shifts", sh)
         if not 0 < self.r < 0.5:
             raise ValueError(f"r must lie in (0, 1/2), got {self.r}")
-        if len(sh) != self.M:
-            raise ValueError("shift count must equal M")
-        for v in sh:
-            if len(v) != self.d:
-                raise ValueError("shift dimension mismatch")
-            if any(c < 0 or c > 1 - self.r + 1e-15 for c in v):
-                raise ValueError(f"shift {v} outside [0, 1-r]^d")
+        if sh.shape != (self.M, self.d):
+            raise ValueError(f"shifts have shape {sh.shape}, expected (M, d) = {(self.M, self.d)}")
+        if np.any((sh < 0) | (sh > 1 - self.r + 1e-15)):
+            raise ValueError(f"a shift lies outside [0, 1-r]^d = [0, {1 - self.r}]^{self.d}")
 
     def as_cube_measure(self) -> CubeMeasure:
         mass = 1.0 / self.M
-        return CubeMeasure(self.d, tuple((v, self.r, mass) for v in self.shifts))
+        return CubeMeasure(self.d, tuple((v, self.r, mass) for v in self.shifts.tolist()))

@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 from scipy.special import jv, spherical_jn
 
-from .lorentz import LorentzExponents, _norm_from_arrays
+from .lorentz import LorentzExponents, _lorentz_norms
 from .measures import CubeMeasure, ShiftSample
 
 __all__ = [
@@ -168,8 +168,7 @@ def expected_transform(M: int, r: float, grid: FreqGrid) -> SpectrumField:
 
 def random_transform(s: ShiftSample, grid: FreqGrid) -> SpectrumField:
     """Transform of the average of M shifted side-r cube measures."""
-    shifts = np.asarray(s.shifts)  # (M, d)
-    mean = _phase_sum(shifts, np.full(s.M, 1.0 / s.M), grid)
+    mean = _phase_sum(s.shifts, np.full(s.M, 1.0 / s.M), grid)
     return SpectrumField(grid, mean * _cube_envelope(grid, s.r))
 
 
@@ -214,8 +213,7 @@ def np_moment_estimate(
     expected = expected_transform(M, r, grid).values
     sums = np.empty((len(exponents), trials))
     for t in range(trials):
-        draws = rng.random((M, grid.d)) * (1.0 - r)
-        sample = ShiftSample(M, r, tuple(map(tuple, draws)), grid.d)
+        sample = ShiftSample(M, r, rng.random((M, grid.d)) * (1.0 - r), grid.d)
         sums[:, t] = centred_moments(sample, grid, expected, exponents)
     return tuple(
         (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(trials))) for row in sums
@@ -359,9 +357,9 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
 def lorentz_spectrum_norm(field: SpectrumField, e: LorentzExponents) -> float:
     """Lorentz quasi-norm of |field| read as a step function: each grid cell
     is a plateau of mass equal to the cell volume."""
-    mags = np.abs(field.values).ravel()
+    mags = np.abs(field.values).reshape(1, -1)
     masses = np.full(mags.shape, field.grid.cell_volume)
-    return _norm_from_arrays(mags, masses, e.p, e.q)
+    return float(_lorentz_norms(mags, masses, e.p, e.q)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
     """Constants from the tables of the experiments that check them; only
     EMBEDDING_CONSTANTS, which no experiment checks, has its own loop."""
     from fflab import experiments as ex
-    from fflab.lorentz import INFINITY, LorentzExponents, lorentz_norm
+    from fflab.lorentz import INFINITY, LorentzExponents, _sample_norms
     from fflab.spectral import ooo_deviation
 
     def table(experiment: str, name: str) -> list:
@@ -37,7 +37,7 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
     for p in (1.0, 2.0, 4.0):
         for q1, q2 in ((0.5, 1.0), (1.0, 2.0), (2.0, INFINITY)):
             e1, e2 = LorentzExponents(p, q1), LorentzExponents(p, q2)
-            worst = max(lorentz_norm(f, e2) / lorentz_norm(f, e1) for f in samples)
+            worst = max((_sample_norms(samples, e2) / _sample_norms(samples, e1)).tolist())
             emb[(repr(p), ex._q_key(q1), ex._q_key(q2))] = round(worst * 1.05, 6)
             print(f"embedding p={p} {q1}->{ex._q_key(q2)}: max ratio {worst:.4f}")
     out["EMBEDDING_CONSTANTS"] = emb

@@ -128,7 +128,7 @@ class TestSampling:
     def test_determinism(self):
         a = sample_shifts(10, 0.2, np.random.default_rng(42))
         b = sample_shifts(10, 0.2, np.random.default_rng(42))
-        assert a.shifts == b.shifts
+        assert np.array_equal(a.shifts, b.shifts)
 
     def test_invalid_r(self):
         with pytest.raises(ValueError):

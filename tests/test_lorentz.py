@@ -5,6 +5,7 @@ so the closed-form implementation is checked against an independent oracle.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fflab import recorded
+from fflab.experiments import _rng, lornor_corpus, run_experiment, tr_corpus
 from fflab.lorentz import (
     INFINITY,
     LorentzExponents,
     PplusStatus,
     WeightedSample,
+    _block_norms,
+    _pad_rows,
+    _sample_norms,
     check_lornor_equivalence,
     check_pplus,
     check_quasi_triangle,
@@ -59,6 +64,23 @@ def riemann_norm(f: WeightedSample, p: float, q: float, n_points: int = 400_000)
     vals = distribution_at(f, us ** (1.0 / q))
     integral = np.sum(np.sum(vals ** (q / p), axis=1) * widths)
     return float(integral ** (1.0 / q))
+
+
+def merged_norm(f: WeightedSample, p: float, q) -> float:
+    """The closed form with equal values merged into one plateau first, so
+    every breakpoint is distinct; zero values are dropped."""
+    entries = [(v, m) for v, m in f.entries if v > 0]
+    if not entries:
+        return 0.0
+    uniq, inverse = np.unique([-v for v, _ in entries], return_inverse=True)
+    v = -uniq
+    m = np.zeros_like(v)
+    np.add.at(m, inverse, [m for _, m in entries])
+    w = np.cumsum(m)
+    if q is INFINITY:
+        return float(np.max(w ** (1.0 / p) * v))
+    v_next = np.append(v[1:], 0.0)
+    return float(np.sum(w ** (q / p) * (v**q - v_next**q)) ** (1.0 / q))
 
 
 positive = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False)
@@ -156,6 +178,77 @@ class TestLorentzNorm:
 
     def test_empty_is_zero(self):
         assert lorentz_norm(WeightedSample(()), LorentzExponents(2, 2)) == 0.0
+
+
+class TestRowKernels:
+    def _mixed_samples(self):
+        rng = np.random.default_rng(11)
+        # huge masses first: a cumulative sum over the whole batch, differenced
+        # at row starts, would leave the unit-mass rows no precision
+        big = WeightedSample(tuple((2.0 ** -(4 * j), 2.0 ** (4 * j)) for j in range(1, 17)))
+        rows = [big]
+        for n in (1, 7, 3, 40, 2):
+            rows.append(WeightedSample(tuple((float(v), 1.0) for v in rng.uniform(0.1, 2.0, n))))
+        rows.append(WeightedSample(()))
+        rows.append(WeightedSample(tuple(zip(rng.uniform(0.0, 3.0, 9), rng.uniform(0.5, 2.0, 9)))))
+        return rows
+
+    @pytest.mark.parametrize("pq", [(2.0, 0.7), (4.0, 2.0), (1.5, INFINITY)])
+    def test_batch_matches_batch_of_one(self, pq):
+        samples = self._mixed_samples()
+        e = LorentzExponents(*pq)
+        batch = _sample_norms(samples, e)
+        single = [lorentz_norm(f, e) for f in samples]
+        assert batch == pytest.approx(single, rel=1e-13, abs=0.0)
+        assert batch[0] == pytest.approx(merged_norm(samples[0], *pq), rel=1e-13)
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, INFINITY])
+    def test_block_batch_matches_batch_of_one(self, q):
+        rng = np.random.default_rng(12)
+        lengths = [1, 50, 3, 199, 12]
+        seqs = [np.exp(rng.uniform(math.log(2.0**-30), math.log(8.0), n)) for n in lengths]
+        batch = _block_norms(_pad_rows(np.concatenate(seqs), lengths), 0.5, q)
+        single = [dyadic_block_norm(a, 0.5, q) for a in seqs]
+        assert batch == pytest.approx(single, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("q", [0.7, 2.0, INFINITY])
+    def test_ties_match_merged_oracle(self, q):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            n = int(rng.integers(1, 30))
+            values = rng.choice([0.0, 0.5, 1.0, 2.0, 3.0], n)
+            masses = rng.choice([0.25, 1.0, 3.0], n) * rng.uniform(0.9, 1.1, n)
+            f = WeightedSample(tuple(zip(values, masses)))
+            e = LorentzExponents(1.5, q)
+            assert lorentz_norm(f, e) == pytest.approx(merged_norm(f, 1.5, q), rel=1e-13)
+
+    def test_corpus_blocks_match_per_sequence_draws(self):
+        def per_sequence(alpha, q, seed, n_seq):
+            rng = _rng(seed, "lornor", repr(alpha), "inf" if q is INFINITY else repr(float(q)))
+            for n in rng.integers(3, 200, n_seq):
+                yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
+
+        for alpha, q in ((0.5, 2.0), (4.0, INFINITY)):
+            blocks = list(lornor_corpus(alpha, q, 0, 300))
+            assert [len(b) for b in blocks] == [128, 128, 44]
+            rows = np.concatenate([np.pad(b, ((0, 0), (0, 199 - b.shape[1]))) for b in blocks])
+            old = list(per_sequence(alpha, q, 0, 300))
+            assert len(rows) == len(old)
+            for row, a in zip(rows, old):
+                assert np.array_equal(row[: a.size], a)
+                assert not row[a.size :].any()
+
+    def test_lornor_memory_is_bounded_by_blocks(self):
+        # one 10k-row batch would peak at about 100 MiB; 128-row blocks stay
+        # near 2 MiB
+        tracemalloc.start()
+        try:
+            result = run_experiment("LORNOR", {"alphas": (1.0,), "qs": (2.0,)}, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 4 * 2**20
 
 
 class TestSequenceNorm:
@@ -277,6 +370,45 @@ class TestQuasiTriangle:
         s = overlay_sum(f, g)
         assert s.total_mass == pytest.approx(2.0, rel=1e-12)
         assert max(v for v, _ in s.entries) == pytest.approx(5.0, rel=1e-12)
+
+
+def scan_overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
+    """The common refinement by a linear scan of each sample per cell."""
+
+    def breakpoints(h):
+        xs = [h.origin]
+        for _, m in h.entries:
+            xs.append(xs[-1] + m)
+        return xs
+
+    def value_at(h, x):
+        pos = h.origin
+        for v, m in h.entries:
+            if pos <= x < pos + m:
+                return v
+            pos += m
+        return 0.0
+
+    cuts = sorted(set(breakpoints(f)) | set(breakpoints(g)))
+    entries = []
+    for left, right in zip(cuts[:-1], cuts[1:]):
+        mid = 0.5 * (left + right)
+        val = value_at(f, mid) + value_at(g, mid)
+        if val > 0:
+            entries.append((val, right - left))
+    return WeightedSample(tuple(entries), origin=cuts[0])
+
+
+class TestOverlaySum:
+    def test_matches_linear_scan_on_corpus(self):
+        for f, g, _, _ in tr_corpus(0, 200):
+            got, want = overlay_sum(f, g), scan_overlay_sum(f, g)
+            assert got.entries == want.entries
+            assert got.origin == want.origin
+
+    def test_empty_samples(self):
+        s = overlay_sum(WeightedSample((), origin=2.0), WeightedSample(()))
+        assert s.entries == () and s.origin == 0.0
 
 
 class TestPplus:

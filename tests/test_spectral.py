@@ -114,7 +114,7 @@ class TestRandomAndExpected:
     def test_random_matches_cube_measure_form(self):
         rng = np.random.default_rng(3)
         draws = rng.random((6, 1)) * 0.8
-        s = ShiftSample(6, 0.2, tuple(map(tuple, draws)), 1)
+        s = ShiftSample(6, 0.2, draws, 1)
         grid = FreqGrid(1, 8.0, 32)
         direct = random_transform(s, grid).values
         via_atoms = cube_measure_transform(s.as_cube_measure(), grid).values
@@ -123,7 +123,7 @@ class TestRandomAndExpected:
     def test_magnitude_bounded_by_mass(self):
         rng = np.random.default_rng(4)
         draws = rng.random((10, 1)) * 0.9
-        s = ShiftSample(10, 0.1, tuple(map(tuple, draws)), 1)
+        s = ShiftSample(10, 0.1, draws, 1)
         field = random_transform(s, FreqGrid(1, 32.0, 256))
         assert np.all(np.abs(field.values) <= 1.0 + 1e-12)
         assert field.at_zero == pytest.approx(1.0)
@@ -195,7 +195,7 @@ class TestSplitGemm:
         r = 0.05
         shifts = rng.random((M, d)) * (1.0 - r)
         grid = FreqGrid(d, X, N)
-        got = random_transform(ShiftSample(M, r, tuple(map(tuple, shifts)), d), grid).values
+        got = random_transform(ShiftSample(M, r, shifts, d), grid).values
         want = direct_transform(shifts, np.full(M, r), np.full(M, 1.0 / M), grid)
         assert np.max(np.abs(got - want)) <= 1e-12
 
@@ -219,7 +219,7 @@ class TestSplitGemm:
         # and 40 MiB (d = 2)
         rng = np.random.default_rng(0)
         r = 0.01
-        s = ShiftSample(M, r, tuple(map(tuple, rng.random((M, d)) * (1.0 - r))), d)
+        s = ShiftSample(M, r, rng.random((M, d)) * (1.0 - r), d)
         grid = FreqGrid(d, 512.0, N)
         tracemalloc.start()
         try:
