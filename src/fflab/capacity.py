@@ -186,42 +186,94 @@ def _box_of(point, g: int):
     return tuple(min(int(c * scale), scale - 1) for c in point)
 
 
-def _prune(vectors):
-    """Keep the Pareto-minimal count vectors under componentwise order."""
-    vecs = sorted(set(vectors), key=lambda v: (sum(v), v))
-    kept = []
-    for v in vecs:
-        if not any(all(u_i <= v_i for u_i, v_i in zip(u, v)) for u in kept):
-            kept.append(v)
-    return kept
+# Rows per skyline block.  The kept rows are compared in chunks of the same
+# size, so every comparison temporary holds at most _PRUNE_BLOCK^2 bools.
+_PRUNE_BLOCK = 256
+
+
+def _below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(len(b), len(a)) bools: row j of ``a`` <= row i of ``b`` in every
+    column, accumulated one column at a time."""
+    out = a[None, :, 0] <= b[:, None, 0]
+    for j in range(1, a.shape[1]):
+        out &= a[None, :, j] <= b[:, None, j]
+    return out
+
+
+def _prune(rows: np.ndarray) -> np.ndarray:
+    """Pareto-minimal rows of an (n, n_gen) int64 array, componentwise order.
+
+    A sorted block skyline (Kung, Luccio & Preparata 1975): the rows are
+    sorted by (sum, columns) and duplicates dropped, so a row can only be
+    dominated by a row of strictly smaller sum, that is by an earlier one.
+    Each block of rows is tested with ``<=`` against the rows kept so far
+    and against its own rows of smaller sum.  Domination is transitive, so
+    a dominated row always has a kept dominator in one of the two.  The
+    kept rows come back in (sum, columns) order.
+    """
+    sums = rows.sum(axis=1)
+    order = np.lexsort((*rows.T[::-1], sums))
+    rows, sums = rows[order], sums[order]
+    fresh = np.ones(len(rows), dtype=bool)
+    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    rows, sums = rows[fresh], sums[fresh]
+    kept = np.empty_like(rows)
+    n_kept = 0
+    for start in range(0, len(rows), _PRUNE_BLOCK):
+        block = rows[start:start + _PRUNE_BLOCK]
+        block_sums = sums[start:start + _PRUNE_BLOCK]
+        smaller = block_sums[None, :] < block_sums[:, None]
+        dominated = (_below(block, block) & smaller).any(axis=1)
+        for lo in range(0, n_kept, _PRUNE_BLOCK):
+            dominated |= _below(kept[lo:min(lo + _PRUNE_BLOCK, n_kept)], block).any(axis=1)
+        survivors = block[~dominated]
+        kept[n_kept:n_kept + len(survivors)] = survivors
+        n_kept += len(survivors)
+    return kept[:n_kept]
+
+
+def _merge(acc: Optional[np.ndarray], front: np.ndarray) -> np.ndarray:
+    """Pareto frontier of the Minkowski sum of two frontiers; ``acc`` None
+    is the empty sum, so the first frontier is taken as it is."""
+    if acc is None:
+        return front
+    return _prune((acc[:, None, :] + front[None, :, :]).reshape(-1, acc.shape[1]))
+
+
+def _groups(points, g: int):
+    """The points grouped by their box at generation g, in point order."""
+    boxes: dict = {}
+    for p in points:
+        boxes.setdefault(_box_of(p, g), []).append(p)
+    return boxes.values()
 
 
 _FRONTIER_BUDGET = 200_000
 
 
-def _frontier(points, g: int, g_min: int, depth: int, counter: list):
+def _frontier(points, g: int, g_min: int, depth: int, counter: list) -> np.ndarray:
     """Pareto frontier of per-generation count vectors covering ``points``.
 
-    The box containing ``points`` sits at generation g.  Each vector has one
-    slot per generation g_min..depth.
+    The box containing ``points`` sits at generation g.  Each row has one
+    column per generation g_min..depth.  ``counter[0]`` sums the sizes of
+    the pruned frontiers built so far, against ``_FRONTIER_BUDGET``.
     """
-    n_gen = depth - g_min + 1
-    take = tuple(1 if j == g - g_min else 0 for j in range(n_gen))
+    take = np.zeros((1, depth - g_min + 1), dtype=np.int64)
+    take[0, g - g_min] = 1
     if g == depth:
-        return [take]
-    kids: dict = {}
-    for p in points:
-        kids.setdefault(_box_of(p, g + 1), []).append(p)
-    acc = [tuple(0 for _ in range(n_gen))]
-    for kid_points in kids.values():
-        kid_front = _frontier(kid_points, g + 1, g_min, depth, counter)
-        acc = _prune(
-            tuple(a + b for a, b in zip(u, v)) for u in acc for v in kid_front
-        )
+        return take
+    acc = None
+    for kid_points in _groups(points, g + 1):
+        acc = _merge(acc, _frontier(kid_points, g + 1, g_min, depth, counter))
         counter[0] += len(acc)
         if counter[0] > _FRONTIER_BUDGET:
-            raise ResourceLimitError("covering search exceeded its budget; reduce depth")
-    return _prune(acc + [take])
+            raise ResourceLimitError(
+                f"covering search reached {counter[0]} frontier rows, over the budget "
+                f"of {_FRONTIER_BUDGET}, at depth {depth}; reduce depth"
+            )
+    # every row of acc covers the box with deeper boxes only, so taking
+    # the box itself is incomparable with all of them
+    return np.vstack((acc, take))
 
 
 def _vector_cost(vec, g_min: int, d: int, params: CapacityParams) -> float:
@@ -254,15 +306,10 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     if depth > 16:
         raise ResourceLimitError(f"depth {depth} exceeds the desk-scale limit 16")
     counter = [0]
-    tops: dict = {}
-    for p in cloud.points:
-        tops.setdefault(_box_of(p, g_min), []).append(p)
-    n_gen = depth - g_min + 1
-    acc = [tuple(0 for _ in range(n_gen))]
-    for top_points in tops.values():
-        front = _frontier(top_points, g_min, g_min, depth, counter)
-        acc = _prune(tuple(a + b for a, b in zip(u, v)) for u in acc for v in front)
-    return min(_vector_cost(v, g_min, cloud.d, params) for v in acc)
+    acc = None
+    for top_points in _groups(cloud.points, g_min):
+        acc = _merge(acc, _frontier(top_points, g_min, g_min, depth, counter))
+    return min(_vector_cost(v, g_min, cloud.d, params) for v in acc.tolist())
 
 
 def capacity_bracket(value: float, params: CapacityParams, d: int) -> tuple:
@@ -297,17 +344,11 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
             yield (diam,)
             return
         yield (diam,)
-        kids: dict = {}
-        for p in points:
-            kids.setdefault(_box_of(p, g + 1), []).append(p)
-        kid_lists = [list(expand(pts, g + 1)) for pts in kids.values()]
+        kid_lists = [list(expand(pts, g + 1)) for pts in _groups(points, g + 1)]
         for combo in itertools.product(*kid_lists):
             yield tuple(itertools.chain.from_iterable(combo))
 
-    tops: dict = {}
-    for p in cloud.points:
-        tops.setdefault(_box_of(p, g_min), []).append(p)
-    top_lists = [list(expand(pts, g_min)) for pts in tops.values()]
+    top_lists = [list(expand(pts, g_min)) for pts in _groups(cloud.points, g_min)]
     for combo in itertools.product(*top_lists):
         yield tuple(itertools.chain.from_iterable(combo))
 
@@ -414,18 +455,16 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
             return HlpVerdict(True, math.nan, math.nan, "clouds not separated; vacuous")
         union = inst.cloud_a.union(inst.cloud_b)
         lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth)
-        rhs = nh_capacity_delta(inst.cloud_a, inst.params, inst.delta, inst.depth) + nh_capacity_delta(
-            inst.cloud_b, inst.params, inst.delta, inst.depth
-        )
+        parts = [
+            nh_capacity_delta(c, inst.params, inst.delta, inst.depth)
+            for c in (inst.cloud_a, inst.cloud_b)
+        ]
+        rhs = parts[0] + parts[1]
         if inst.params.phi is None and inst.params.q == 1:
             # for the additive gauge the separated optimum splits exactly
             return HlpVerdict(abs(lhs - rhs) <= 1e-9, lhs, rhs)
         # a non-additive gauge merges the parts' block sums, so only
         # two-sided bounds are available at fixed depth
-        parts = [
-            nh_capacity_delta(c, inst.params, inst.delta, inst.depth)
-            for c in (inst.cloud_a, inst.cloud_b)
-        ]
         factor = _merge_factor(inst.params)
         ok = lhs <= factor * rhs + 1e-12 and lhs >= max(parts) - 1e-12
         return HlpVerdict(ok, lhs, factor * rhs, "two-sided bounds (gauge not additive)")
@@ -591,18 +630,12 @@ def frostman_ratio(
             hyp = max(hyp, abs(total) / denom)
 
     params = CapacityParams(alpha, q / alpha)
-    boxes = set()
+    boxes: dict = {}
     for g in range(0, set_depth + 1):
-        for p in mu.points:
-            boxes.add((g, _box_of(p, g)))
+        for p, w in zip(mu.points, mu.weights):
+            boxes.setdefault((g, _box_of(p, g)), []).append((p, abs(w)))
     conc = 0.0
-    for g, box in boxes:
-        scale = 2**g
-        inside = [
-            (p, abs(w))
-            for p, w in zip(mu.points, mu.weights)
-            if _box_of(p, g) == box
-        ]
+    for inside in boxes.values():
         mass = sum(w for _, w in inside)
         if mass == 0:
             continue

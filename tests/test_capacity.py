@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fflab import capacity
 from fflab.capacity import (
     CapacityParams,
     DyadicCovering,
@@ -32,6 +33,7 @@ from fflab.capacity import (
     packing_net_count,
     tent_profile,
 )
+from fflab.experiments import distinct_coverings, run_experiment
 from fflab.lorentz import INFINITY
 
 
@@ -43,6 +45,34 @@ def brute_capacity(cloud, params, delta, depth):
 
 
 unit_coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
+
+# the two eight-point clouds of capacity_dp_exactness
+DP_CLOUDS = (
+    PointCloud(tuple((x,) for x in (0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 0.9921875)), 1),
+    PointCloud(tuple((x,) for x in (0.1, 0.12, 0.6, 0.61, 0.62, 0.9, 0.91, 0.99)), 1),
+)
+
+
+def pareto_minimal(rows):
+    """Distinct rows that no other row is <= in every column, in (sum, columns) order."""
+    distinct = np.unique(rows, axis=0)
+    below = (distinct[:, None, :] <= distinct[None, :, :]).all(axis=2)  # row i <= row j
+    dominated = (below & ~np.eye(len(distinct), dtype=bool)).any(axis=0)
+    return sorted(distinct[~dominated].tolist(), key=lambda v: (sum(v), v))
+
+
+@st.composite
+def count_rows(draw):
+    """(n, k) int64 rows with many duplicates and ties, n up to three skyline
+    blocks; half of them have near-constant row sums, so wide antichains."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 3 * capacity._PRUNE_BLOCK))
+    top = draw(st.integers(0, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.integers(0, top + 1, size=(n, k), dtype=np.int64)
+    if draw(st.booleans()):
+        rows[:, -1] = top * (k - 1) - rows[:, :-1].sum(axis=1) + rng.integers(0, 2, size=n)
+    return rows
 
 
 class TestCoveringSum:
@@ -113,6 +143,15 @@ class TestValidation:
         with pytest.raises(ResourceLimitError):
             nh_capacity_delta(cloud, CapacityParams(1.0, 1.0), 0.5, 17)
 
+    def test_frontier_budget_counter(self, monkeypatch):
+        # the pruned frontier sizes of this cloud at depth 8 sum to 287
+        cloud, params = DP_CLOUDS[1], CapacityParams(0.5, 1.0)
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 287)
+        nh_capacity_delta(cloud, params, 0.5, 8)
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 286)
+        with pytest.raises(ResourceLimitError, match="reached 287 frontier rows.* 286, at depth 8"):
+            nh_capacity_delta(cloud, params, 0.5, 8)
+
 
 class TestCapacityExactness:
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
@@ -137,6 +176,29 @@ class TestCapacityExactness:
         params = CapacityParams(1.0, 2.0)
         dp = nh_capacity_delta(cloud, params, 0.9, 4)
         assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 4), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    def test_two_dimensional_deep(self, q):
+        # clustered points keep boxes shared down to depth 7: 20 601 coverings
+        cloud = PointCloud(
+            ((0.05, 0.05), (0.06, 0.07), (0.2, 0.1), (0.22, 0.12), (0.7, 0.8), (0.71, 0.83), (0.9, 0.6)), 2
+        )
+        params = CapacityParams(0.5, q)
+        dp = nh_capacity_delta(cloud, params, 0.9, 7)
+        assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 7), rel=1e-12)
+
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    def test_distinct_coverings_oracle_is_exact(self, q):
+        # every covering's sum is some distinct covering's sum to the last
+        # bit, and back; a key with sorted diameters breaks this for finite q
+        cloud, params = DP_CLOUDS[1], CapacityParams(0.5, q)
+        grouped = [nh_covering_sum(c, params) for c in distinct_coverings(cloud, 0.5, 8)]
+        plain = {
+            nh_covering_sum(DyadicCovering(diams), params)
+            for diams in enumerate_antichain_coverings(cloud, 0.5, 8)
+        }
+        assert set(grouped) == plain
+        assert min(grouped) == brute_capacity(cloud, params, 0.5, 8)
 
     def test_singleton_value(self):
         cloud = PointCloud(((0.3,),), 1)
@@ -167,6 +229,25 @@ class TestCapacityExactness:
     def test_bracket_rejects_custom_phi(self):
         with pytest.raises(ValueError):
             capacity_bracket(1.0, CapacityParams(0.5, 2.0, phi=lambda s: s**2), 1)
+
+
+class TestPrune:
+    @settings(max_examples=80)
+    @given(count_rows())
+    def test_matches_pairwise_filter(self, rows):
+        assert capacity._prune(rows).tolist() == pareto_minimal(rows)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_wide_antichain_across_blocks(self, seed):
+        # row sums within 3 of each other: most of the 900 distinct rows are
+        # minimal, so both the blocks and the kept chunks run past two
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(0, 5, size=(900, 8), dtype=np.int64)
+        rows[:, -1] = 28 - rows[:, :-1].sum(axis=1) + rng.integers(0, 4, size=900)
+        rows = np.concatenate((rows, rows[:300]))
+        expected = pareto_minimal(rows)
+        assert len(expected) > 3 * capacity._PRUNE_BLOCK
+        assert capacity._prune(rows).tolist() == expected
 
 
 class TestPackingNet:
@@ -260,6 +341,18 @@ class TestPropertyChecks:
         inst = HlpInstance(profile=(1, 2), alpha=1.0, q=2.0, gauge=GaugeFunction(lambda t: t))
         with pytest.raises(ValueError):
             check_hlp_item(HlpItem.GAUGE_LOWER, inst)
+
+
+class TestPhiGeneral:
+    def test_gauge_claim_checked_below_inverse_e(self):
+        result = run_experiment("PHI_GENERAL", {}, 0)
+        assert result.passed
+        header, (checked, reversal) = result.tables["gauges"]
+        rise = header.index("sums_rise")
+        assert checked[1] < 1 / math.e and checked[rise]
+        # with the 2^-2 diameter the largest block sum is 0.5 > 1/e, where
+        # the log gauge shrinks as its exponent falls
+        assert reversal[1] == 0.5 and not reversal[rise]
 
 
 class TestFrostman:
