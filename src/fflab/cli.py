@@ -2,7 +2,7 @@
 and spectrum utilities.
 
 Exit codes: 0 all checks passed, 1 a hard assertion failed, 2 configuration
-error, 3 resource limit hit.  LAB_THREADS caps worker parallelism.
+error, 3 resource limit hit.
 """
 
 from __future__ import annotations

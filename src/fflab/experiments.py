@@ -1,19 +1,17 @@
 """Seeded corpora and the experiment runner binding the core modules.
 
 Every experiment is a pure function of (params, seed); RNG streams are
-derived per sub-task from the seed so that serial and parallel execution
-agree.  Numeric artifacts are CSV tables with repr-formatted floats, which
-makes re-runs byte-identical.
+derived per sub-task from the seed, so no result depends on the order in
+which the sub-tasks run.  Numeric artifacts are CSV tables with
+repr-formatted floats, which makes re-runs byte-identical.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import os
 import zlib
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -41,10 +39,11 @@ from .lorentz import (
     LorentzExponents,
     PplusStatus,
     WeightedSample,
+    _TRIANGLE_RTOL,
     _lornor_ratios,
     _pad_rows,
-    check_pplus,
-    check_quasi_triangle,
+    _pplus_rows,
+    _quasi_triangle_rows,
     is_infinite,
 )
 from .presets import preset
@@ -65,8 +64,6 @@ __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
     "run_experiment",
-    "max_threads",
-    "parallel_map",
 ]
 
 
@@ -96,25 +93,6 @@ def _rng(seed: int, *key) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
 
 
-def max_threads() -> int:
-    raw = os.environ.get("LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn: Callable, items: Sequence):
-    """Order-preserving map over independent sub-tasks, threaded when
-    LAB_THREADS allows; results are identical either way because each item
-    carries its own derived RNG."""
-    workers = max_threads()
-    if workers == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def write_tables(result: ExperimentResult, outdir) -> List[str]:
     paths = []
     outdir = Path(outdir)
@@ -142,56 +120,101 @@ LORNOR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 LORNOR_QS = (0.5, 1.0, 2.0, INFINITY)
 
 
-_LORNOR_BLOCK = 128
+_CORPUS_BLOCK = 128
 
 
 def lornor_corpus(alpha: float, q, seed: int, n_seq: int = 10_000):
-    """The seeded sequences, yielded as blocks of up to _LORNOR_BLOCK rows
+    """The seeded sequences, yielded as blocks of up to _CORPUS_BLOCK rows
     padded with 0.  One uniform draw per block gives the same values as one
     draw per sequence, and the blocks keep the batch kernels' temporaries
     small."""
     rng = _rng(seed, "lornor", repr(alpha), _q_key(q))
     lengths = rng.integers(3, 200, n_seq)
-    for start in range(0, n_seq, _LORNOR_BLOCK):
-        block = lengths[start : start + _LORNOR_BLOCK]
+    for start in range(0, n_seq, _CORPUS_BLOCK):
+        block = lengths[start : start + _CORPUS_BLOCK]
         draw = rng.uniform(math.log(2.0**-12), math.log(0.5), int(block.sum()))
         yield _pad_rows(np.exp(draw), block)
 
 
-def random_sample(rng: np.random.Generator, max_plateaus: int = 6, origin: float = 0.0) -> WeightedSample:
+def _log_plateaus(rng: np.random.Generator, max_plateaus: int = 6):
+    """The logarithms of a random sample's plateau values and masses."""
     n = int(rng.integers(1, max_plateaus + 1))
-    values = np.exp(rng.normal(0.0, 1.5, n))
-    masses = np.exp(rng.normal(0.0, 1.5, n))
-    return WeightedSample(tuple(zip(values, masses)), origin=origin)
+    return rng.normal(0.0, 1.5, n), rng.normal(0.0, 1.5, n)
+
+
+def random_sample(rng: np.random.Generator, max_plateaus: int = 6, origin: float = 0.0) -> WeightedSample:
+    log_values, log_masses = _log_plateaus(rng, max_plateaus)
+    return WeightedSample(tuple(zip(np.exp(log_values), np.exp(log_masses))), origin=origin)
+
+
+def _plateau_rows(log_plateaus):
+    """(values, masses) rows padded with (0, 0) from a list of ``_log_plateaus``."""
+    lengths = [len(v) for v, _ in log_plateaus]
+    return tuple(_pad_rows(np.exp(np.concatenate(logs)), lengths) for logs in zip(*log_plateaus))
+
+
+def _past(masses: np.ndarray) -> np.ndarray:
+    """The origin just past each row's plateaus laid out from 0: the total
+    mass, summed in order as ``WeightedSample.total_mass`` does, plus 1."""
+    return np.cumsum(masses, axis=1)[:, -1] + 1.0
 
 
 TR_EXPONENTS = ((4.0, 2.0), (3.0, 1.0), (2.5, 0.7))
 
 
+def _block_exponents(start: int, stop: int) -> np.ndarray:
+    """(p, q) of instances start..stop-1, which cycle through TR_EXPONENTS."""
+    return np.array(TR_EXPONENTS)[np.arange(start, stop) % len(TR_EXPONENTS)]
+
+
 def tr_corpus(seed: int, n_pairs: int):
+    """The seeded quasi-triangle pairs, yielded as blocks of up to
+    _CORPUS_BLOCK instances (f, g, pq, eps): f and g are (values, masses,
+    origins) rows padded with (0, 0), pq the (rows, 2) exponents and eps
+    the rows' epsilons.  Half the g start just past f, the rest at 0.  The
+    draws are made instance by instance (f, side, g, eps), so a block holds
+    the values of drawing each pair alone, to the bit."""
     rng = _rng(seed, "tr")
     eps_menu = (0.1, 0.5, 1.0)
-    for i in range(n_pairs):
-        p, q = TR_EXPONENTS[i % len(TR_EXPONENTS)]
-        f = random_sample(rng)
-        disjoint = bool(rng.integers(0, 2))
-        origin = f.total_mass + 1.0 if disjoint else 0.0
-        g = random_sample(rng, origin=origin)
-        eps = eps_menu[int(rng.integers(0, len(eps_menu)))]
-        yield f, g, LorentzExponents(p, q), eps
+    for start in range(0, n_pairs, _CORPUS_BLOCK):
+        stop = min(start + _CORPUS_BLOCK, n_pairs)
+        fs, gs, disjoint, eps = [], [], [], []
+        for _ in range(start, stop):
+            fs.append(_log_plateaus(rng))
+            disjoint.append(bool(rng.integers(0, 2)))
+            gs.append(_log_plateaus(rng))
+            eps.append(eps_menu[int(rng.integers(0, len(eps_menu)))])
+        f_vals, f_masses = _plateau_rows(fs)
+        f = (f_vals, f_masses, np.zeros(stop - start))
+        g = (*_plateau_rows(gs), np.where(disjoint, _past(f_masses), 0.0))
+        yield f, g, _block_exponents(start, stop), np.array(eps)
 
 
 def pplus_corpus(seed: int, n_instances: int, seq_len: int = 16):
+    """The seeded asymptotic-addition instances, yielded as blocks of up to
+    _CORPUS_BLOCK instances (f, gs, pq, a_limits): f as in ``tr_corpus``,
+    gs the sequences g_1..g_seq_len of one plateau each as (rows, seq_len,
+    1) values and masses and (rows, seq_len) origins, all just past f, pq
+    the exponents and a_limits the limits A.  The draws are made instance
+    by instance (f, A), so a block holds the values of drawing each
+    instance alone, to the bit."""
     rng = _rng(seed, "pplus")
-    for i in range(n_instances):
-        p, q = TR_EXPONENTS[i % len(TR_EXPONENTS)]
-        e = LorentzExponents(p, q)
-        f = random_sample(rng)
-        a_limit = float(np.exp(rng.normal(0.0, 0.7)))
-        # single plateaus of constant Lorentz norm and vanishing higher norm
-        masses = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
-        gs = [WeightedSample(((a_limit * m ** (-1.0 / p), m),), origin=f.total_mass + 1.0) for m in masses]
-        yield f, gs, e, p + 1.0, a_limit
+    # single plateaus of constant Lorentz norm and vanishing higher norm
+    masses = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
+    shrink = {p: np.array([m ** (-1.0 / p) for m in masses]) for p, _ in TR_EXPONENTS}
+    for start in range(0, n_instances, _CORPUS_BLOCK):
+        stop = min(start + _CORPUS_BLOCK, n_instances)
+        fs, a_limits = [], []
+        for _ in range(start, stop):
+            fs.append(_log_plateaus(rng))
+            a_limits.append(float(np.exp(rng.normal(0.0, 0.7))))
+        f_vals, f_masses = _plateau_rows(fs)
+        pq = _block_exponents(start, stop)
+        a_limits = np.array(a_limits)
+        g_vals = a_limits[:, None] * np.array([shrink[p] for p in pq[:, 0].tolist()])
+        g_masses = np.tile(masses, (stop - start, 1))
+        gs = (g_vals[..., None], g_masses[..., None], np.repeat(_past(f_masses)[:, None], seq_len, axis=1))
+        yield (f_vals, f_masses, np.zeros(stop - start)), gs, pq, a_limits
 
 
 def gauge_gallery(alpha: float):
@@ -281,17 +304,32 @@ def run_lornor(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("LORNOR", checks, tables)
 
 
+def _by_key(keys: np.ndarray):
+    """(key, row mask) for each distinct row of ``keys``, in sorted order:
+    the one grouping of a corpus block by its rows' scalar kernel arguments."""
+    for key in sorted(set(map(tuple, keys.tolist()))):
+        yield key, np.all(keys == key, axis=1)
+
+
+def _take(rows, mask) -> tuple:
+    return tuple(a[mask] for a in rows)
+
+
 def run_tr_pplus(params: dict, seed: int) -> ExperimentResult:
     n = int(params.get("n_instances", 10_000))
     violations = 0
-    for f, g, e, eps in tr_corpus(seed, n):
-        try:
-            check_quasi_triangle(f, g, e, eps)
-        except AssertionError:
-            violations += 1
-    statuses = [check_pplus(*instance).status for instance in pplus_corpus(seed, n)]
-    bad = statuses.count(PplusStatus.VIOLATION)
-    inapplicable = statuses.count(PplusStatus.NOT_APPLICABLE)
+    for f, g, pq, eps in tr_corpus(seed, n):
+        for (p, q, e), mask in _by_key(np.column_stack((pq, eps))):
+            lhs, rhs = _quasi_triangle_rows(_take(f, mask), _take(g, mask), LorentzExponents(p, q), e)
+            violations += int(np.count_nonzero(lhs > rhs * (1.0 + _TRIANGLE_RTOL)))
+    statuses = Counter()
+    for f, gs, pq, a_limits in pplus_corpus(seed, n):
+        for (p, q), mask in _by_key(pq):
+            e = LorentzExponents(p, q)
+            status, *_ = _pplus_rows(_take(f, mask), _take(gs, mask), a_limits[mask], e, p + 1.0)
+            statuses.update(status.tolist())
+    bad = statuses[PplusStatus.VIOLATION]
+    inapplicable = statuses[PplusStatus.NOT_APPLICABLE]
     checks = [
         CheckResult("quasi_triangle_zero_violations", violations == 0, f"{violations} violations / {n}"),
         CheckResult(
@@ -371,7 +409,7 @@ def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
         return (m, r, e2, se2, np_variance_oracle(m, r, grid), e4, se4)
 
     points = list(enumerate((m, r) for m in ms for r in rs))
-    results = parallel_map(one_point, points)
+    results = [one_point(point) for point in points]
     checks, rows = [], []
     sigma_ok = True
     for m, r, e2, se2, oracle, e4, se4 in results:

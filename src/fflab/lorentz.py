@@ -1,12 +1,13 @@
 """Exact Lorentz quasi-norms for simple functions and finite sequences.
 
 All norm inputs are finite plateau lists, so every integral in sight reduces
-to a closed form and nothing here carries quadrature error.  The Lorentz
-norm and the dyadic-block sequence norm each have one kernel over row
-batches (``_lorentz_norms``, ``_block_norms``), with ragged rows padded by
-the value 0, which adds nothing to either norm.  The per-sample functions
-call them with a batch of one; the quasi-triangle and asymptotic-addition
-checks batch their norms per instance.
+to a closed form and nothing here carries quadrature error.  Each object has
+one kernel over row batches: the Lorentz norm (``_lorentz_norms``), the
+dyadic-block sequence norm (``_block_norms``), the positional sum of two
+samples (``_overlay_rows``), and the quasi-triangle and asymptotic-addition
+checks (``_quasi_triangle_rows``, ``_pplus_rows``).  Ragged rows are padded
+with the plateau (0, 0), which changes neither a norm nor a sum.  The
+per-sample functions call the kernels with a batch of one.
 """
 
 from __future__ import annotations
@@ -128,22 +129,45 @@ def _pad_rows(flat: np.ndarray, lengths) -> np.ndarray:
     return rows
 
 
-def _lorentz_norms(values: np.ndarray, masses: np.ndarray, p: float, q) -> np.ndarray:
+def _sample_rows(samples: Sequence[WeightedSample]):
+    """(values, masses, origins) of the samples, as rows padded with the
+    plateau (0, 0), which changes neither a norm nor a positional sum."""
+    flat = np.array([pair for f in samples for pair in f.entries]).reshape(-1, 2)
+    rows = _pad_rows(flat, [len(f.entries) for f in samples])
+    return rows[..., 0], rows[..., 1], np.array([f.origin for f in samples], dtype=float)
+
+
+def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
+    """Padded plateau rows: values >= 0, and masses > 0 outside the (0, 0) padding."""
+    if not np.all(values >= 0):
+        raise ValueError("plateau values must be nonnegative")
+    if not np.all((masses > 0) | ((masses == 0) & (values == 0))):
+        raise ValueError("plateau masses must be positive")
+
+
+def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
-    (rows, n) arrays holds the plateau values >= 0 and masses of one.
+    (rows, n) arrays holds the plateau values >= 0 and masses of one;
+    ``masses`` None means unit masses (finite sequences).
 
     With a row sorted by descending value, the mass w_i of the first i
     plateaus is m_f on [v_{i+1}, v_i), so the norm is (sum_i w_i^{q/p}
     (v_i^q - v_{i+1}^q))^{1/q} with v_{n+1} = 0, or max_i w_i^{1/p} v_i for
     q = INFINITY.  Ties need no merging (all members but the last add zero
     terms, and the last has the largest w), nor do zero values.  The masses
-    are summed per row, so a row of huge masses costs the others no precision.
+    are summed per row, so a row of huge masses costs the others no precision;
+    unit masses sum to w_i = i exactly, so that row is shared.
     """
-    if values.shape[1] == 0:
+    n = values.shape[1]
+    if n == 0:
         return np.zeros(values.shape[0])
-    sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
-    v = values[sort]
-    w = np.cumsum(masses[sort], axis=1)
+    if masses is None:
+        v = -np.sort(-values, axis=1)
+        w = np.arange(1.0, n + 1.0)
+    else:
+        sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
+        v = values[sort]
+        w = np.cumsum(masses[sort], axis=1)
     if is_infinite(q):
         return np.max(w ** (1.0 / p) * v, axis=1)
     vq = v**q
@@ -153,9 +177,8 @@ def _lorentz_norms(values: np.ndarray, masses: np.ndarray, p: float, q) -> np.nd
 
 
 def _sample_norms(samples: Sequence[WeightedSample], e: LorentzExponents) -> np.ndarray:
-    flat = np.array([pair for f in samples for pair in f.entries]).reshape(-1, 2)
-    rows = _pad_rows(flat, [len(f.entries) for f in samples])
-    return _lorentz_norms(rows[..., 0], rows[..., 1], e.p, e.q)
+    values, masses, _ = _sample_rows(samples)
+    return _lorentz_norms(values, masses, e.p, e.q)
 
 
 def lorentz_norm(f: WeightedSample, e: LorentzExponents) -> float:
@@ -221,7 +244,7 @@ def dyadic_block_norm(a: Sequence[float], alpha: float, q) -> float:
 def _lornor_ratios(rows: np.ndarray, alpha: float, q) -> np.ndarray:
     """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
     seq_q = INFINITY if is_infinite(q) else alpha * q
-    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, np.ones_like(rows), alpha, seq_q)
+    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, None, alpha, seq_q)
 
 
 def check_lornor_equivalence(a: Sequence[float], alpha: float, q) -> float:
@@ -278,11 +301,40 @@ def quasi_triangle_constants(e: LorentzExponents, eps: float):
     return delta, a_coeff, c_coeff
 
 
-def _steps(f: WeightedSample):
-    """Plateau edges from the origin in list order, and the values padded with
-    the 0 outside them: f(x) = padded[edges.searchsorted(x, "right")]."""
-    edges = np.add.accumulate([f.origin, *(m for _, m in f.entries)])
-    return edges, np.array([0.0, *(v for v, _ in f.entries), 0.0])
+def _overlay_rows(f_vals, f_masses, f_origins, g_vals, g_masses, g_origins):
+    """Pointwise sums of positional step functions, one pair per row.
+
+    Row i of f lays its plateaus out from ``f_origins[i]`` in column order,
+    with edges the running sum of [origin, *masses] along the row; so does
+    g.  The two edge lists are sorted together per row, and the cell between
+    sorted edges k and k+1 lies in the plateau of f after the f-edges among
+    the first k+1, and likewise for g: a cumulative count, O(n log n) per
+    row with the sort.  Padding plateaus (0, 0) repeat the row's last edge,
+    so they add only cells of width 0.  Cells of value 0 or width 0 are
+    dropped and the rest moved to the front of the row, in order, by a
+    stable argsort; the rows come back padded with (0, 0), and each origin
+    is its row's first edge.
+    """
+    f_edges = np.cumsum(np.column_stack((f_origins, f_masses)), axis=1)
+    g_edges = np.cumsum(np.column_stack((g_origins, g_masses)), axis=1)
+    edges = np.concatenate((f_edges, g_edges), axis=1)
+    rows = np.arange(len(edges))[:, None]
+    merged = np.argsort(edges, axis=1)
+    cuts = edges[rows, merged]
+    f_count = np.cumsum(merged < f_edges.shape[1], axis=1)[:, :-1]
+    g_count = np.arange(1, cuts.shape[1]) - f_count
+
+    def plateau_at(values, count):
+        padded = np.zeros((len(values), values.shape[1] + 2))  # the 0 outside the plateaus
+        padded[:, 1:-1] = values
+        return padded[rows, count]
+
+    vals = plateau_at(f_vals, f_count) + plateau_at(g_vals, g_count)
+    widths = cuts[:, 1:] - cuts[:, :-1]
+    keep = (vals > 0) & (widths > 0)
+    order = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max(initial=0)]
+    vals, widths = (np.where(keep, a, 0.0)[rows, order] for a in (vals, widths))
+    return vals, widths, cuts[:, 0]
 
 
 def overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
@@ -291,17 +343,27 @@ def overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
     Each sample is read as a step function on the half-line (plateaus laid
     out from its origin in list order); the sum is computed on the common
     refinement of the two plateau partitions, whose cells of width 0 (edges
-    the samples share) are dropped.
+    the samples share) are dropped.  A batch of one of ``_overlay_rows``.
     """
-    (ef, vf), (eg, vg) = _steps(f), _steps(g)
-    cuts = np.sort(np.concatenate((ef, eg)))
-    left, right = cuts[:-1], cuts[1:]
-    mids = 0.5 * (left + right)
-    vals = vf[ef.searchsorted(mids, "right")] + vg[eg.searchsorted(mids, "right")]
-    widths = right - left
-    keep = (vals > 0) & (widths > 0)
-    entries = zip(vals[keep].tolist(), widths[keep].tolist())
-    return WeightedSample(tuple(entries), origin=float(cuts[0]))
+    vals, widths, origins = _overlay_rows(*_sample_rows([f]), *_sample_rows([g]))
+    keep = widths[0] > 0
+    entries = zip(vals[0][keep].tolist(), widths[0][keep].tolist())
+    return WeightedSample(tuple(entries), origin=float(origins[0]))
+
+
+_TRIANGLE_RTOL = 1e-12
+
+
+def _quasi_triangle_rows(f, g, e: LorentzExponents, eps: float):
+    """Arrays (lhs, rhs) with lhs = ||f+g|| and rhs = (1+eps)||f|| + C_eps ||g||,
+    one per row of the padded (values, masses, origins) rows f and g."""
+    _, _, c_coeff = quasi_triangle_constants(e, eps)
+    for values, masses, _ in (f, g):
+        _check_rows(values, masses)
+    s_vals, s_masses, _ = _overlay_rows(*f, *g)
+    lhs = _lorentz_norms(s_vals, s_masses, e.p, e.q)
+    norm_f, norm_g = (_lorentz_norms(values, masses, e.p, e.q) for values, masses, _ in (f, g))
+    return lhs, (1.0 + eps) * norm_f + c_coeff * norm_g
 
 
 def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponents, eps: float):
@@ -310,10 +372,9 @@ def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponen
     Raises AssertionError if the proven bound is violated (it never should
     be; the randomized corpora in the test-suite search for counterexamples).
     """
-    _, a_coeff, c_coeff = quasi_triangle_constants(e, eps)
-    lhs, norm_f, norm_g = _sample_norms([overlay_sum(f, g), f, g], e).tolist()
-    rhs = (1.0 + eps) * norm_f + c_coeff * norm_g
-    if lhs > rhs * (1.0 + 1e-12):
+    lhs, rhs = (float(x[0]) for x in _quasi_triangle_rows(_sample_rows([f]), _sample_rows([g]), e, eps))
+    if lhs > rhs * (1.0 + _TRIANGLE_RTOL):
+        _, a_coeff, c_coeff = quasi_triangle_constants(e, eps)
         raise AssertionError(
             f"quasi-triangle violation: lhs={lhs!r} rhs={rhs!r} (A={a_coeff}, C={c_coeff})"
         )
@@ -339,6 +400,56 @@ _PPLUS_TAIL_FRACTION = 0.25
 _PPLUS_PRECONDITION_RTOL = 5e-2
 
 
+def _pplus_rows(f, gs, a_limits: np.ndarray, e: LorentzExponents, p1: float):
+    """Batch form of ``check_pplus``: instance i is row i of the padded
+    (values, masses, origins) rows f, the sequence g_1..g_n in row i of the
+    (rows, n, width) arrays of gs (origins (rows, n)), and A = a_limits[i].
+
+    Returns the arrays (status, limsup_q, bound, detail): PplusStatus
+    members, NaN for the NOT_APPLICABLE instances, and their reasons.
+    """
+    if is_infinite(e.q):
+        raise ValueError("check requires finite q")
+    if p1 <= e.p:
+        raise ValueError("p1 must exceed p")
+    g_vals, g_masses, g_origins = gs
+    rows, n, width = g_vals.shape
+    if n == 0:
+        raise ValueError("empty sequence of perturbations")
+    for values, masses, _ in (f, gs):
+        _check_rows(values, masses)
+    tail_start = max(0, n - max(1, int(math.ceil(_PPLUS_TAIL_FRACTION * n))))
+    tail = n - tail_start
+    g_tail = tuple(a[:, tail_start:].reshape((rows * tail,) + a.shape[2:]) for a in gs)
+
+    g_pq_tail = _lorentz_norms(g_tail[0], g_tail[1], e.p, e.q).reshape(rows, tail)
+    ref = np.maximum(np.abs(a_limits), 1e-30)[:, None]
+    off = np.abs(g_pq_tail - a_limits[:, None]) > _PPLUS_PRECONDITION_RTOL * ref + 1e-12
+    g_p1 = _lorentz_norms(
+        g_vals.reshape(rows * n, width), g_masses.reshape(rows * n, width), p1, p1
+    ).reshape(rows, n)
+    head_scale = g_p1[:, : max(1, n // 4)].max(axis=1)
+    stalled = (head_scale > 0) & (g_p1[:, tail_start:].min(axis=1) > 0.25 * head_scale)
+
+    q = e.q
+    f_tail = (np.repeat(a, tail, axis=0) for a in f)
+    s_vals, s_masses, _ = _overlay_rows(*f_tail, *g_tail)
+    limsup_q = np.max(_lorentz_norms(s_vals, s_masses, e.p, q).reshape(rows, tail) ** q, axis=1)
+    bound = _lorentz_norms(f[0], f[1], e.p, q) ** q + a_limits**q + _PPLUS_TOL
+    status = np.full(rows, PplusStatus.OK, dtype=object)
+    status[~(limsup_q <= bound)] = PplusStatus.VIOLATION
+    detail = np.full(rows, "", dtype=object)
+    for i in np.flatnonzero(off.any(axis=1) | stalled):
+        status[i], limsup_q[i], bound[i] = PplusStatus.NOT_APPLICABLE, math.nan, math.nan
+        detail[i] = (
+            f"||g_j||_(p,q) = {float(g_pq_tail[i, off[i].argmax()])} not near A = "
+            f"{float(a_limits[i])} in the tail"
+            if off[i].any()
+            else "||g_j||_(p1) does not decay along the sequence"
+        )
+    return status, limsup_q, bound, detail
+
+
 def check_pplus(
     f: WeightedSample, gs: Sequence[WeightedSample], e: LorentzExponents, p1: float, a_limit: float
 ) -> PplusVerdict:
@@ -348,37 +459,11 @@ def check_pplus(
     sequence.  Preconditions are checked numerically, and failures yield
     NOT_APPLICABLE rather than a verdict: ||g_j||_{p,q} must lie within
     5e-2 * A + 1e-12 of A throughout the tail, and ||g_j||_{p1} must decay
-    (the tail minimum at most a quarter of the head maximum).
+    (the tail minimum at most a quarter of the head maximum).  A batch of
+    one of ``_pplus_rows``.
     """
-    if is_infinite(e.q):
-        raise ValueError("check requires finite q")
-    if p1 <= e.p:
-        raise ValueError("p1 must exceed p")
-    if not gs:
-        raise ValueError("empty sequence of perturbations")
-    n = len(gs)
-    tail_start = max(0, n - max(1, int(math.ceil(_PPLUS_TAIL_FRACTION * n))))
-    tail = list(gs)[tail_start:]
-
-    g_pq_tail = _sample_norms(tail, e)
-    ref = max(abs(a_limit), 1e-30)
-    off = np.abs(g_pq_tail - a_limit) > _PPLUS_PRECONDITION_RTOL * ref + 1e-12
-    if off.any():
-        return PplusVerdict(
-            PplusStatus.NOT_APPLICABLE, math.nan, math.nan,
-            f"||g_j||_(p,q) = {float(g_pq_tail[off.argmax()])} not near A = {a_limit} in the tail",
-        )
-    g_p1 = _sample_norms(gs, LorentzExponents(p1, p1))
-    head_scale = g_p1[: max(1, n // 4)].max()
-    if head_scale > 0 and g_p1[tail_start:].min() > 0.25 * head_scale:
-        return PplusVerdict(
-            PplusStatus.NOT_APPLICABLE, math.nan, math.nan,
-            "||g_j||_(p1) does not decay along the sequence",
-        )
-
-    q = e.q
-    norm_f, *sums = _sample_norms([f] + [overlay_sum(f, g) for g in tail], e).tolist()
-    limsup_q = max(s**q for s in sums)
-    bound = norm_f**q + a_limit**q + _PPLUS_TOL
-    status = PplusStatus.OK if limsup_q <= bound else PplusStatus.VIOLATION
-    return PplusVerdict(status, limsup_q, bound)
+    g_rows = tuple(a.reshape((1, len(gs)) + a.shape[1:]) for a in _sample_rows(gs))
+    status, limsup_q, bound, detail = _pplus_rows(
+        _sample_rows([f]), g_rows, np.array([a_limit], dtype=float), e, p1
+    )
+    return PplusVerdict(status[0], float(limsup_q[0]), float(bound[0]), detail[0])

@@ -13,15 +13,29 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fflab import recorded
-from fflab.experiments import _rng, lornor_corpus, run_experiment, tr_corpus
+from fflab.experiments import (
+    TR_EXPONENTS,
+    _by_key,
+    _rng,
+    _take,
+    lornor_corpus,
+    pplus_corpus,
+    run_experiment,
+    tr_corpus,
+)
 from fflab.lorentz import (
     INFINITY,
     LorentzExponents,
     PplusStatus,
     WeightedSample,
     _block_norms,
+    _lorentz_norms,
+    _overlay_rows,
     _pad_rows,
+    _pplus_rows,
+    _quasi_triangle_rows,
     _sample_norms,
+    _sample_rows,
     check_lornor_equivalence,
     check_pplus,
     check_quasi_triangle,
@@ -238,6 +252,15 @@ class TestRowKernels:
                 assert np.array_equal(row[: a.size], a)
                 assert not row[a.size :].any()
 
+    @pytest.mark.parametrize("q", [0.5, 2.0, INFINITY])
+    def test_unit_masses_match_explicit_ones(self, q):
+        # rounding to multiples of 1/64 makes ties, and zeros beside the padding
+        for block in lornor_corpus(0.5, 2.0, 0, 300):
+            for rows in (block, np.round(block * 64.0) / 64.0):
+                got = _lorentz_norms(rows, None, 0.5, q)
+                want = _lorentz_norms(rows, np.ones_like(rows), 0.5, q)
+                assert np.array_equal(got, want)
+
     def test_lornor_memory_is_bounded_by_blocks(self):
         # one 10k-row batch would peak at about 100 MiB; 128-row blocks stay
         # near 2 MiB
@@ -364,6 +387,27 @@ class TestQuasiTriangle:
         lhs, rhs = check_quasi_triangle(f, g, LorentzExponents(*pq), 0.25)
         assert lhs <= rhs * (1 + 1e-12)
 
+    def test_batch_matches_batch_of_one(self):
+        f_rows, g_rows, pqs, epss = next(tr_corpus(0, 128))
+        for (p, q, eps), mask in _by_key(np.column_stack((pqs, epss))):
+            e = LorentzExponents(p, q)
+            f_sel, g_sel = _take(f_rows, mask), _take(g_rows, mask)
+            lhs, rhs = _quasi_triangle_rows(f_sel, g_sel, e, eps)
+            single = [check_quasi_triangle(f, g, e, eps) for f, g in zip(row_samples(f_sel), row_samples(g_sel))]
+            assert lhs == pytest.approx([a for a, _ in single], rel=1e-13, abs=0.0)
+            assert rhs == pytest.approx([b for _, b in single], rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "values, masses", [([[1.0, -0.5]], [[1.0, 1.0]]), ([[1.0, 2.0]], [[1.0, 0.0]]), ([[np.nan]], [[1.0]])]
+    )
+    def test_batch_rejects_bad_plateaus(self, values, masses):
+        bad = (np.array(values), np.array(masses), np.zeros(1))
+        good = _sample_rows([WeightedSample(((1.0, 1.0),))])
+        with pytest.raises(ValueError):
+            _quasi_triangle_rows(bad, good, LorentzExponents(2, 2), 0.1)
+        with pytest.raises(ValueError):
+            _quasi_triangle_rows(good, bad, LorentzExponents(2, 2), 0.1)
+
     def test_overlay_refinement(self):
         f = WeightedSample(((2.0, 1.0), (1.0, 1.0)))
         g = WeightedSample(((3.0, 0.5),), origin=0.75)
@@ -399,16 +443,140 @@ def scan_overlay_sum(f: WeightedSample, g: WeightedSample) -> WeightedSample:
     return WeightedSample(tuple(entries), origin=cuts[0])
 
 
+def row_samples(rows):
+    """The WeightedSamples of padded (values, masses, origins) rows."""
+    values, masses, origins = rows
+    return [
+        WeightedSample(tuple((v, m) for v, m in zip(vs.tolist(), ms.tolist()) if m > 0), origin=float(o))
+        for vs, ms, o in zip(values, masses, origins)
+    ]
+
+
 class TestOverlaySum:
     def test_matches_linear_scan_on_corpus(self):
-        for f, g, _, _ in tr_corpus(0, 200):
-            got, want = overlay_sum(f, g), scan_overlay_sum(f, g)
-            assert got.entries == want.entries
-            assert got.origin == want.origin
+        for f_rows, g_rows, _, _ in tr_corpus(0, 200):
+            for f, g in zip(row_samples(f_rows), row_samples(g_rows)):
+                got, want = overlay_sum(f, g), scan_overlay_sum(f, g)
+                assert got.entries == want.entries
+                assert got.origin == want.origin
+
+    def _assert_rows_match_scan(self, f_rows, g_rows):
+        vals, widths, origins = _overlay_rows(*f_rows, *g_rows)
+        got = row_samples((vals, widths, origins))
+        for i, (f, g) in enumerate(zip(row_samples(f_rows), row_samples(g_rows))):
+            want = scan_overlay_sum(f, g)
+            assert got[i].entries == want.entries
+            assert got[i].origin == want.origin
+            assert not vals[i, len(want.entries) :].any() and not widths[i, len(want.entries) :].any()
+
+    def test_rows_match_linear_scan_on_corpus(self):
+        # half the pairs share the edge at origin 0, half are disjoint
+        blocks = list(tr_corpus(0, 256))
+        assert sum(len(eps) for *_, eps in blocks) == 256
+        for f_rows, g_rows, _, _ in blocks:
+            self._assert_rows_match_scan(f_rows, g_rows)
+
+    def test_rows_edge_cases(self):
+        huge = tuple((2.0 ** -(4 * j), 2.0 ** (4 * j)) for j in range(1, 17))  # masses up to 2^64
+        fs = [
+            WeightedSample(()),
+            WeightedSample((), origin=2.0),
+            WeightedSample(huge),
+            WeightedSample(((1.0, 1.0), (2.0, 3.0))),
+            WeightedSample(((1.0, 1.0), (0.0, 1.0), (2.0, 1.0))),
+            WeightedSample(huge[:3], origin=1.0),
+        ]
+        gs = [
+            WeightedSample(()),
+            WeightedSample(((1.0, 0.5),)),
+            WeightedSample(((3.0, 1.0), (1.0, 2.0**64))),
+            WeightedSample(((1.0, 1.0), (2.0, 3.0))),  # every edge shared
+            WeightedSample(((5.0, 2.0),), origin=1.0),
+            WeightedSample(huge, origin=2.0**64),
+        ]
+        self._assert_rows_match_scan(_sample_rows(fs), _sample_rows(gs))
 
     def test_empty_samples(self):
         s = overlay_sum(WeightedSample((), origin=2.0), WeightedSample(()))
         assert s.entries == () and s.origin == 0.0
+
+
+def per_instance_tr_corpus(seed, n_pairs):
+    """The quasi-triangle corpus drawn one WeightedSample pair at a time."""
+
+    def sample(rng, origin=0.0):
+        n = int(rng.integers(1, 7))
+        values = np.exp(rng.normal(0.0, 1.5, n))
+        masses = np.exp(rng.normal(0.0, 1.5, n))
+        return WeightedSample(tuple(zip(values, masses)), origin=origin)
+
+    rng = _rng(seed, "tr")
+    for i in range(n_pairs):
+        p, q = TR_EXPONENTS[i % 3]
+        f = sample(rng)
+        origin = f.total_mass + 1.0 if rng.integers(0, 2) else 0.0
+        g = sample(rng, origin=origin)
+        eps = (0.1, 0.5, 1.0)[int(rng.integers(0, 3))]
+        yield f, g, LorentzExponents(p, q), eps
+
+
+def per_instance_pplus_corpus(seed, n_instances, seq_len=16):
+    """The P+ corpus drawn one instance at a time."""
+    rng = _rng(seed, "pplus")
+    for i in range(n_instances):
+        p, q = TR_EXPONENTS[i % 3]
+        n = int(rng.integers(1, 7))
+        values = np.exp(rng.normal(0.0, 1.5, n))
+        masses = np.exp(rng.normal(0.0, 1.5, n))
+        f = WeightedSample(tuple(zip(values, masses)))
+        a_limit = float(np.exp(rng.normal(0.0, 0.7)))
+        ms = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
+        gs = [WeightedSample(((a_limit * m ** (-1.0 / p), m),), origin=f.total_mass + 1.0) for m in ms]
+        yield f, gs, LorentzExponents(p, q), p + 1.0, a_limit
+
+
+class TestCorpusBlocks:
+    def test_tr_blocks_match_per_instance_draws(self):
+        old = list(per_instance_tr_corpus(0, 300))
+        blocks = list(tr_corpus(0, 300))
+        assert [len(eps) for *_, eps in blocks] == [128, 128, 44]
+        pairs = [
+            (f, g, tuple(pq), eps)
+            for f_rows, g_rows, pqs, epss in blocks
+            for f, g, pq, eps in zip(row_samples(f_rows), row_samples(g_rows), pqs.tolist(), epss.tolist())
+        ]
+        assert len(pairs) == len(old)
+        for (f, g, pq, eps), (f0, g0, e0, eps0) in zip(pairs, old):
+            assert f.entries == f0.entries and f.origin == f0.origin
+            assert g.entries == g0.entries and g.origin == g0.origin
+            assert pq == (e0.p, e0.q) and eps == eps0
+
+    def test_pplus_blocks_match_per_instance_draws(self):
+        old = list(per_instance_pplus_corpus(0, 300))
+        blocks = list(pplus_corpus(0, 300))
+        assert [len(a) for *_, a in blocks] == [128, 128, 44]
+        instances = []
+        for f_rows, (g_vals, g_masses, g_origins), pqs, a_limits in blocks:
+            for i, f in enumerate(row_samples(f_rows)):
+                gs = row_samples((g_vals[i], g_masses[i], g_origins[i]))
+                instances.append((f, gs, tuple(pqs[i].tolist()), float(a_limits[i])))
+        assert len(instances) == len(old)
+        for (f, gs, pq, a), (f0, gs0, e0, p1, a0) in zip(instances, old):
+            assert f.entries == f0.entries and f.origin == f0.origin
+            assert [(g.entries, g.origin) for g in gs] == [(g.entries, g.origin) for g in gs0]
+            assert pq == (e0.p, e0.q) and p1 == pq[0] + 1.0 and a == a0
+
+    def test_tr_pplus_memory_is_bounded_by_blocks(self):
+        # 128-instance blocks peak near 0.4 MiB; one 10k-instance block
+        # would not fit under 4 MiB
+        tracemalloc.start()
+        try:
+            result = run_experiment("TR_PPLUS", {}, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.passed
+        assert peak < 4 * 2**20
 
 
 class TestPplus:
@@ -438,6 +606,43 @@ class TestPplus:
         v = check_pplus(f, gs, LorentzExponents(2, 2), 4.0, 1.5)
         assert v.status is PplusStatus.OK
         assert v.limsup_q <= 1.5**2 + 1e-6
+
+    def test_batch_matches_batch_of_one(self):
+        f_rows, gs_rows, pqs, a_limits = next(pplus_corpus(0, 128))
+        a_limits = a_limits.copy()
+        a_limits[::5] *= 2.0  # ||g_j||_(p,q) stays at the old A: not applicable
+        gs_rows[0][1::7] = gs_rows[0][1::7, :1]  # g_j = g_1 for all j: no decay
+        gs_rows[1][1::7] = gs_rows[1][1::7, :1]
+        gs_rows[2][3::5] = 0.0  # g_j on top of f: violations at (p, q) = (4, 2)
+        seen = set()
+        for (p, q), mask in _by_key(pqs):
+            f_sel, g_sel = _take(f_rows, mask), _take(gs_rows, mask)
+            e = LorentzExponents(p, q)
+            status, limsup, bound, detail = _pplus_rows(f_sel, g_sel, a_limits[mask], e, p + 1.0)
+            gs_per_row = [row_samples(tuple(a[i] for a in g_sel)) for i in range(int(mask.sum()))]
+            single = [
+                check_pplus(f, gs, e, p + 1.0, a)
+                for f, gs, a in zip(row_samples(f_sel), gs_per_row, a_limits[mask].tolist())
+            ]
+            assert list(status) == [v.status for v in single]
+            assert list(detail) == [v.detail for v in single]
+            assert limsup == pytest.approx([v.limsup_q for v in single], rel=1e-13, abs=0.0, nan_ok=True)
+            assert bound == pytest.approx([v.bound for v in single], rel=1e-13, abs=0.0, nan_ok=True)
+            seen.update(status)
+        assert seen == set(PplusStatus)
+
+    def test_empty_sequence_rejected(self):
+        with pytest.raises(ValueError):
+            check_pplus(WeightedSample(((1.0, 1.0),)), [], LorentzExponents(2, 2), 4.0, 1.0)
+
+    def test_batch_rejects_bad_plateaus(self):
+        f = _sample_rows([WeightedSample(((1.0, 1.0),))])
+        gs = tuple(a[:, None] for a in _sample_rows([WeightedSample(((1.0, 1.0),))]))
+        bad = (np.array([[[-1.0]]]), np.array([[[1.0]]]), np.zeros((1, 1)))
+        with pytest.raises(ValueError):
+            _pplus_rows(f, bad, np.ones(1), LorentzExponents(2, 2), 4.0)
+        with pytest.raises(ValueError):
+            _pplus_rows(tuple(a[:, 0] for a in bad), gs, np.ones(1), LorentzExponents(2, 2), 4.0)
 
     def test_disjoint_spreading_sequence(self):
         f = WeightedSample(((1.0, 1.0),))
