@@ -48,7 +48,7 @@ CRITERIA: List[tuple] = [
     (7, "bump_norm_regression", _from_experiment("DD_CORPUS", {}), 0.0),
     (8, "series_threshold", _from_experiment("RESL_SERIES", {}), 0.0),
     (9, "per_step_norm_growth", _from_experiment("SPECTRUM_NORM", {}), 0.0),
-    (10, "capacity_dp_exactness", _dp_runner, 0.0),
+    (10, "capacity_dp_exactness", _dp_runner, 2.0),
     (11, "gauge_chains", _from_experiment("HLP", {}), 0.0),
     (12, "frostman_transfer", _from_experiment("FROSTMAN", {}), 0.0),
 ]

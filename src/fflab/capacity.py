@@ -30,8 +30,6 @@ __all__ = [
     "nh_capacity_delta",
     "capacity_bracket",
     "enumerate_antichain_coverings",
-    "hausdorff_gauge_sum",
-    "packing_net_count",
     "HlpItem",
     "HlpInstance",
     "HlpVerdict",
@@ -172,11 +170,6 @@ def nh_covering_sum(cov: DyadicCovering, params: CapacityParams) -> float:
     return sum(params.block_gauge(s) for s in block_sums.values())
 
 
-def hausdorff_gauge_sum(cov: DyadicCovering, g: GaugeFunction) -> float:
-    """Plain gauge sum Sigma_j f(diam B_j)."""
-    return sum(g(t) for t in cov.diameters)
-
-
 # ---------------------------------------------------------------------------
 # capacity at scale delta: exact optimum over dyadic-box coverings
 
@@ -276,17 +269,28 @@ def _frontier(points, g: int, g_min: int, depth: int, counter: list) -> np.ndarr
     return np.vstack((acc, take))
 
 
-def _vector_cost(vec, g_min: int, d: int, params: CapacityParams) -> float:
-    costs = []
-    for j, count in enumerate(vec):
-        if count == 0:
-            continue
-        diam = 2.0 ** (-(g_min + j)) * math.sqrt(d)
-        costs.append((dyadic_block_index(diam), count * diam**params.alpha))
-    # one generation per dyadic block since sqrt(d) < 2 for d <= 3
-    if is_infinite(params.q):
-        return max(s for _, s in costs)
-    return sum(params.block_gauge(s) for _, s in costs)
+def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams) -> float:
+    """Least covering sum over the count rows of ``front``.
+
+    Column j counts the boxes of generation g_min + j, one generation per
+    dyadic block since sqrt(d) < 2 for d <= 3.  Each distinct count of a
+    column is scored once as the block gauge of count * diam**alpha, and
+    the columns are added left to right (max for q = INFINITY); a zero
+    count adds 0.0.
+    """
+    sup = is_infinite(params.q)
+    costs = np.zeros(front.shape)
+    for j in range(front.shape[1]):
+        term = (2.0 ** (-(g_min + j)) * math.sqrt(d)) ** params.alpha
+        counts, at = np.unique(front[:, j], return_inverse=True)
+        scored = [c * term if sup or c == 0 else params.block_gauge(c * term) for c in counts.tolist()]
+        costs[:, j] = np.array(scored)[at]
+    if sup:
+        return float(costs.max(axis=1).min())
+    total = costs[:, 0].copy()
+    for j in range(1, costs.shape[1]):
+        total += costs[:, j]
+    return float(total.min())
 
 
 def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, depth: int) -> float:
@@ -309,7 +313,7 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     acc = None
     for top_points in _groups(cloud.points, g_min):
         acc = _merge(acc, _frontier(top_points, g_min, g_min, depth, counter))
-    return min(_vector_cost(v, g_min, cloud.d, params) for v in acc.tolist())
+    return _frontier_cost(acc, g_min, cloud.d, params)
 
 
 def capacity_bracket(value: float, params: CapacityParams, d: int) -> tuple:
@@ -351,26 +355,6 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
     top_lists = [list(expand(pts, g_min)) for pts in _groups(cloud.points, g_min)]
     for combo in itertools.product(*top_lists):
         yield tuple(itertools.chain.from_iterable(combo))
-
-
-# ---------------------------------------------------------------------------
-# packing nets
-
-
-def packing_net_count(cloud: PointCloud, eps: float) -> int:
-    """Size of the greedy maximal eps-separated subset, in input order.
-
-    The remark this implements asks for maximality (no further point can be
-    added), not maximum cardinality; the greedy pass delivers exactly that
-    and is deterministic given the input order.
-    """
-    if not eps > 0:
-        raise ValueError("eps must be positive")
-    kept: list = []
-    for p in cloud.points:
-        if all(math.dist(p, k) >= eps for k in kept):
-            kept.append(p)
-    return len(kept)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ repr-formatted floats, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import zlib
 from collections import Counter
@@ -720,25 +721,105 @@ def run_phi_general(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("PHI_GENERAL", checks, tables)
 
 
-def distinct_coverings(cloud: PointCloud, delta: float, depth: int) -> List[DyadicCovering]:
-    """One covering per distinct diameter multiset of the antichain coverings.
+# Coverings per chunk pulled from the enumeration.  Each chunk's temporaries
+# hold a few 8-byte entries per diameter; a larger chunk runs no faster.
+_KEY_CHUNK = 2**12
 
-    A covering's sum depends only on how many sets of each diameter it has,
-    and on the order in which its dyadic blocks first appear, since
-    ``nh_covering_sum`` adds the block sums in that order.  The key keeps
-    the distinct diameters in order of first appearance, and each block
-    holds one diameter, so the covering rebuilt from the key has the same
-    sum to the last bit as every covering behind it.
+
+def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct count keys of the antichain coverings, as int arrays.
+
+    A covering's ``nh_covering_sum`` depends only on how many sets of each
+    diameter it has, and on the order in which its dyadic blocks first
+    appear, since the block sums are added in that order.  A diameter
+    2^-g sqrt(d), d <= 3, lies in block g - 1, so its generation g is one
+    minus its frexp exponent.  Returns ``(diameters, order, counts)``:
+    ``diameters[g]`` is the diameter of generation g (nan if none occurs),
+    row i of ``order`` lists the generations of key i in order of first
+    appearance, padded with -1, and ``counts[i, g]`` is its number of sets
+    of generation g.  Keys come in order of first appearance.
+
+    The enumeration is pulled in chunks of ``_KEY_CHUNK`` coverings, and
+    each key is deduplicated by an exact int64 code: one digit per position
+    of ``order``, naming its (generation, count) pair.
     """
-    keys = dict.fromkeys(
-        tuple(Counter(diams).items()) for diams in enumerate_antichain_coverings(cloud, delta, depth)
-    )
-    return [DyadicCovering(tuple(t for t, n in key for _ in range(n))) for key in keys]
+    n_gen, n_points = depth + 1, len(cloud.points)
+    radix = n_gen * n_points + 1
+    if radix**n_gen >= 2**63:
+        raise ValueError(f"covering codes of {n_points} points at depth {depth} overflow int64")
+    # int8 holds every generation: with a point, radix >= 2 bounds n_gen by 62
+    count_type = np.min_scalar_type(n_points)
+    diameters = np.full(n_gen, np.nan)
+    orders, counts = [], []
+    seen = np.array([2**63 - 1])  # sorted codes so far, above a sentinel no code reaches
+    coverings = iter(enumerate_antichain_coverings(cloud, delta, depth))
+    while chunk := list(itertools.islice(coverings, _KEY_CHUNK)):
+        n = len(chunk)
+        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=n)
+        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=float, count=int(lengths.sum()))
+        gen = 1 - np.frexp(flat)[1].astype(np.int64)
+        if np.any((gen < 0) | (gen >= n_gen)):
+            raise ValueError(f"a covering diameter lies outside generations 0..{depth}")
+        block_diam = np.full(n_gen, np.nan)
+        block_diam[gen] = flat  # any one diameter per block: all are compared next
+        diameters = np.where(np.isnan(diameters), block_diam, diameters)
+        if np.any(flat != diameters[gen]):
+            raise ValueError("a dyadic block holds more than one covering diameter")
+        cell = np.repeat(np.arange(n), lengths) * n_gen + gen
+        count = np.bincount(cell, minlength=n * n_gen).reshape(n, n_gen)
+        if count.max() > n_points:
+            raise ValueError("a covering has more sets of one generation than the cloud has points")
+        # each row's generations sorted by their first position in the chunk
+        first = np.full(n * n_gen, flat.size, dtype=np.int64)
+        np.minimum.at(first, cell, np.arange(flat.size))
+        order = np.argsort(first.reshape(n, n_gen), axis=1, kind="stable")
+        ordered = np.take_along_axis(count, order, axis=1)
+        order[ordered == 0] = -1
+        digits = np.where(ordered > 0, order * n_points + ordered, 0)
+        code = digits[:, 0]
+        for j in range(1, n_gen):
+            code = code * radix + digits[:, j]
+        code, row = np.unique(code, return_index=True)
+        at = np.searchsorted(seen, code)
+        fresh = seen[at] != code
+        keep = np.sort(row[fresh])
+        seen = np.insert(seen, at[fresh], code[fresh])
+        orders.append(order[keep].astype(np.int8))
+        counts.append(count[keep].astype(count_type))
+    return diameters, np.concatenate(orders), np.concatenate(counts)
+
+
+def covering_sums(keys: Tuple[np.ndarray, np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
+    """``nh_covering_sum`` of the covering behind each key, to the last bit.
+
+    Each (generation, count) pair is scored once in Python scalars, by the
+    same left-to-right addition of t**alpha and the same block gauge; the
+    table is gathered in each key's block order and its columns added left
+    to right (max for q = INFINITY).  Empty positions add 0.0.
+    """
+    diameters, order, counts = keys
+    sup = is_infinite(params.q)
+    table = np.zeros((len(diameters), int(counts.max(initial=0)) + 1))
+    for g, t in enumerate(diameters.tolist()):
+        if math.isnan(t):
+            continue
+        term, block = t**params.alpha, 0.0
+        for c in range(1, table.shape[1]):
+            block += term
+            table[g, c] = block if sup else params.block_gauge(block)
+    gen = np.maximum(order, 0)
+    terms = table[gen, np.take_along_axis(counts, gen, axis=1) * (order >= 0)]
+    if sup:
+        return terms.max(axis=1)
+    total = terms[:, 0].copy()
+    for j in range(1, terms.shape[1]):
+        total += terms[:, j]
+    return total
 
 
 def capacity_dp_exactness(seed: int) -> ExperimentResult:
     """Pareto-frontier optimum vs exhaustive antichain enumeration, each
-    distinct covering scored once."""
+    distinct covering key scored once."""
     rng = _rng(seed, "dp")
     clouds = [
         PointCloud(tuple((x,) for x in (0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 0.9921875)), 1),
@@ -753,11 +834,11 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
         depth = 8 if len(cloud.points) <= 8 else 7
         if ci >= 2:
             depth = 7
-        coverings = distinct_coverings(cloud, 0.5, depth)
+        keys = covering_keys(cloud, 0.5, depth)
         for q in (0.5, 1.0, 2.0, INFINITY):
             params = CapacityParams(0.5, q)
             dp = nh_capacity_delta(cloud, params, 0.5, depth)
-            brute = min(nh_covering_sum(c, params) for c in coverings)
+            brute = float(covering_sums(keys, params).min())
             if abs(dp - brute) > 0:
                 ok = False
                 worst = f"cloud {ci}, q = {q}: dp {dp!r} != brute {brute!r}"

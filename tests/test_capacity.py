@@ -5,13 +5,14 @@ enumeration of every dyadic antichain covering.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fflab import capacity
+from fflab import capacity, experiments
 from fflab.capacity import (
     CapacityParams,
     DyadicCovering,
@@ -27,13 +28,11 @@ from fflab.capacity import (
     check_hlp_item,
     enumerate_antichain_coverings,
     frostman_ratio,
-    hausdorff_gauge_sum,
     nh_capacity_delta,
     nh_covering_sum,
-    packing_net_count,
     tent_profile,
 )
-from fflab.experiments import distinct_coverings, run_experiment
+from fflab.experiments import covering_keys, covering_sums, run_experiment
 from fflab.lorentz import INFINITY
 
 
@@ -44,12 +43,15 @@ def brute_capacity(cloud, params, delta, depth):
     )
 
 
-unit_coord = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
-
 # the two eight-point clouds of capacity_dp_exactness
 DP_CLOUDS = (
     PointCloud(tuple((x,) for x in (0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 0.9921875)), 1),
     PointCloud(tuple((x,) for x in (0.1, 0.12, 0.6, 0.61, 0.62, 0.9, 0.91, 0.99)), 1),
+)
+
+# clustered points keep boxes shared down to depth 7: 20 601 coverings
+DEEP_CLOUD_2D = PointCloud(
+    ((0.05, 0.05), (0.06, 0.07), (0.2, 0.1), (0.22, 0.12), (0.7, 0.8), (0.71, 0.83), (0.9, 0.6)), 2
 )
 
 
@@ -73,6 +75,28 @@ def count_rows(draw):
     if draw(st.booleans()):
         rows[:, -1] = top * (k - 1) - rows[:, :-1].sum(axis=1) + rng.integers(0, 2, size=n)
     return rows
+
+
+def rebuilt_coverings(keys):
+    """The covering behind each key: its diameters block by block, in the
+    key's order of first appearance."""
+    diameters, order, counts = keys
+    return [
+        DyadicCovering(tuple(float(diameters[g]) for g in row if g >= 0 for _ in range(counts[i, g])))
+        for i, row in enumerate(order.tolist())
+    ]
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(keys, the keys' coverings, every raw covering) for the two clouds of
+    capacity_dp_exactness and a d = 2 cloud."""
+    cases = []
+    for cloud, delta, depth in ((DP_CLOUDS[0], 0.5, 8), (DP_CLOUDS[1], 0.5, 8), (DEEP_CLOUD_2D, 0.9, 7)):
+        keys = covering_keys(cloud, delta, depth)
+        raw = [DyadicCovering(diams) for diams in enumerate_antichain_coverings(cloud, delta, depth)]
+        cases.append((keys, rebuilt_coverings(keys), raw))
+    return cases
 
 
 class TestCoveringSum:
@@ -99,11 +123,6 @@ class TestCoveringSum:
 
     def test_empty_covering(self):
         assert nh_covering_sum(DyadicCovering(()), CapacityParams(1.0, 1.0)) == 0.0
-
-    def test_gauge_sum(self):
-        g = GaugeFunction(lambda t: t**2)
-        cov = DyadicCovering((0.5, 0.25))
-        assert hausdorff_gauge_sum(cov, g) == pytest.approx(0.3125, rel=1e-12)
 
     def test_scale_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -179,26 +198,24 @@ class TestCapacityExactness:
 
     @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
     def test_two_dimensional_deep(self, q):
-        # clustered points keep boxes shared down to depth 7: 20 601 coverings
-        cloud = PointCloud(
-            ((0.05, 0.05), (0.06, 0.07), (0.2, 0.1), (0.22, 0.12), (0.7, 0.8), (0.71, 0.83), (0.9, 0.6)), 2
-        )
+        cloud = DEEP_CLOUD_2D
         params = CapacityParams(0.5, q)
         dp = nh_capacity_delta(cloud, params, 0.9, 7)
         assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 7), rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
-    def test_distinct_coverings_oracle_is_exact(self, q):
-        # every covering's sum is some distinct covering's sum to the last
-        # bit, and back; a key with sorted diameters breaks this for finite q
-        cloud, params = DP_CLOUDS[1], CapacityParams(0.5, q)
-        grouped = [nh_covering_sum(c, params) for c in distinct_coverings(cloud, 0.5, 8)]
-        plain = {
-            nh_covering_sum(DyadicCovering(diams), params)
-            for diams in enumerate_antichain_coverings(cloud, 0.5, 8)
-        }
-        assert set(grouped) == plain
-        assert min(grouped) == brute_capacity(cloud, params, 0.5, 8)
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY, pytest.param(math.log1p, id="phi")])
+    def test_distinct_coverings_oracle_is_exact(self, q, oracle_cases):
+        # every key scores its own covering to the last bit, and the keys'
+        # sums are exactly the raw coverings' sums; a key with sorted
+        # diameters breaks this for finite q
+        params = CapacityParams(0.5, 2.0, phi=q) if callable(q) else CapacityParams(0.5, q)
+        for keys, rebuilt, raw in oracle_cases:
+            assert len(rebuilt) == len({c.diameters for c in rebuilt}) < len(raw)
+            sums = covering_sums(keys, params).tolist()
+            assert sums == [nh_covering_sum(c, params) for c in rebuilt]
+            plain = {nh_covering_sum(c, params) for c in raw}
+            assert set(sums) == plain
+            assert min(sums) == min(plain)
 
     def test_singleton_value(self):
         cloud = PointCloud(((0.3,),), 1)
@@ -250,29 +267,57 @@ class TestPrune:
         assert capacity._prune(rows).tolist() == expected
 
 
-class TestPackingNet:
-    def test_grid(self):
-        cloud = PointCloud(tuple((j / 10.0,) for j in range(11)), 1)
-        assert packing_net_count(cloud, 0.25) == 4
-        assert packing_net_count(cloud, 1e-6) == 11
-        assert packing_net_count(cloud, 5.0) == 1
+class TestCoveringOracle:
+    def test_chunk_size_does_not_change_keys(self, monkeypatch):
+        whole = covering_keys(DP_CLOUDS[1], 0.5, 8)
+        monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)
+        chunked = covering_keys(DP_CLOUDS[1], 0.5, 8)
+        assert np.array_equal(whole[0], chunked[0], equal_nan=True)
+        assert np.array_equal(whole[1], chunked[1])
+        assert np.array_equal(whole[2], chunked[2])
 
-    @settings(max_examples=40, deadline=None)
-    @given(st.lists(unit_coord, min_size=1, max_size=12), st.floats(min_value=1e-3, max_value=1.0))
-    def test_separated_and_maximal(self, xs, eps):
-        cloud = PointCloud(tuple((x,) for x in xs), 1)
-        count = packing_net_count(cloud, eps)
-        # reproduce the greedy pass to recover the kept set
-        kept = []
-        for p in cloud.points:
-            if all(math.dist(p, k) >= eps for k in kept):
-                kept.append(p)
-        assert len(kept) == count
-        for i, a in enumerate(kept):
-            for b in kept[i + 1:]:
-                assert math.dist(a, b) >= eps
-        for p in cloud.points:
-            assert min(math.dist(p, k) for k in kept) < eps or p in kept
+    def test_independent_of_the_dp(self, monkeypatch):
+        cloud, params = DP_CLOUDS[1], CapacityParams(0.5, 0.5)
+        dp = nh_capacity_delta(cloud, params, 0.5, 8)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the DP")
+
+        for name in ("_frontier", "_prune", "_merge", "_frontier_cost"):
+            monkeypatch.setattr(capacity, name, refuse)
+        keys = covering_keys(cloud, 0.5, 8)
+        assert covering_sums(keys, params).min() == dp
+
+    def test_memory_is_bounded_by_chunks(self):
+        # 109 600 coverings stream through in chunks: the peak measured 6.2 MiB,
+        # 2.2 MiB of it inside the enumeration; one chunk of every covering
+        # peaks at 78 MiB
+        tracemalloc.start()
+        try:
+            covering_keys(DP_CLOUDS[0], 0.5, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+
+    @pytest.mark.parametrize(
+        "coverings, match",
+        [
+            ([(0.3, 0.4)], "more than one covering diameter"),
+            ([(0.25,), (0.3,)], "more than one covering diameter"),
+            ([(0.5, 0.5, 0.5)], "more sets of one generation"),
+            ([(4.0,)], "outside generations"),
+        ],
+    )
+    def test_rejects_malformed_coverings(self, monkeypatch, coverings, match):
+        monkeypatch.setattr(experiments, "enumerate_antichain_coverings", lambda *args: iter(coverings))
+        with pytest.raises(ValueError, match=match):
+            covering_keys(PointCloud(((0.1,), (0.9,)), 1), 0.5, 4)
+
+    def test_rejects_codes_that_overflow(self):
+        # 13 generations of 8 points need 105^13 > 2^63 codes
+        with pytest.raises(ValueError, match="overflow int64"):
+            covering_keys(DP_CLOUDS[0], 0.5, 12)
 
 
 class TestPropertyChecks:
