@@ -9,7 +9,7 @@ branching count, the node weight and the layer.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -106,11 +106,13 @@ class TreeNode:
 
 @dataclass
 class CubeTree:
-    """The construction tree; geometry (corners) is filled by realize_tree."""
+    """The construction tree; geometry (corners) and the selection
+    certificates, one per step in step order, are filled by realize_tree."""
 
     params: ConstructionParams
     nodes: List[TreeNode]
     steps: List[tuple]  # (expanded node index, M, kid side), one per step
+    certificates: List[SelectionCertificate] = field(default_factory=list)
 
     def layer_nodes(self, n: int) -> List[TreeNode]:
         return [node for node in self.nodes if node.layer == n]
@@ -259,7 +261,8 @@ def select_nu(
 ) -> NuSelection:
     """Rejection-sample a shift configuration with small centred moments.
 
-    ``calibration_draws`` samples fix each threshold at 4x the median of
+    ``calibration_draws`` samples, drawn as one batch from the same stream
+    as that many sample_shifts calls, fix each threshold at 4x the median of
     their integral int |nu_hat - E mu_hat|^{p_i} over the truncated grid.
     Then up to ``budget`` fresh samples are drawn, and the first whose two
     integrals both fall at or below their thresholds is returned;
@@ -272,16 +275,15 @@ def select_nu(
         grid = _default_selection_grid(d, r)
     expected_vals = expected_transform(M, r, grid).values
     exponents = (p1, p2)
-    calib = np.asarray([
-        centred_moments(sample_shifts(M, r, rng, d), grid, expected_vals, exponents)
-        for _ in range(calibration_draws)
-    ])
+    calib_shifts = rng.random((calibration_draws, int(M), d)) * (1.0 - r)
+    calib = centred_moments(calib_shifts, r, grid, expected_vals, exponents)
     thresholds = tuple(4.0 * np.median(calib[:, j]) for j in range(2))
 
     best, best_cert, best_score = None, None, math.inf
     for i in range(budget):
         s = sample_shifts(M, r, rng, d)
-        integrals = centred_moments(s, grid, expected_vals, exponents)
+        row = centred_moments(s.shifts[None], r, grid, expected_vals, exponents)[0]
+        integrals = tuple(row.tolist())
         cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, calibration_draws)
         score = max(
             ii / t if t > 0 else math.inf for ii, t in zip(integrals, thresholds)
@@ -309,8 +311,9 @@ def realize_tree(
     Nodes are processed in index order.  At step k the shifts are drawn for
     the relative side r_k / side(Q_k), mapped through the homothety onto
     Q_k, and the measure is updated by replacing the mass on Q_k with equal
-    shares on its kids.  Returns the tree with geometry and the list of
-    measures from the initial uniform stage through the deepest stage.
+    shares on its kids.  Returns the tree with geometry and selection
+    certificates, and the list of measures from the initial uniform stage
+    through the deepest stage.
     """
     if p1 is None:
         p1 = params.p + 2.0
@@ -318,8 +321,9 @@ def realize_tree(
         p2 = (params.p + 2.0) / 2.0
     d = params.d
     tree.nodes[0].corner = tuple(0.0 for _ in range(d))
+    tree.certificates = []
 
-    active = {0: Fraction(1)}
+    active = {0: (Fraction(1), 1.0)}  # node index -> (exact share, float share)
     fractions0 = (Fraction(1),)
     measures = [CubeMeasure(d, ((tree.nodes[0].corner, 1.0, 1.0),), fractions0)]
 
@@ -330,15 +334,17 @@ def realize_tree(
         rel_r = r / node.side
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(k,)))
         sel = select_nu(m, rel_r, p1, p2, budget, rng, d=d)
+        tree.certificates.append(sel.certificate)
         for kid_index, v in zip(node.kids, sel.sample.shifts.tolist()):
             kid = tree.nodes[kid_index]
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
             if abs(kid.side - r) >= 1e-12:
                 raise RuntimeError(f"node {kid_index}: side {kid.side} differs from step side {r}")
-        share = active.pop(k) / m
+        share = active.pop(k)[0] / m
+        shares = (share, float(share))
         for kid_index in node.kids:
-            active[kid_index] = share
+            active[kid_index] = shares
         order = sorted(active)
-        atoms = tuple((tree.nodes[i].corner, tree.nodes[i].side, float(active[i])) for i in order)
-        measures.append(CubeMeasure(d, atoms, tuple(active[i] for i in order)))
+        atoms = tuple((tree.nodes[i].corner, tree.nodes[i].side, active[i][1]) for i in order)
+        measures.append(CubeMeasure(d, atoms, tuple(active[i][0] for i in order)))
     return tree, measures

@@ -33,7 +33,7 @@ class CubeMeasure:
 
     def __post_init__(self):
         norm = tuple(
-            (tuple(float(c) for c in corner), float(side), float(mass))
+            (tuple(map(float, corner)), float(side), float(mass))
             for corner, side, mass in self.atoms
         )
         object.__setattr__(self, "atoms", norm)
@@ -45,7 +45,7 @@ class CubeMeasure:
             if not mass > 0:
                 raise ValueError("atom mass must be positive")
         if self.mass_fractions is not None:
-            fr = tuple(Fraction(f) for f in self.mass_fractions)
+            fr = tuple(f if type(f) is Fraction else Fraction(f) for f in self.mass_fractions)
             object.__setattr__(self, "mass_fractions", fr)
             if len(fr) != len(norm):
                 raise ValueError("mass_fractions must parallel atoms")

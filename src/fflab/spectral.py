@@ -4,7 +4,9 @@ Transforms of cube measures are evaluated analytically as products of
 modulated sinc factors, so there is no aliasing anywhere; domain truncation
 is the only approximation and it carries an explicit sinc-decay tail bound.
 The sums of phases over shifts or cube corners are exact split-index GEMMs,
-in O(M sqrt(N)) memory in d = 1 and O(M N) in d = 2 (see _split_phases).
+in O(M sqrt(N)) memory in d = 1 and O(M N) in d = 2 (see _split_phases);
+each shift's phases are products of four factors of about N^(1/4) entries
+each, and every phase is one cos/sin pair rather than a complex exponential.
 The smooth bump profile's transform is closed-form too, a Bessel quotient.
 """
 
@@ -102,9 +104,18 @@ class SpectrumField:
         return complex(self.values[self.grid.zero_index])
 
 
+def _cis(theta: np.ndarray) -> np.ndarray:
+    """exp(i theta) for real theta: cos and sin written into the real and
+    imaginary parts of one complex buffer."""
+    out = np.empty(theta.shape, dtype=complex)
+    np.cos(theta, out=out.real)
+    np.sin(theta, out=out.imag)
+    return out
+
+
 def _axis_cube_factor(xi: np.ndarray, side: float) -> np.ndarray:
     """Transform of the normalized uniform measure on [0, side] along one axis."""
-    return np.exp(-1j * math.pi * side * xi) * np.sinc(side * xi)
+    return _cis(-math.pi * side * xi) * np.sinc(side * xi)
 
 
 def _cube_envelope(grid: FreqGrid, side: float) -> np.ndarray:
@@ -113,20 +124,35 @@ def _cube_envelope(grid: FreqGrid, side: float) -> np.ndarray:
     return f if grid.d == 1 else np.outer(f, f)
 
 
+def _centred_phases(s: np.ndarray, step: float, count: int, centre: int) -> np.ndarray:
+    """(K, count) phases exp(-2 pi i s_k step (j - centre)), j < count, as the
+    outer product of two factors over j = u*m + v with m = isqrt(count): one
+    of ceil(count/m) coarse and one of m fine phases per shift.  Both factors
+    are centred at centre = cu*m + cv, so each is exactly 1 at j = centre."""
+    m = math.isqrt(count)
+    cu, cv = divmod(centre, m)
+    coarse = _cis(np.outer(s, (-2.0 * math.pi * step) * (m * (np.arange(-(-count // m)) - cu))))
+    fine = _cis(np.outer(s, (-2.0 * math.pi * step) * (np.arange(m) - cv)))
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(s), -1)[:, :count]
+
+
 def _split_phases(s: np.ndarray, grid: FreqGrid) -> Tuple[np.ndarray, np.ndarray]:
     """Exact factors of the phases exp(-2 pi i s_k xi_j) on one axis.
 
     With j = a*B + b, B = isqrt(N), A = ceil(N/B), h = 2X/N, c = N/2 (where
-    xi = 0) and b0 = c mod B: xi_j = h*(a*B - c + b0) + h*(b - b0), so the
-    phase is hi[a, k] * lo[k, b] with hi (A, K) and lo (K, B), from K*(A + B)
-    exponentials instead of K*N.  Both factors are exactly 1 at xi = 0.
+    xi = 0) and c = a0*B + b0: xi_j = h*B*(a - a0) + h*(b - b0), so the
+    phase is hi[a, k] * lo[k, b] with hi (A, K) and lo (K, B).  Each of hi
+    and lo is in turn the product of two split-index factors
+    (_centred_phases), so a shift needs about 4 N^(1/4) cos/sin pairs (32
+    at N = 4096) and K*(A + B) complex multiplies, instead of the K*N
+    exponentials of the direct sum.  Every factor is exactly 1 at xi = 0.
     """
     n = grid.samples
     bs = math.isqrt(n)
-    b0 = (n // 2) % bs
+    a0, b0 = divmod(n // 2, bs)
     h = 2.0 * grid.half_extent / n
-    lo = np.exp(-2j * math.pi * np.outer(s, h * (np.arange(bs) - b0)))
-    hi = np.exp(-2j * math.pi * np.outer(h * (bs * np.arange(-(-n // bs)) - n // 2 + b0), s))
+    lo = _centred_phases(s, h, bs, b0)
+    hi = _centred_phases(s, h * bs, -(-n // bs), a0).T
     return hi, lo
 
 
@@ -181,12 +207,23 @@ def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float
     return d * per_axis * (2.0 * half_extent) ** (d - 1)
 
 
-def centred_moments(sample: ShiftSample, grid: FreqGrid, expected: np.ndarray, exponents) -> tuple:
-    """Riemann sums over the grid of |nu_hat - E mu_hat|^p, one per exponent,
-    where nu is the sample's measure and ``expected`` holds E mu_hat."""
-    dev = np.abs(random_transform(sample, grid).values - expected)
+def centred_moments(
+    shifts: np.ndarray, r: float, grid: FreqGrid, expected: np.ndarray, exponents
+) -> np.ndarray:
+    """Riemann sums over the grid of |nu_hat - E mu_hat|^p for a batch of
+    shift draws: ``shifts`` is (T, M, d), one draw of M side-r cube shifts
+    per row, and ``expected`` holds E mu_hat.  Returns a (T, P) array, one
+    column per exponent.  The cube envelope is computed once per call; the
+    draws are transformed one at a time, so one N^d field is alive at once."""
+    shifts = np.asarray(shifts, dtype=float)
+    weights = np.full(shifts.shape[1], 1.0 / shifts.shape[1])
+    envelope = _cube_envelope(grid, r)
     cell = grid.cell_volume
-    return tuple(float(np.sum(dev**pe) * cell) for pe in exponents)
+    out = np.empty((len(shifts), len(exponents)))
+    for t, draw in enumerate(shifts):
+        dev = np.abs(_phase_sum(draw, weights, grid) * envelope - expected)
+        out[t] = [np.sum(dev**pe) * cell for pe in exponents]
+    return out
 
 
 def np_moment_estimate(
@@ -211,12 +248,10 @@ def np_moment_estimate(
             TruncationWarning,
         )
     expected = expected_transform(M, r, grid).values
-    sums = np.empty((len(exponents), trials))
-    for t in range(trials):
-        sample = ShiftSample(M, r, rng.random((M, grid.d)) * (1.0 - r), grid.d)
-        sums[:, t] = centred_moments(sample, grid, expected, exponents)
+    shifts = rng.random((trials, M, grid.d)) * (1.0 - r)
+    sums = centred_moments(shifts, r, grid, expected, exponents)
     return tuple(
-        (float(np.mean(row)), float(np.std(row, ddof=1) / math.sqrt(trials))) for row in sums
+        (float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(trials))) for col in sums.T
     )
 
 

@@ -1,6 +1,9 @@
 """Tests for the nested-cube tree, spacing rule and randomized realization."""
 
+import hashlib
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from fflab.cantor import (
     ConstructionParams,
     SelectionBudgetError,
     SpacingViolation,
+    _default_selection_grid,
     build_tree,
     greedy_spacing_branching,
     layer_covering,
@@ -19,7 +23,15 @@ from fflab.cantor import (
 from fflab.capacity import CapacityParams, nh_covering_sum
 from fflab.measures import CubeMeasure
 from fflab.presets import preset
-from fflab.spectral import FreqGrid, cube_measure_transform
+from fflab.spectral import (
+    FreqGrid,
+    centred_moments,
+    cube_measure_transform,
+    expected_transform,
+    random_transform,
+)
+
+MEASURE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "measure_sha256.json"
 
 
 class TestParams:
@@ -150,6 +162,58 @@ class TestSampling:
             select_nu(8, 0.1, 3.0, 6.0, budget=4, rng=np.random.default_rng(1))
 
 
+def per_draw_select_nu(M, r, p1, p2, budget, rng, d, grid, calibration_draws=15):
+    """select_nu as one random_transform per draw, calibration included:
+    returns (shifts, integrals, thresholds, draws) of the accepted sample."""
+    expected = expected_transform(M, r, grid).values
+
+    def moments(s):
+        dev = np.abs(random_transform(s, grid).values - expected)
+        return tuple(float(np.sum(dev**pe) * grid.cell_volume) for pe in (p1, p2))
+
+    calib = np.asarray([moments(sample_shifts(M, r, rng, d)) for _ in range(calibration_draws)])
+    thresholds = tuple(4.0 * np.median(calib[:, j]) for j in range(2))
+    for i in range(budget):
+        s = sample_shifts(M, r, rng, d)
+        integrals = moments(s)
+        if all(ii <= t for ii, t in zip(integrals, thresholds)):
+            return s.shifts, integrals, thresholds, i + 1
+    raise AssertionError("budget exhausted")
+
+
+class TestBatchedSelection:
+    @pytest.mark.parametrize("d, M, r", [(1, 12, 0.05), (2, 5, 0.1)])
+    def test_batch_equals_stacked_batches_of_one(self, d, M, r):
+        grid = _default_selection_grid(d, r)
+        expected = expected_transform(M, r, grid).values
+        shifts = np.random.default_rng(3).random((6, M, d)) * (1.0 - r)
+        exps = (6.0, 3.0)
+        batch = centred_moments(shifts, r, grid, expected, exps)
+        assert batch.shape == (6, 2)
+        one_by_one = np.vstack([centred_moments(sh[None], r, grid, expected, exps) for sh in shifts])
+        assert np.array_equal(batch, one_by_one)
+
+    # at seed 29 the first case rejects three draws before it accepts
+    @pytest.mark.parametrize("M, r, d, seed", [(8, 0.1, 1, 29), (60, 0.012, 1, 11), (6, 0.09, 2, 11)])
+    def test_matches_per_draw_selection(self, M, r, d, seed):
+        sel = select_nu(M, r, 6.0, 3.0, budget=64, rng=np.random.default_rng(seed), d=d)
+        shifts, integrals, thresholds, draws = per_draw_select_nu(
+            M, r, 6.0, 3.0, 64, np.random.default_rng(seed), d, _default_selection_grid(d, r)
+        )
+        assert np.array_equal(sel.sample.shifts, shifts)
+        assert sel.certificate.draws == draws == (4 if seed == 29 else 1)
+        got = sel.certificate.integrals + sel.certificate.thresholds
+        for a, b in zip(got, integrals + thresholds):
+            assert a == pytest.approx(b, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_layer_law_measure_matches_recorded_digest(self, seed):
+        ref = json.loads(MEASURE_REFS.read_text())[f"layer-law/4/{seed}"]
+        params = preset("layer-law", depth=4, seed=seed)
+        _, measures = realize_tree(build_tree(params), params)
+        assert hashlib.sha256(measures[-1].to_json().encode()).hexdigest() == ref
+
+
 class TestRealizeTree:
     def _realized(self, seed=7):
         params = preset("norm-growth", seed=seed)
@@ -206,6 +270,15 @@ class TestRealizeTree:
             parent = tree.nodes[node.parent]
             for c, pc in zip(node.corner, parent.corner):
                 assert pc - 1e-12 <= c and c + node.side <= pc + parent.side + 1e-12
+
+    def test_certificates_one_per_step(self):
+        params, (tree, _) = self._realized()
+        assert len(tree.certificates) == len(tree.steps)
+        for cert in tree.certificates:
+            assert all(i <= t for i, t in zip(cert.integrals, cert.thresholds))
+            assert cert.calibration_draws == 15
+            assert 1 <= cert.draws <= 64
+        assert build_tree(params).certificates == []
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,8 @@ from fflab.spectral import (
     SeriesVerdict,
     SpectrumField,
     TruncationWarning,
+    _cis,
+    _split_phases,
     bump_sum_norms,
     cube_measure_transform,
     expected_transform,
@@ -228,6 +230,60 @@ class TestSplitGemm:
         finally:
             tracemalloc.stop()
         assert peak < limit_mib * 2**20
+
+
+class TestPhaseFactors:
+    # The phase 2 pi s xi, with 0 <= s < 1 and |xi| <= X = 16, is rounded to
+    # within a few units of 2 pi X 2^-53 = 1.1e-14 in either form, hence
+    # atol 1e-13.
+    X = 16.0
+
+    @staticmethod
+    def _shape(n):
+        bs = math.isqrt(n)
+        return bs, -(-n // bs), divmod(n // 2, bs)
+
+    @pytest.mark.parametrize("N", [250, 640, 3200, 4096, 2**17])
+    def test_factors_match_direct_exponentials(self, N):
+        # isqrt(N) is 15, 25, 56, 64 and 362: square and non-square splits
+        s = np.random.default_rng(N).random(7)
+        grid = FreqGrid(1, self.X, N)
+        hi, lo = _split_phases(s, grid)
+        bs, a_count, (a0, b0) = self._shape(N)
+        h = 2.0 * self.X / N
+        assert hi.shape == (a_count, len(s)) and lo.shape == (len(s), bs)
+        direct_hi = np.exp(-2j * math.pi * np.outer(h * bs * (np.arange(a_count) - a0), s))
+        direct_lo = np.exp(-2j * math.pi * np.outer(s, h * (np.arange(bs) - b0)))
+        assert np.max(np.abs(hi - direct_hi)) <= 1e-13
+        assert np.max(np.abs(lo - direct_lo)) <= 1e-13
+        full = (hi.T[:, :, None] * lo[:, None, :]).reshape(len(s), -1)[:, :N]
+        direct = np.exp(-2j * math.pi * np.outer(s, grid.axis()))
+        assert np.max(np.abs(full - direct)) <= 1e-13
+
+    @pytest.mark.parametrize("N", [250, 640, 3200, 4096, 2**17])
+    def test_factors_are_one_at_zero(self, N):
+        s = np.random.default_rng(N).random(7)
+        hi, lo = _split_phases(s, FreqGrid(1, self.X, N))
+        _, _, (a0, b0) = self._shape(N)
+        assert np.all(hi[a0] == 1) and np.all(lo[:, b0] == 1)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_transform_at_zero_is_the_plain_mass_sum(self, d):
+        atoms = tuple(
+            ((0.1 + 0.2 * i,) * d, side, mass)
+            for i, (side, mass) in enumerate(((0.05, 0.3), (0.125, 0.45), (0.3, 0.25)))
+        )
+        mu = CubeMeasure(d, atoms)
+        field = cube_measure_transform(mu, FreqGrid(d, 32.0, 256 if d == 1 else 64))
+        assert field.at_zero == sum(mass for _, _, mass in atoms)
+
+    def test_cis_matches_complex_exponential(self):
+        theta = np.random.default_rng(0).uniform(-1.0, 1.0, 200_000) * (2.0 * math.pi * 512 * 4096)
+        theta[:5] = (0.0, -0.0, math.pi, 2.0 * math.pi * 512 * 4096, -2.0 * math.pi * 512 * 4096)
+        got, want = _cis(theta), np.exp(1j * theta)
+        for part in ("real", "imag"):
+            g, w = getattr(got, part), getattr(want, part)
+            assert np.all(np.abs(g - w) <= 2 * np.spacing(np.abs(w))), part
 
 
 class TestOooDeviation:
