@@ -188,6 +188,18 @@ def lorentz_norm(f: WeightedSample, e: LorentzExponents) -> float:
     summing the closed-form integral over each interval where m_f is
     constant; for q = INFINITY it is the sup of m_f(t)^{1/p} t over the
     plateau values.
+
+    In this normalization ||f||_{p,q}^q = q int t^{q-1} m_f(t)^{q/p} dt
+    = (q/p) int (s^{1/p} f*(s))^q ds/s, Hunt's normalized quasi-norm, and
+    it does not increase in q, with equality for indicators (Hunt 1966,
+    On L(p,q) spaces).  Proof: put phi = m_f^{1/p}, which does not
+    increase, and H(t) = q int_0^t s^{q-1} phi(s)^q ds, so H(inf) =
+    ||f||_{p,q}^q.  For every t, (t phi(t))^q = q int_0^t s^{q-1} ds
+    phi(t)^q <= H(t), which gives ||f||_{p,inf} <= ||f||_{p,q}.  For
+    r > q, writing (t phi)^r = (t phi)^q (t phi)^{r-q} and bounding the
+    second factor by H(t)^{(r-q)/q},
+    ||f||_{p,r}^r <= (r/q) int H'(t) H(t)^{r/q-1} dt = H(inf)^{r/q},
+    that is ||f||_{p,r} <= ||f||_{p,q}.
     """
     return float(_sample_norms([f], e)[0])
 

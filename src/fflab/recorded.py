@@ -8,8 +8,6 @@ regression bounds, not sharp constants; re-measure with
 
 LORNOR_BANDS = {('0.25', '0.5'): 4895.299023, ('0.25', '1.0'): 1.05, ('0.25', '2.0'): 39.67659, ('0.25', 'inf'): 209.09796, ('0.5', '0.5'): 43.858312, ('0.5', '1.0'): 1.05, ('0.5', '2.0'): 4.039378, ('0.5', 'inf'): 7.355068, ('1.0', '0.5'): 4.633375, ('1.0', '1.0'): 1.05, ('1.0', '2.0'): 1.640812, ('1.0', 'inf'): 1.982389, ('2.0', '0.5'): 1.763022, ('2.0', '1.0'): 1.05, ('2.0', '2.0'): 1.229138, ('2.0', 'inf'): 1.517131, ('4.0', '0.5'): 1.254537, ('4.0', '1.0'): 1.05, ('4.0', '2.0'): 1.153033, ('4.0', 'inf'): 1.366968}
 
-EMBEDDING_CONSTANTS = {('1.0', '0.5', '1.0'): 1.05, ('1.0', '1.0', '2.0'): 1.05, ('1.0', '2.0', 'inf'): 1.05, ('2.0', '0.5', '1.0'): 1.05, ('2.0', '1.0', '2.0'): 1.05, ('2.0', '2.0', 'inf'): 1.05, ('4.0', '0.5', '1.0'): 1.05, ('4.0', '1.0', '2.0'): 1.05, ('4.0', '2.0', 'inf'): 1.05}
-
 DD_CORPUS_MAX = {'l2': 1.701813179, 'sobolev': 1.084411197}
 
 FROSTMAN = {'hypothesis': 5.597386995, 'conclusion': 85.333333333, 'K': 16.007469}

@@ -13,10 +13,8 @@ DEFAULT_SEED = 0
 
 
 def measure(seed: int = DEFAULT_SEED) -> dict:
-    """Constants from the tables of the experiments that check them; only
-    EMBEDDING_CONSTANTS, which no experiment checks, has its own loop."""
+    """Constants from the tables of the experiments that check them."""
     from fflab import experiments as ex
-    from fflab.lorentz import INFINITY, LorentzExponents, _sample_norms
     from fflab.spectral import ooo_deviation
 
     def table(experiment: str, name: str) -> list:
@@ -30,17 +28,6 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
         bands[(repr(float(alpha)), q_key)] = round(c, 6)
         print(f"lornor alpha={alpha} q={q_key}: [{lo:.4f}, {hi:.4f}] -> C={c:.4f}")
     out["LORNOR_BANDS"] = bands
-
-    emb = {}
-    rng = ex._rng(seed, "embedding")
-    samples = [ex.random_sample(rng) for _ in range(2000)]
-    for p in (1.0, 2.0, 4.0):
-        for q1, q2 in ((0.5, 1.0), (1.0, 2.0), (2.0, INFINITY)):
-            e1, e2 = LorentzExponents(p, q1), LorentzExponents(p, q2)
-            worst = max((_sample_norms(samples, e2) / _sample_norms(samples, e1)).tolist())
-            emb[(repr(p), ex._q_key(q1), ex._q_key(q2))] = round(worst * 1.05, 6)
-            print(f"embedding p={p} {q1}->{ex._q_key(q2)}: max ratio {worst:.4f}")
-    out["EMBEDDING_CONSTANTS"] = emb
 
     ratios = table("DD_CORPUS", "ratios")
     max_l2 = max(row[3] for row in ratios)

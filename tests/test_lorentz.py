@@ -30,6 +30,7 @@ from fflab.lorentz import (
     WeightedSample,
     _block_norms,
     _lorentz_norms,
+    _lornor_ratios,
     _overlay_rows,
     _pad_rows,
     _pplus_rows,
@@ -181,14 +182,12 @@ class TestLorentzNorm:
     @settings(max_examples=60, deadline=None)
     @given(samples())
     def test_embedding_direction(self, f):
-        for p_key, q1_key, q2_key in recorded.EMBEDDING_CONSTANTS:
-            p = float(p_key)
-            q1 = float(q1_key)
-            q2 = INFINITY if q2_key == "inf" else float(q2_key)
-            c = recorded.EMBEDDING_CONSTANTS[(p_key, q1_key, q2_key)]
-            n1 = lorentz_norm(f, LorentzExponents(p, q1))
-            n2 = lorentz_norm(f, LorentzExponents(p, q2))
-            assert n2 <= c * n1 * (1 + 1e-12)
+        # the norm does not increase in q (proof in ``lorentz_norm``)
+        for p in (1.0, 2.0, 4.0):
+            for q1, q2 in ((0.5, 1.0), (1.0, 2.0), (2.0, INFINITY)):
+                n1 = lorentz_norm(f, LorentzExponents(p, q1))
+                n2 = lorentz_norm(f, LorentzExponents(p, q2))
+                assert n2 <= n1 * (1 + 1e-12)
 
     def test_empty_is_zero(self):
         assert lorentz_norm(WeightedSample(()), LorentzExponents(2, 2)) == 0.0
@@ -243,14 +242,40 @@ class TestRowKernels:
                 yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
 
         for alpha, q in ((0.5, 2.0), (4.0, INFINITY)):
-            blocks = list(lornor_corpus(alpha, q, 0, 300))
-            assert [len(b) for b in blocks] == [128, 128, 44]
-            rows = np.concatenate([np.pad(b, ((0, 0), (0, 199 - b.shape[1]))) for b in blocks])
-            old = list(per_sequence(alpha, q, 0, 300))
-            assert len(rows) == len(old)
-            for row, a in zip(rows, old):
-                assert np.array_equal(row[: a.size], a)
-                assert not row[a.size :].any()
+            blocks = list(lornor_corpus(alpha, q, 0, 1100))
+            # chunks of 512, 512 and 76 sequences, cut into blocks of 128 rows
+            assert [len(b) for b in blocks] == [128] * 8 + [76]
+            old = list(per_sequence(alpha, q, 0, 1100))
+            index = {a.tobytes(): i for i, a in enumerate(old)}
+            seen = []
+            for block in blocks:
+                lengths = np.count_nonzero(block, axis=1)  # every drawn value is >= 2^-12
+                assert block.shape[1] == lengths.max()
+                for row, n in zip(block, lengths):
+                    assert not row[n:].any()
+                    i = index[row[:n].tobytes()]  # a KeyError unless bit-equal to a draw
+                    seen.append((i // 512, n, i))
+            assert sorted(i for *_, i in seen) == list(range(1100))
+            # each chunk in stable length order: by length, ties by draw order
+            assert seen == sorted(seen)
+
+    def test_corpus_padding_share(self):
+        # one length-sorted chunk pads about 20 % of the cells; blocks in
+        # draw order padded 48 %
+        blocks = list(lornor_corpus(1.0, 2.0, 0))
+        assert sum(len(b) for b in blocks) == 10_000
+        cells = sum(b.size for b in blocks)
+        padding = cells - sum(np.count_nonzero(b) for b in blocks)
+        assert padding <= 0.25 * cells
+
+    @pytest.mark.parametrize("alpha, q", [(0.25, 0.5), (0.5, INFINITY), (1.0, 2.0), (2.0, 1.0)])
+    def test_block_ratios_match_unpadded_sequences(self, alpha, q):
+        # the block width and the rows beside a sequence move only rounding:
+        # at most 3.6e-15 relative at alpha = 0.25, q = 0.5 (seeds 0 and 1)
+        for block in lornor_corpus(alpha, q, 0, 1100):
+            got = _lornor_ratios(block, alpha, q)
+            want = [check_lornor_equivalence(row[row > 0], alpha, q) for row in block]
+            assert got == pytest.approx(want, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("q", [0.5, 2.0, INFINITY])
     def test_unit_masses_match_explicit_ones(self, q):
@@ -262,8 +287,8 @@ class TestRowKernels:
                 assert np.array_equal(got, want)
 
     def test_lornor_memory_is_bounded_by_blocks(self):
-        # one 10k-row batch would peak at about 100 MiB; 128-row blocks stay
-        # near 2 MiB
+        # one 10k-row batch would peak at about 100 MiB; chunks of 512
+        # sequences in blocks of 128 rows peak near 1.6 MiB
         tracemalloc.start()
         try:
             result = run_experiment("LORNOR", {"alphas": (1.0,), "qs": (2.0,)}, 0)
@@ -537,9 +562,9 @@ def per_instance_pplus_corpus(seed, n_instances, seq_len=16):
 
 class TestCorpusBlocks:
     def test_tr_blocks_match_per_instance_draws(self):
-        old = list(per_instance_tr_corpus(0, 300))
-        blocks = list(tr_corpus(0, 300))
-        assert [len(eps) for *_, eps in blocks] == [128, 128, 44]
+        old = list(per_instance_tr_corpus(0, 1100))
+        blocks = list(tr_corpus(0, 1100))
+        assert [len(eps) for *_, eps in blocks] == [512, 512, 76]
         pairs = [
             (f, g, tuple(pq), eps)
             for f_rows, g_rows, pqs, epss in blocks
@@ -552,9 +577,9 @@ class TestCorpusBlocks:
             assert pq == (e0.p, e0.q) and eps == eps0
 
     def test_pplus_blocks_match_per_instance_draws(self):
-        old = list(per_instance_pplus_corpus(0, 300))
-        blocks = list(pplus_corpus(0, 300))
-        assert [len(a) for *_, a in blocks] == [128, 128, 44]
+        old = list(per_instance_pplus_corpus(0, 1100))
+        blocks = list(pplus_corpus(0, 1100))
+        assert [len(a) for *_, a in blocks] == [512, 512, 76]
         instances = []
         for f_rows, (g_vals, g_masses, g_origins), pqs, a_limits in blocks:
             for i, f in enumerate(row_samples(f_rows)):
@@ -567,7 +592,7 @@ class TestCorpusBlocks:
             assert pq == (e0.p, e0.q) and p1 == pq[0] + 1.0 and a == a0
 
     def test_tr_pplus_memory_is_bounded_by_blocks(self):
-        # 128-instance blocks peak near 0.4 MiB; one 10k-instance block
+        # 512-instance blocks peak near 1.4 MiB; one 10k-instance block
         # would not fit under 4 MiB
         tracemalloc.start()
         try:
