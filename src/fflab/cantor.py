@@ -8,6 +8,8 @@ branching count, the node weight and the layer.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -87,8 +89,8 @@ class ConstructionParams:
         return self.q / (self.q - 1.0)
 
 
-def _kid_side(d: int, p: float, beta: float, m: int, weight: Fraction, layer: int) -> float:
-    """Side of the kids spawned by a node of the given weight and layer."""
+def _kid_side(d: int, p: float, beta: float, weight: Fraction, layer: int, m: int) -> float:
+    """Side of the m kids spawned by a node of the given weight and layer."""
     b = float(weight)
     return m ** (-p / (2.0 * d)) * b ** (p / (2.0 * d * beta)) / (layer + 1)
 
@@ -140,6 +142,16 @@ class CubeTree:
         return sum((node.weight for node in self.layer_nodes(n)), Fraction(0))
 
 
+def _least_branching(side, m: int, r_prev: float, step: int) -> int:
+    """Least branching count from m on whose kid side ``side(m)`` falls
+    below r_prev / 2; SpacingViolation past 10**6."""
+    while not side(m) < r_prev / 2:
+        m += 1
+        if m > 10**6:
+            raise SpacingViolation(step, r_prev, side(m - 1), m)
+    return m
+
+
 def build_tree(params: ConstructionParams) -> CubeTree:
     """Grow the tree by expanding node k at step k with M_k kids.
 
@@ -155,14 +167,10 @@ def build_tree(params: ConstructionParams) -> CubeTree:
         if k >= len(nodes):
             raise ValueError(f"step {k} has no node to expand; branching list too long")
         node = nodes[k]
-        r = _kid_side(params.d, params.p, params.beta, m, node.weight, node.layer)
+        side = functools.partial(_kid_side, params.d, params.p, params.beta, node.weight, node.layer)
+        r = side(m)
         if not r < r_prev / 2:
-            m_min = m
-            while not _kid_side(params.d, params.p, params.beta, m_min, node.weight, node.layer) < r_prev / 2:
-                m_min += 1
-                if m_min > 10**6:
-                    raise SpacingViolation(k, r_prev, r, m_min)
-            raise SpacingViolation(k, r_prev, r, m_min)
+            raise SpacingViolation(k, r_prev, r, _least_branching(side, m, r_prev, k))
         kid_weight = node.weight / m
         if kid_weight > Fraction(1, 2 ** (node.layer + 1)):
             raise RuntimeError(f"node {k}: kid weight {kid_weight} exceeds 2^-{node.layer + 1}")
@@ -182,25 +190,15 @@ def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tupl
     nodes = [(0, Fraction(1))]  # (layer, weight)
     ms: List[int] = []
     r_prev = 1.0
-    k = 0
-    while True:
+    for k in itertools.count():
         layer, weight = nodes[k]
         if layer >= layers:
-            break
-        m = 2
-        while True:
-            r = _kid_side(d, p, beta, m, weight, layer)
-            if r < r_prev / 2:
-                break
-            m += 1
-            if m > 10**6:
-                raise SpacingViolation(k, r_prev, r, m)
+            return tuple(ms)
+        side = functools.partial(_kid_side, d, p, beta, weight, layer)
+        m = _least_branching(side, 2, r_prev, k)
         ms.append(m)
-        for _ in range(m):
-            nodes.append((layer + 1, weight / m))
-        r_prev = r
-        k += 1
-    return tuple(ms)
+        nodes.extend([(layer + 1, weight / m)] * m)
+        r_prev = side(m)
 
 
 def layer_covering(tree: CubeTree, n: int) -> DyadicCovering:
@@ -248,20 +246,17 @@ def _default_selection_grid(d: int, r: float) -> FreqGrid:
     return FreqGrid(d, extent, n)
 
 
+# Shift samples drawn to calibrate select_nu's thresholds.
+_CALIBRATION_DRAWS = 15
+
+
 def select_nu(
-    M: int,
-    r: float,
-    p1: float,
-    p2: float,
-    budget: int,
-    rng: np.random.Generator,
-    d: int = 1,
-    grid=None,
-    calibration_draws: int = 15,
+    M: int, r: float, p1: float, p2: float, budget: int, rng: np.random.Generator, d: int = 1
 ) -> NuSelection:
     """Rejection-sample a shift configuration with small centred moments.
 
-    ``calibration_draws`` samples, drawn as one batch from the same stream
+    The moments are Riemann sums over ``_default_selection_grid(d, r)``.
+    ``_CALIBRATION_DRAWS`` samples, drawn as one batch from the same stream
     as that many sample_shifts calls, fix each threshold at 4x the median of
     their integral int |nu_hat - E mu_hat|^{p_i} over the truncated grid.
     Then up to ``budget`` fresh samples are drawn, and the first whose two
@@ -271,11 +266,10 @@ def select_nu(
     """
     if not p1 > p2 > 2:
         raise ValueError("need p1 > p2 > 2")
-    if grid is None:
-        grid = _default_selection_grid(d, r)
-    expected_vals = expected_transform(M, r, grid).values
+    grid = _default_selection_grid(d, r)
+    expected_vals = expected_transform(r, grid).values
     exponents = (p1, p2)
-    calib_shifts = rng.random((calibration_draws, int(M), d)) * (1.0 - r)
+    calib_shifts = rng.random((_CALIBRATION_DRAWS, int(M), d)) * (1.0 - r)
     calib = centred_moments(calib_shifts, r, grid, expected_vals, exponents)
     thresholds = tuple(4.0 * np.median(calib[:, j]) for j in range(2))
 
@@ -284,7 +278,7 @@ def select_nu(
         s = sample_shifts(M, r, rng, d)
         row = centred_moments(s.shifts[None], r, grid, expected_vals, exponents)[0]
         integrals = tuple(row.tolist())
-        cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, calibration_draws)
+        cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, _CALIBRATION_DRAWS)
         score = max(
             ii / t if t > 0 else math.inf for ii, t in zip(integrals, thresholds)
         )
@@ -299,35 +293,27 @@ def select_nu(
     )
 
 
-def realize_tree(
-    tree: CubeTree,
-    params: ConstructionParams,
-    p1: Optional[float] = None,
-    p2: Optional[float] = None,
-    budget: int = 64,
-):
+def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
     """Place kid cubes by randomized shifts and emit every measure stage.
 
-    Nodes are processed in index order.  At step k the shifts are drawn for
-    the relative side r_k / side(Q_k), mapped through the homothety onto
-    Q_k, and the measure is updated by replacing the mass on Q_k with equal
-    shares on its kids.  Returns the tree with geometry and selection
-    certificates, and the list of measures from the initial uniform stage
-    through the deepest stage.
+    Step i must expand node i.  At step k the shifts are drawn, with the
+    moment exponents p1 = p + 2 and p2 = p1 / 2, for the relative side
+    r_k / side(Q_k), and mapped through the homothety onto Q_k.  Q_k is then
+    the first atom of the last stage, so the next stage is the last one
+    without it, followed by equal shares of its mass on its kids.  Returns
+    the tree with geometry and selection certificates, and the list of
+    measures from the initial uniform stage through the deepest stage.
     """
-    if p1 is None:
-        p1 = params.p + 2.0
-    if p2 is None:
-        p2 = (params.p + 2.0) / 2.0
+    p1 = params.p + 2.0
+    p2 = p1 / 2.0
     d = params.d
     tree.nodes[0].corner = tuple(0.0 for _ in range(d))
     tree.certificates = []
+    measures = [CubeMeasure(d, ((tree.nodes[0].corner, 1.0, 1.0),), (Fraction(1),))]
 
-    active = {0: (Fraction(1), 1.0)}  # node index -> (exact share, float share)
-    fractions0 = (Fraction(1),)
-    measures = [CubeMeasure(d, ((tree.nodes[0].corner, 1.0, 1.0),), fractions0)]
-
-    for k, m, r in tree.steps:
+    for i, (k, m, r) in enumerate(tree.steps):
+        if k != i:
+            raise ValueError(f"step {i} expands node {k}; step i must expand node i")
         node = tree.nodes[k]
         if node.corner is None:
             raise RuntimeError(f"node {k} expanded before receiving geometry")
@@ -340,11 +326,8 @@ def realize_tree(
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
             if abs(kid.side - r) >= 1e-12:
                 raise RuntimeError(f"node {kid_index}: side {kid.side} differs from step side {r}")
-        share = active.pop(k)[0] / m
-        shares = (share, float(share))
-        for kid_index in node.kids:
-            active[kid_index] = shares
-        order = sorted(active)
-        atoms = tuple((tree.nodes[i].corner, tree.nodes[i].side, active[i][1]) for i in order)
-        measures.append(CubeMeasure(d, atoms, tuple(active[i][0] for i in order)))
+        prev = measures[-1]
+        share = prev.mass_fractions[0] / m
+        kids = tuple((tree.nodes[j].corner, tree.nodes[j].side, float(share)) for j in node.kids)
+        measures.append(CubeMeasure(d, prev.atoms[1:] + kids, prev.mass_fractions[1:] + (share,) * m))
     return tree, measures

@@ -28,7 +28,6 @@ __all__ = [
     "PointCloud",
     "nh_covering_sum",
     "nh_capacity_delta",
-    "capacity_bracket",
     "enumerate_antichain_coverings",
     "HlpItem",
     "HlpInstance",
@@ -110,7 +109,6 @@ class DyadicCovering:
 
     diameters: tuple
     delta: float = math.inf
-    geometry: Optional[tuple] = None  # of ("box", corner, side) or ("ball", center, radius)
 
     def __post_init__(self):
         object.__setattr__(self, "diameters", tuple(float(t) for t in self.diameters))
@@ -119,20 +117,6 @@ class DyadicCovering:
                 raise ValueError("zero or negative diameter rejected")
             if not t < self.delta:
                 raise ValueError(f"diameter {t} not below the scale bound {self.delta}")
-        if self.geometry is not None:
-            if len(self.geometry) != len(self.diameters):
-                raise ValueError("geometry list must match the diameter list")
-            for diam, g in zip(self.diameters, self.geometry):
-                kind = g[0]
-                if kind == "box":
-                    d = len(g[1])
-                    expected = g[2] * math.sqrt(d)
-                elif kind == "ball":
-                    expected = 2.0 * g[2]
-                else:
-                    raise ValueError(f"unknown geometry kind {kind!r}")
-                if abs(diam - expected) > 1e-12 * max(1.0, expected):
-                    raise ValueError(f"stored diameter {diam} != geometric diameter {expected}")
 
 
 @dataclass(frozen=True)
@@ -297,8 +281,7 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     """Exact infimum of nh_covering_sum over dyadic-box coverings.
 
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
-    upper-bounds the unrestricted capacity; see capacity_bracket for the
-    certified two-sided interval.
+    upper-bounds the unrestricted capacity.
     """
     if not cloud.points:
         return 0.0
@@ -314,21 +297,6 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     for top_points in _groups(cloud.points, g_min):
         acc = _merge(acc, _frontier(top_points, g_min, g_min, depth, counter))
     return _frontier_cost(acc, g_min, cloud.d, params)
-
-
-def capacity_bracket(value: float, params: CapacityParams, d: int) -> tuple:
-    """(lower, upper) bracketing interval for the unrestricted capacity.
-
-    A ball of diameter t meets at most 2^d dyadic boxes of side t, each of
-    diameter t*sqrt(d) < 2*sqrt(d)*t, so the dyadic optimum exceeds the true
-    infimum by at most the lattice-distortion factor.
-    """
-    if params.phi is not None:
-        raise ValueError("bracketing factor is only pinned for the power gauge")
-    factor = (2.0 * math.sqrt(d)) ** (
-        params.alpha if is_infinite(params.q) else params.alpha * params.q
-    )
-    return value / factor, value
 
 
 def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
@@ -556,31 +524,32 @@ def _dyadic_ball_candidates(d: int):
             yield (center, r)
 
 
+# frostman_ratio's search sizes: random ball families drawn, balls per
+# family, generations of test boxes, and the depth of each box's capacity.
+_RANDOM_FAMILIES = 200
+_MAX_FAMILY = 6
+_SET_DEPTH = 4
+_CAPACITY_DEPTH = 8
+
+
 def frostman_ratio(
-    mu: GridMeasure,
-    alpha: float,
-    q: float,
-    gamma: float,
-    depth: int = 8,
-    set_depth: int = 4,
-    max_family: int = 6,
-    rng: Optional[np.random.Generator] = None,
-    random_families: int = 200,
+    mu: GridMeasure, alpha: float, q: float, gamma: float, rng: np.random.Generator
 ) -> FrostmanResult:
     """(hypothesis_constant, conclusion_constant) of the bump-to-capacity transfer.
 
     The hypothesis constant maximizes |Sigma_j <bump_j, mu>| over an
     enumerated family of finite disjoint dyadic-ball packings (all
-    singletons, all disjoint pairs, and seeded random maximal families up to
-    ``max_family`` balls), normalized by the Lorentz sequence norm of the
-    radii raised to q*gamma.  The conclusion constant maximizes
-    |mu|(A) / capacity(A)^gamma over occupied dyadic boxes A.
+    singletons, all disjoint pairs, and _RANDOM_FAMILIES families drawn from
+    ``rng``, each maximal up to _MAX_FAMILY balls), normalized by the
+    Lorentz sequence norm of the radii raised to q*gamma.  The conclusion
+    constant maximizes |mu|(A) / capacity(A)^gamma over the occupied dyadic
+    boxes A of generations 0.._SET_DEPTH, each capacity a dyadic optimum to
+    depth _CAPACITY_DEPTH.
     """
     if mu.d not in (1, 2):
         raise ValueError("only d = 1 and d = 2 are supported at desk scale")
     if not mu.points:
         return FrostmanResult(0.0, 0.0, 0, 0)
-    rng = rng if rng is not None else np.random.default_rng(0)
     candidates = list(_dyadic_ball_candidates(mu.d))
 
     def disjoint(a, b):
@@ -590,14 +559,14 @@ def frostman_ratio(
     for a, b in itertools.combinations(candidates, 2):
         if disjoint(a, b):
             families.append([a, b])
-    for _ in range(random_families):
+    for _ in range(_RANDOM_FAMILIES):
         fam: list = []
         order = rng.permutation(len(candidates))
         for idx in order:
             c = candidates[idx]
             if all(disjoint(c, other) for other in fam):
                 fam.append(c)
-            if len(fam) == max_family:
+            if len(fam) == _MAX_FAMILY:
                 break
         if len(fam) > 2:
             families.append(fam)
@@ -615,7 +584,7 @@ def frostman_ratio(
 
     params = CapacityParams(alpha, q / alpha)
     boxes: dict = {}
-    for g in range(0, set_depth + 1):
+    for g in range(0, _SET_DEPTH + 1):
         for p, w in zip(mu.points, mu.weights):
             boxes.setdefault((g, _box_of(p, g)), []).append((p, abs(w)))
     conc = 0.0
@@ -624,8 +593,7 @@ def frostman_ratio(
         if mass == 0:
             continue
         cloud = PointCloud(tuple(p for p, _ in inside), mu.d)
-        dp_depth = min(depth, 12 if mu.d == 1 else 8)
-        cap = nh_capacity_delta(cloud, params, 0.5, dp_depth)
+        cap = nh_capacity_delta(cloud, params, 0.5, _CAPACITY_DEPTH)
         if cap > 0:
             conc = max(conc, mass / cap**gamma)
     return FrostmanResult(hyp, conc, len(families), len(boxes))

@@ -56,6 +56,7 @@ from .spectral import (
     lorentz_spectrum_norm,
     np_moment_estimate,
     np_variance_oracle,
+    ooo_deviation,
     resl_series,
 )
 
@@ -130,7 +131,7 @@ _CORPUS_BLOCK = 512
 _LORNOR_ROWS = 128
 
 
-def lornor_corpus(alpha: float, q, seed: int, n_seq: int = 10_000):
+def lornor_corpus(alpha: float, q, seed: int, n_seq: int):
     """The seeded sequences, yielded as blocks of up to _LORNOR_ROWS rows
     padded with 0.  The sequences are drawn in chunks of _CORPUS_BLOCK, one
     uniform draw per chunk (the same values as one draw per sequence); each
@@ -153,9 +154,10 @@ def lornor_corpus(alpha: float, q, seed: int, n_seq: int = 10_000):
             yield _pad_rows(draw[firsts[row] : firsts[row] + block.sum()], block)
 
 
-def _log_plateaus(rng: np.random.Generator, max_plateaus: int = 6):
-    """The logarithms of a random sample's plateau values and masses."""
-    n = int(rng.integers(1, max_plateaus + 1))
+def _log_plateaus(rng: np.random.Generator):
+    """The logarithms of a random sample's plateau values and masses, one
+    to six plateaus."""
+    n = int(rng.integers(1, 7))
     return rng.normal(0.0, 1.5, n), rng.normal(0.0, 1.5, n)
 
 
@@ -204,18 +206,22 @@ def tr_corpus(seed: int, n_pairs: int):
         yield f, g, _block_exponents(start, stop), np.array(eps)
 
 
-def pplus_corpus(seed: int, n_instances: int, seq_len: int = 16):
+# Length of each P+ instance's sequence g_1, g_2, ...
+_PPLUS_SEQ_LEN = 16
+
+
+def pplus_corpus(seed: int, n_instances: int):
     """The seeded asymptotic-addition instances, yielded as blocks of up to
     _CORPUS_BLOCK instances (f, gs, pq, a_limits): f as in ``tr_corpus``,
-    gs the sequences g_1..g_seq_len of one plateau each as (rows, seq_len,
-    1) values and masses and (rows, seq_len) origins, all just past f, pq
+    gs the sequences g_1..g_L, L = _PPLUS_SEQ_LEN, of one plateau each as
+    (rows, L, 1) values and masses and (rows, L) origins, all just past f, pq
     the exponents and a_limits the limits A.  The draws are made instance
     by instance (f, A), so a block holds the values of drawing each
     instance alone, to the bit.  Blocks of 512 give each of the three
     exponent groups about 170 rows a call."""
     rng = _rng(seed, "pplus")
     # single plateaus of constant Lorentz norm and vanishing higher norm
-    masses = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
+    masses = [2.0 ** (4 * j) for j in range(1, _PPLUS_SEQ_LEN + 1)]
     shrink = {p: np.array([m ** (-1.0 / p) for m in masses]) for p, _ in TR_EXPONENTS}
     for start in range(0, n_instances, _CORPUS_BLOCK):
         stop = min(start + _CORPUS_BLOCK, n_instances)
@@ -228,7 +234,8 @@ def pplus_corpus(seed: int, n_instances: int, seq_len: int = 16):
         a_limits = np.array(a_limits)
         g_vals = a_limits[:, None] * np.array([shrink[p] for p in pq[:, 0].tolist()])
         g_masses = np.tile(masses, (stop - start, 1))
-        gs = (g_vals[..., None], g_masses[..., None], np.repeat(_past(f_masses)[:, None], seq_len, axis=1))
+        origins = np.repeat(_past(f_masses)[:, None], _PPLUS_SEQ_LEN, axis=1)
+        gs = (g_vals[..., None], g_masses[..., None], origins)
         yield (f_vals, f_masses, np.zeros(stop - start)), gs, pq, a_limits
 
 
@@ -246,24 +253,26 @@ def gauge_gallery(alpha: float):
     )
 
 
-def profile_gallery(seed: int, n_profiles: int = 20, length: int = 8):
+def profile_gallery(seed: int):
+    """20 per-generation count profiles of 8 generations each: every fourth
+    doubles, the others are seeded draws."""
     rng = _rng(seed, "profiles")
     profiles = []
-    for i in range(n_profiles):
+    for i in range(20):
         if i % 4 == 0:
-            base = 2 ** np.arange(1, length + 1)
+            base = 2 ** np.arange(1, 9)
         else:
-            base = rng.integers(1, 2 ** (i % 10 + 2), length) + 1
+            base = rng.integers(1, 2 ** (i % 10 + 2), 8) + 1
         profiles.append(tuple(int(m) for m in base))
     return profiles
 
 
-def random_cloud(rng: np.random.Generator, n_points: int, d: int = 1) -> PointCloud:
-    pts = rng.random((n_points, d))
-    return PointCloud(tuple(map(tuple, pts)), d)
+def random_cloud(rng: np.random.Generator, n_points: int) -> PointCloud:
+    """n_points uniform points of [0, 1]."""
+    return PointCloud(tuple(map(tuple, rng.random((n_points, 1)))), 1)
 
 
-def dd_corpus(seed: int, n_families: int = 50):
+def dd_corpus(seed: int, n_families: int):
     rng = _rng(seed, "dd")
     for _ in range(n_families):
         n = int(rng.integers(1, 6))
@@ -277,7 +286,7 @@ def dd_corpus(seed: int, n_families: int = 50):
         yield BumpFamily(tuple(zip(centers, radii)), 1)
 
 
-def frostman_measure(seed: int = 7) -> GridMeasure:
+def frostman_measure(seed: int) -> GridMeasure:
     """Depth-2 stage of the norm-growth construction, read as point masses
     at the atom cube centers."""
     params = preset("norm-growth", depth=2, seed=seed)
@@ -403,10 +412,7 @@ def run_construct(params: dict, seed: int) -> ExperimentResult:
         for node in tree.nodes
     ]
     tables = {"tree": (("index", "parent", "layer", "weight", "side"), rows)}
-    result = ExperimentResult("CONSTRUCT", checks, tables)
-    result.measures = mus
-    result.tree = tree
-    return result
+    return ExperimentResult("CONSTRUCT", checks, tables)
 
 
 def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
@@ -415,21 +421,14 @@ def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
     trials = int(params.get("trials", 40))
     slope_tol = float(params.get("slope_tol", 0.15))
 
-    def one_point(args):
-        i, (m, r) = args
-        rng = _rng(seed, "np", i)
-        extent = 4.0 / r
-        grid = FreqGrid(1, extent, int(16 * extent))
-        (e2, se2), (e4, se4) = np_moment_estimate(m, r, (2.0, 4.0), grid, trials, rng)
-        return (m, r, e2, se2, np_variance_oracle(m, r, grid), e4, se4)
-
-    points = list(enumerate((m, r) for m in ms for r in rs))
-    results = [one_point(point) for point in points]
     checks, rows = [], []
     sigma_ok = True
-    for m, r, e2, se2, oracle, e4, se4 in results:
-        ok = abs(e2 - oracle) <= 3.0 * se2
-        sigma_ok = sigma_ok and ok
+    for i, (m, r) in enumerate(itertools.product(ms, rs)):
+        extent = 4.0 / r
+        grid = FreqGrid(1, extent, int(16 * extent))
+        (e2, se2), (e4, se4) = np_moment_estimate(m, r, (2.0, 4.0), grid, trials, _rng(seed, "np", i))
+        oracle = np_variance_oracle(m, r, grid)
+        sigma_ok = sigma_ok and abs(e2 - oracle) <= 3.0 * se2
         rows.append((m, r, e2, se2, oracle, e4, se4, m**-2.0 * r**-1.0))
     checks.append(CheckResult("variance_oracle_3sigma", sigma_ok, "p = 2 estimates vs closed form"))
     xs = np.log([row[7] for row in rows])
@@ -455,13 +454,11 @@ def run_ooo_sweep(params: dict, seed: int) -> ExperimentResult:
     del seed
     ps = params.get("p", (3.0, 4.0, 6.0))
     ks = range(3, 11)
-    from .spectral import ooo_deviation
-
     checks, rows = [], []
     for p in ps:
         pp = p / (p - 1.0)
         rs = [2.0**-k for k in ks]
-        vals = [ooo_deviation(1, r, p) for r in rs]
+        vals = [ooo_deviation(r, p) for r in rs]
         slope = float(np.polyfit(np.log(rs), np.log(vals), 1)[0])
         ok = abs(slope - 1.0 / pp) <= 0.05
         checks.append(
@@ -470,7 +467,7 @@ def run_ooo_sweep(params: dict, seed: int) -> ExperimentResult:
         for r, v in zip(rs, vals):
             rows.append((p, r, v, v / r ** (1.0 / pp)))
     ref = recorded.OOO_REFERENCE
-    val = ooo_deviation(1, ref["r"], ref["p"])
+    val = ooo_deviation(ref["r"], ref["p"])
     checks.append(
         CheckResult(
             "ooo_reference_value",

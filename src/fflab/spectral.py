@@ -73,9 +73,6 @@ class FreqGrid:
         n, x = self.samples, self.half_extent
         return -x + (2.0 * x / n) * np.arange(n)
 
-    def mesh(self) -> Tuple[np.ndarray, ...]:
-        return tuple(np.meshgrid(*([self.axis()] * self.d), indexing="ij"))
-
     @property
     def cell_volume(self) -> float:
         return (2.0 * self.half_extent / self.samples) ** self.d
@@ -182,11 +179,10 @@ def cube_measure_transform(mu: CubeMeasure, grid: FreqGrid) -> SpectrumField:
     return SpectrumField(grid, out)
 
 
-def expected_transform(M: int, r: float, grid: FreqGrid) -> SpectrumField:
-    """Transform of the expected random measure: the convolution of the
-    normalized uniform measures on [0, r]^d and [0, 1-r]^d.  The expectation
-    is free of M; the argument is kept for signature symmetry."""
-    del M
+def expected_transform(r: float, grid: FreqGrid) -> SpectrumField:
+    """Transform of the expected random measure, whatever the number of
+    shifts: the convolution of the normalized uniform measures on [0, r]^d
+    and [0, 1-r]^d."""
     if not 0 < r < 0.5:
         raise ValueError(f"r must lie in (0, 1/2), got {r}")
     return SpectrumField(grid, _cube_envelope(grid, r) * _cube_envelope(grid, 1.0 - r))
@@ -247,7 +243,7 @@ def np_moment_estimate(
             f"window {grid.half_extent} below 1/r = {1 / r}; tail bounds {tails}",
             TruncationWarning,
         )
-    expected = expected_transform(M, r, grid).values
+    expected = expected_transform(r, grid).values
     shifts = rng.random((trials, M, grid.d)) * (1.0 - r)
     sums = centred_moments(shifts, r, grid, expected, exponents)
     return tuple(
@@ -267,14 +263,14 @@ def np_variance_oracle(M: int, r: float, grid: FreqGrid) -> float:
     return float(np.sum(var) * grid.cell_volume)
 
 
-def ooo_deviation(M: int, r: float, p_exp: float) -> float:
+def ooo_deviation(r: float, p_exp: float) -> float:
     """Exact dual-norm distance between the uniform density on [0,1] and the
-    expected-measure trapezoid density, in one dimension.
+    expected-measure trapezoid density, in one dimension, whatever the
+    number of shifts.
 
     The density difference is piecewise linear, so |1 - F_r|^{p'} integrates
-    in closed form; the value is free of M.
+    in closed form.
     """
-    del M
     if not p_exp > 2:
         raise ValueError("p_exp must exceed 2")
     if not 0 < r < 0.5:
@@ -350,8 +346,10 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
     The L2 norm is a physical-space quadrature at resolution tied to the
     smallest radius; the order-d Sobolev norm is the spectral integral of
     (1 + |2 pi xi|^2)^{d/2} against the transform on the truncated grid,
-    where each bump's transform is the closed form smooth_bump_transform.
-    The reference bounds are (Sigma r^d)^{1/2} and (Sigma r^{-d})^{1/2}.
+    where the bumps of each radius r contribute one r^d-weighted phase sum
+    (_phase_sum) of their centers times the closed form
+    smooth_bump_transform.  The reference bounds are (Sigma r^d)^{1/2} and
+    (Sigma r^{-d})^{1/2}.
     """
     d = fam.d
     radii = np.array([r for _, r in fam.bumps])
@@ -374,18 +372,15 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
     l2 = float(np.sqrt(np.sum(total**2) * h**d))
 
     # spectral quadrature for the Sobolev norm
-    mesh_f = grid.mesh()
-    rho = np.sqrt(sum(m**2 for m in mesh_f)) if d > 1 else np.abs(mesh_f[0])
-    ghat = np.zeros(mesh_f[0].shape, dtype=complex)
-    for (x, r) in fam.bumps:
-        phase = np.zeros(mesh_f[0].shape)
-        for a in range(d):
-            phase = phase + x[a] * mesh_f[a]
-        ghat += np.exp(-2j * math.pi * phase) * r**d * smooth_bump_transform(r * rho, d)
+    xi = grid.axis()
+    rho = np.abs(xi) if d == 1 else np.hypot(xi[:, None], xi[None, :])
+    ghat = np.zeros(rho.shape, dtype=complex)
+    for r in np.unique(radii):
+        group = radii == r
+        weights = np.full(np.count_nonzero(group), r**d)
+        ghat += _phase_sum(centers[group], weights, grid) * smooth_bump_transform(r * rho, d)
     weight = (1.0 + (2.0 * math.pi) ** 2 * rho**2) ** (d / 2.0)
-    sob = float(
-        np.sqrt(np.sum(weight**2 * np.abs(ghat) ** 2) * grid.cell_volume)
-    )
+    sob = float(np.sqrt(np.sum(weight**2 * np.abs(ghat) ** 2) * grid.cell_volume))
     return l2, sob, l2_bound, sob_bound
 
 

@@ -50,7 +50,7 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
     }
     print(f"norm growth: {out['NORM_GROWTH']}")
 
-    out["OOO_REFERENCE"] = {"r": 0.1, "p": 4.0, "value": ooo_deviation(1, 0.1, 4.0)}
+    out["OOO_REFERENCE"] = {"r": 0.1, "p": 4.0, "value": ooo_deviation(0.1, 4.0)}
     print(f"ooo reference: {out['OOO_REFERENCE']}")
     return out
 

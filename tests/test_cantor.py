@@ -10,6 +10,7 @@ import pytest
 
 from fflab.cantor import (
     ConstructionParams,
+    CubeTree,
     SelectionBudgetError,
     SpacingViolation,
     _default_selection_grid,
@@ -165,7 +166,7 @@ class TestSampling:
 def per_draw_select_nu(M, r, p1, p2, budget, rng, d, grid, calibration_draws=15):
     """select_nu as one random_transform per draw, calibration included:
     returns (shifts, integrals, thresholds, draws) of the accepted sample."""
-    expected = expected_transform(M, r, grid).values
+    expected = expected_transform(r, grid).values
 
     def moments(s):
         dev = np.abs(random_transform(s, grid).values - expected)
@@ -185,7 +186,7 @@ class TestBatchedSelection:
     @pytest.mark.parametrize("d, M, r", [(1, 12, 0.05), (2, 5, 0.1)])
     def test_batch_equals_stacked_batches_of_one(self, d, M, r):
         grid = _default_selection_grid(d, r)
-        expected = expected_transform(M, r, grid).values
+        expected = expected_transform(r, grid).values
         shifts = np.random.default_rng(3).random((6, M, d)) * (1.0 - r)
         exps = (6.0, 3.0)
         batch = centred_moments(shifts, r, grid, expected, exps)
@@ -279,6 +280,16 @@ class TestRealizeTree:
             assert cert.calibration_draws == 15
             assert 1 <= cert.draws <= 64
         assert build_tree(params).certificates == []
+
+    def test_rejects_steps_out_of_order(self):
+        # stages are built from the previous one, taking the expanded node
+        # as its first atom, which holds only when step i expands node i
+        params = preset("norm-growth", seed=7)
+        tree = build_tree(params)
+        first, second, third = tree.steps
+        swapped = CubeTree(params, tree.nodes, [first, third, second])
+        with pytest.raises(ValueError, match="step 1 expands node 2"):
+            realize_tree(swapped, params)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):

@@ -24,7 +24,6 @@ from fflab.capacity import (
     PointCloud,
     ResourceLimitError,
     bump_pairing,
-    capacity_bracket,
     check_hlp_item,
     enumerate_antichain_coverings,
     frostman_ratio,
@@ -128,14 +127,6 @@ class TestCoveringSum:
         with pytest.raises(ValueError):
             DyadicCovering((0.5,), delta=0.5)
 
-    def test_geometry_consistency(self):
-        DyadicCovering(
-            (0.25 * math.sqrt(2),),
-            geometry=(("box", (0.0, 0.0), 0.25),),
-        )
-        with pytest.raises(ValueError):
-            DyadicCovering((0.3,), geometry=(("box", (0.0, 0.0), 0.25),))
-
 
 class TestValidation:
     def test_cloud_outside_cube(self):
@@ -236,16 +227,6 @@ class TestCapacityExactness:
         coarse = nh_capacity_delta(cloud, params, 1.0, 8)
         fine = nh_capacity_delta(cloud, params, 2.0**-3, 8)
         assert coarse <= fine * (1 + 1e-12)
-
-    def test_bracket(self):
-        params = CapacityParams(0.5, 2.0)
-        lo, hi = capacity_bracket(1.0, params, 2)
-        assert hi == 1.0
-        assert lo == pytest.approx((2.0 * math.sqrt(2)) ** (-1.0), rel=1e-12)
-
-    def test_bracket_rejects_custom_phi(self):
-        with pytest.raises(ValueError):
-            capacity_bracket(1.0, CapacityParams(0.5, 2.0, phi=lambda s: s**2), 1)
 
 
 class TestPrune:
@@ -413,7 +394,7 @@ class TestFrostman:
 
     def test_point_mass_ratio(self):
         mu = GridMeasure(1, ((0.5,),), (1.0,))
-        res = frostman_ratio(mu, 0.5, 1.0, 1.0, random_families=5)
+        res = frostman_ratio(mu, 0.5, 1.0, 1.0, np.random.default_rng(0))
         assert isinstance(res, FrostmanResult)
         assert res.hypothesis_constant > 0
         assert res.conclusion_constant > 0
@@ -421,5 +402,5 @@ class TestFrostman:
         assert res.hypothesis_constant >= (2.0**4) ** 0.5 - 1e-9
 
     def test_empty_measure(self):
-        res = frostman_ratio(GridMeasure(1, (), ()), 0.5, 1.0, 1.0)
+        res = frostman_ratio(GridMeasure(1, (), ()), 0.5, 1.0, 1.0, np.random.default_rng(0))
         assert res.hypothesis_constant == 0.0 and res.conclusion_constant == 0.0

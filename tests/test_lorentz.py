@@ -262,7 +262,7 @@ class TestRowKernels:
     def test_corpus_padding_share(self):
         # one length-sorted chunk pads about 20 % of the cells; blocks in
         # draw order padded 48 %
-        blocks = list(lornor_corpus(1.0, 2.0, 0))
+        blocks = list(lornor_corpus(1.0, 2.0, 0, 10_000))
         assert sum(len(b) for b in blocks) == 10_000
         cells = sum(b.size for b in blocks)
         padding = cells - sum(np.count_nonzero(b) for b in blocks)

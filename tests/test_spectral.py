@@ -133,7 +133,7 @@ class TestRandomAndExpected:
     def test_expected_against_density_quadrature(self):
         r = 0.2
         grid = FreqGrid(1, 8.0, 16)
-        field = expected_transform(5, r, grid)
+        field = expected_transform(r, grid)
         # density of the convolution of uniform laws on [0,r] and [0,1-r]
         x = np.linspace(0.0, 1.0, 400_001)
         dens = (np.minimum(np.minimum(x, r), np.minimum(1.0 - x, 1.0 - r))) / (r * (1.0 - r))
@@ -141,12 +141,6 @@ class TestRandomAndExpected:
         for j, xi in enumerate(grid.axis()):
             quad = np.trapezoid(dens * np.exp(-2j * math.pi * x * xi), x)
             assert field.values[j] == pytest.approx(quad, abs=1e-6)
-
-    def test_expected_free_of_m(self):
-        grid = FreqGrid(1, 4.0, 16)
-        a = expected_transform(2, 0.1, grid).values
-        b = expected_transform(500, 0.1, grid).values
-        assert np.array_equal(a, b)
 
     def test_monte_carlo_matches_variance_oracle(self):
         M, r = 16, 0.25
@@ -176,7 +170,7 @@ def direct_transform(points, sides, masses, grid: FreqGrid) -> np.ndarray:
     """sum_k masses[k] prod_a exp(-2 pi i points[k, a] xi_a) phi(sides[k] xi_a),
     with phi the side-s cube factor exp(-i pi s xi) sinc(s xi), summed over an
     explicit (K, N^d) phase tensor."""
-    mesh = grid.mesh()
+    mesh = np.meshgrid(*([grid.axis()] * grid.d), indexing="ij")
     shape = (-1,) + (1,) * grid.d
     phase = sum(points[:, a].reshape(shape) * mesh[a] for a in range(grid.d))
     atoms = np.exp(-2j * math.pi * phase) * masses.reshape(shape)
@@ -297,22 +291,33 @@ class TestOooDeviation:
                 None,
             )
             quad = np.trapezoid(np.abs(1.0 - dens) ** pp, x) ** (1.0 / pp)
-            assert ooo_deviation(7, r, p_exp) == pytest.approx(quad, rel=1e-6)
-
-    def test_free_of_m(self):
-        assert ooo_deviation(2, 0.1, 4.0) == ooo_deviation(2000, 0.1, 4.0)
+            assert ooo_deviation(r, p_exp) == pytest.approx(quad, rel=1e-6)
 
     def test_small_r_power_law(self):
         # the deviation scales like r^{1/p'} as r -> 0
         p_exp = 4.0
         rs = [2.0**-k for k in range(10, 21)]
-        vals = [ooo_deviation(1, r, p_exp) for r in rs]
+        vals = [ooo_deviation(r, p_exp) for r in rs]
         slope = float(np.polyfit(np.log(rs), np.log(vals), 1)[0])
         assert slope == pytest.approx(0.75, abs=0.02)
 
     def test_rejects_small_p(self):
         with pytest.raises(ValueError):
-            ooo_deviation(1, 0.1, 2.0)
+            ooo_deviation(0.1, 2.0)
+
+
+def direct_sobolev(fam: BumpFamily, grid: FreqGrid) -> float:
+    """The order-d Sobolev norm of a bump sum on the grid, summing one
+    np.exp phase per bump over an explicit N^d frequency mesh."""
+    d = fam.d
+    mesh = np.meshgrid(*([grid.axis()] * d), indexing="ij")
+    rho = np.sqrt(sum(m**2 for m in mesh))
+    ghat = np.zeros(rho.shape, dtype=complex)
+    for x, r in fam.bumps:
+        phase = sum(c * m for c, m in zip(x, mesh))
+        ghat += np.exp(-2j * math.pi * phase) * r**d * smooth_bump_transform(r * rho, d)
+    weight = (1.0 + (2.0 * math.pi * rho) ** 2) ** (d / 2.0)
+    return float(np.sqrt(np.sum(weight**2 * np.abs(ghat) ** 2) * grid.cell_volume))
 
 
 class TestBumps:
@@ -369,6 +374,19 @@ class TestBumps:
         exact = math.sqrt(2.0 * r * (sq(3.0) - sq(0.0)) + 2.0 / r * (dsq(3.0) - dsq(0.0)))
         _, sob, _, _ = bump_sum_norms(BumpFamily((((0.5,), r),), 1), FreqGrid(1, 64.0, 4096))
         assert sob == pytest.approx(exact, rel=1e-8)
+
+    @pytest.mark.parametrize(
+        "bumps, grid",
+        [
+            ((((0.2,), 0.05), ((0.6,), 0.1), ((1.0,), 0.05)), FreqGrid(1, 320.0, 4096)),
+            ((((0.2, 0.3), 0.05), ((0.7, 0.6), 0.1), ((0.3, 0.8), 0.05)), FreqGrid(2, 64.0, 128)),
+        ],
+        ids=["d1-repeated-radius", "d2"],
+    )
+    def test_sobolev_matches_per_bump_direct_sum(self, bumps, grid):
+        fam = BumpFamily(bumps, grid.d)
+        _, sob, _, _ = bump_sum_norms(fam, grid)
+        assert sob == pytest.approx(direct_sobolev(fam, grid), rel=1e-12)
 
     def test_far_bumps_add_orthogonally(self):
         r = 0.1
