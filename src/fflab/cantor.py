@@ -246,7 +246,8 @@ def _default_selection_grid(d: int, r: float) -> FreqGrid:
     return FreqGrid(d, extent, n)
 
 
-# Shift samples drawn to calibrate select_nu's thresholds.
+# Shift samples drawn to calibrate select_nu's thresholds; odd, so that the
+# median is the middle sorted value (np.median would import numpy.ma).
 _CALIBRATION_DRAWS = 15
 
 
@@ -271,7 +272,7 @@ def select_nu(
     exponents = (p1, p2)
     calib_shifts = rng.random((_CALIBRATION_DRAWS, int(M), d)) * (1.0 - r)
     calib = centred_moments(calib_shifts, r, grid, expected_vals, exponents)
-    thresholds = tuple(4.0 * np.median(calib[:, j]) for j in range(2))
+    thresholds = tuple(4.0 * np.sort(calib, axis=0)[_CALIBRATION_DRAWS // 2])
 
     best, best_cert, best_score = None, None, math.inf
     for i in range(budget):
@@ -326,8 +327,6 @@ def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
             if abs(kid.side - r) >= 1e-12:
                 raise RuntimeError(f"node {kid_index}: side {kid.side} differs from step side {r}")
-        prev = measures[-1]
-        share = prev.mass_fractions[0] / m
-        kids = tuple((tree.nodes[j].corner, tree.nodes[j].side, float(share)) for j in node.kids)
-        measures.append(CubeMeasure(d, prev.atoms[1:] + kids, prev.mass_fractions[1:] + (share,) * m))
+        kids = [(tree.nodes[j].corner, tree.nodes[j].side) for j in node.kids]
+        measures.append(measures[-1].split_first(kids))
     return tree, measures

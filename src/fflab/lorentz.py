@@ -145,6 +145,19 @@ def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError("plateau masses must be positive")
 
 
+def _row_sums(terms: np.ndarray) -> np.ndarray:
+    """Each row summed left to right, one term at a time, whatever the batch
+    width.  np.sum along a row adds pairwise in blocks set by the row width,
+    so a padded row would round differently from the same row alone.  numpy
+    adds pairwise only along the fast axis in memory, so the column sums of
+    the transposed copy are sequential, and vectorised across the rows; a
+    single row, whose transpose would have a fast axis of length 1, goes
+    through np.cumsum, which is sequential by definition."""
+    if len(terms) == 1:
+        return np.cumsum(terms, axis=1)[:, -1]
+    return np.ascontiguousarray(terms.T).sum(axis=0)
+
+
 def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
     (rows, n) arrays holds the plateau values >= 0 and masses of one;
@@ -156,7 +169,9 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
     q = INFINITY.  Ties need no merging (all members but the last add zero
     terms, and the last has the largest w), nor do zero values.  The masses
     are summed per row, so a row of huge masses costs the others no precision;
-    unit masses sum to w_i = i exactly, so that row is shared.
+    unit masses sum to w_i = i exactly, so that row is shared.  The terms
+    are summed left to right (``_row_sums``), so padding adds an exact +0.0
+    and a row's norm does not depend on the rows beside it.
     """
     n = values.shape[1]
     if n == 0:
@@ -173,7 +188,8 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
     vq = v**q
     gaps = vq.copy()  # v_i^q - v_{i+1}^q
     gaps[:, :-1] -= vq[:, 1:]
-    return np.sum(w ** (q / p) * gaps, axis=1) ** (1.0 / q)
+    gaps *= w ** (q / p)
+    return _row_sums(gaps) ** (1.0 / q)
 
 
 def _sample_norms(samples: Sequence[WeightedSample], e: LorentzExponents) -> np.ndarray:
@@ -221,7 +237,8 @@ def _block_norms(values: np.ndarray, alpha: float, q) -> np.ndarray:
     """Block-aggregated norms of nonnegative sequences, one per row: the
     alpha-th powers are summed per dyadic range [2^{-k-1}, 2^{-k}) with one
     bincount on row * nb + k, and the block sums aggregated in l_q (max for
-    q = INFINITY), all raised to 1/(q*alpha) (1/alpha).  Padding 0s add 0."""
+    q = INFINITY), all raised to 1/(q*alpha) (1/alpha).  Padding 0s and
+    empty blocks add 0: rows are summed left to right (``_row_sums``)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     n_rows = values.shape[0]
@@ -238,7 +255,8 @@ def _block_norms(values: np.ndarray, alpha: float, q) -> np.ndarray:
     ).reshape(n_rows, nb)
     if is_infinite(q):
         return np.max(sums, axis=1) ** (1.0 / alpha)
-    return np.sum(sums**q, axis=1) ** (1.0 / (q * alpha))
+    sums **= q
+    return _row_sums(sums) ** (1.0 / (q * alpha))
 
 
 def _block_row(a: Sequence[float]) -> np.ndarray:

@@ -18,6 +18,21 @@ __all__ = ["CubeMeasure", "ShiftSample"]
 _FORMAT_VERSION = "cantor-measure/1"
 
 
+def _checked_atoms(d: int, atoms) -> tuple:
+    """The atoms as (corner tuple, side, mass) floats, each checked."""
+    norm = tuple(
+        (tuple(map(float, corner)), float(side), float(mass)) for corner, side, mass in atoms
+    )
+    for corner, side, mass in norm:
+        if len(corner) != d:
+            raise ValueError("corner dimension mismatch")
+        if not side > 0:
+            raise ValueError("cube side must be positive")
+        if not mass > 0:
+            raise ValueError("atom mass must be positive")
+    return norm
+
+
 @dataclass(frozen=True)
 class CubeMeasure:
     """A finite sum Sigma w_i * lambda_{Q_i} of normalized Lebesgue measures
@@ -32,23 +47,27 @@ class CubeMeasure:
     mass_fractions: Optional[tuple] = None  # of Fraction, parallel to atoms
 
     def __post_init__(self):
-        norm = tuple(
-            (tuple(map(float, corner)), float(side), float(mass))
-            for corner, side, mass in self.atoms
-        )
-        object.__setattr__(self, "atoms", norm)
-        for corner, side, mass in norm:
-            if len(corner) != self.d:
-                raise ValueError("corner dimension mismatch")
-            if not side > 0:
-                raise ValueError("cube side must be positive")
-            if not mass > 0:
-                raise ValueError("atom mass must be positive")
+        object.__setattr__(self, "atoms", _checked_atoms(self.d, self.atoms))
         if self.mass_fractions is not None:
             fr = tuple(f if type(f) is Fraction else Fraction(f) for f in self.mass_fractions)
             object.__setattr__(self, "mass_fractions", fr)
-            if len(fr) != len(norm):
+            if len(fr) != len(self.atoms):
                 raise ValueError("mass_fractions must parallel atoms")
+
+    def split_first(self, cubes) -> "CubeMeasure":
+        """This measure without its first atom, followed by the cubes
+        (corner, side), which share that atom's exact mass equally.  Only the
+        new atoms are checked: the others were when this measure was built,
+        so a chain of splits costs time linear in the atoms it adds."""
+        if self.mass_fractions is None:
+            raise ValueError("splitting an atom needs exact masses")
+        share = self.mass_fractions[0] / len(cubes)
+        out = object.__new__(CubeMeasure)
+        object.__setattr__(out, "d", self.d)
+        kids = _checked_atoms(self.d, [(corner, side, share) for corner, side in cubes])
+        object.__setattr__(out, "atoms", self.atoms[1:] + kids)
+        object.__setattr__(out, "mass_fractions", self.mass_fractions[1:] + (share,) * len(cubes))
+        return out
 
     @property
     def total_mass(self) -> float:

@@ -241,6 +241,25 @@ class TestRealizeTree:
                 assert c >= pc - 1e-12
                 assert c + node.side <= pc + parent.side + 1e-12
 
+    def test_stages_equal_fully_checked_measures(self):
+        # split_first checks only the new atoms; the stage equals one built
+        # and checked whole
+        _, (_, measures) = self._realized()
+        for mu in measures:
+            assert mu == CubeMeasure(mu.d, mu.atoms, mu.mass_fractions)
+
+    def test_split_first_checks_new_atoms(self):
+        mu = CubeMeasure(1, (((0.0,), 1.0, 1.0),), (Fraction(1),))
+        half = mu.split_first([((0.0,), 0.25), ((0.5,), 0.25)])
+        assert half.atoms == (((0.0,), 0.25, 0.5), ((0.5,), 0.25, 0.5))
+        assert half.mass_fractions == (Fraction(1, 2),) * 2
+        with pytest.raises(ValueError):
+            mu.split_first([((0.0,), 0.0)])
+        with pytest.raises(ValueError):
+            mu.split_first([((0.0, 0.0), 0.5)])
+        with pytest.raises(ValueError):
+            CubeMeasure(1, mu.atoms).split_first([((0.0,), 0.5)])
+
     def test_determinism_bit_identical(self):
         _, (_, m1) = self._realized()
         _, (_, m2) = self._realized()

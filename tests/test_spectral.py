@@ -7,12 +7,17 @@ themselves.
 """
 
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.special import j0
+from scipy.special import j0, spherical_jn
 
+import fflab
 from fflab.lorentz import LorentzExponents
 from fflab.measures import CubeMeasure, ShiftSample
 from fflab.spectral import (
@@ -22,6 +27,7 @@ from fflab.spectral import (
     SpectrumField,
     TruncationWarning,
     _cis,
+    _j3_quotient,
     _split_phases,
     bump_sum_norms,
     cube_measure_transform,
@@ -339,8 +345,15 @@ class TestBumps:
         # the term is 2 pi h^2/12 = 1.2e-10 with h = 1.5e-5.
         t = np.linspace(0.0, 3.0, 200_001)
         psi = smooth_bump_profile(t)
-        switch = 1e-2 / (6.0 * math.pi)  # k = 6 pi s = 1e-2
-        s = np.concatenate([np.linspace(0.0, 10.0, 101), switch * np.array([0.5, 0.999, 1.001, 2.0])])
+        switch = 1e-2 / (6.0 * math.pi)  # k = 6 pi s = 1e-2, the d = 2 series switch
+        j3_switch = 2.0 / (6.0 * math.pi)  # k = 2, the d = 1 series switch
+        s = np.concatenate(
+            [
+                np.linspace(0.0, 10.0, 101),
+                switch * np.array([0.5, 0.999, 1.001, 2.0]),
+                j3_switch * np.array([0.99, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 1.01]),
+            ]
+        )
         for d, tol in ((1, 1e-12), (2, 1e-9)):
             for si in s:
                 if d == 1:
@@ -348,6 +361,39 @@ class TestBumps:
                 else:
                     quad = 2.0 * math.pi * np.trapezoid(psi * t * j0(2.0 * math.pi * si * t), t)
                 assert abs(smooth_bump_transform(si, d) - quad) <= tol, (d, si)
+
+    def test_j3_matches_scipy(self):
+        # agreement to 1e-13 of the envelope of |j_3|, min(k^3/105, 1/k),
+        # or of |j_3| where larger; 1/k alone would not see the closed
+        # form's cancellation at small k, which a switch at k = 0.5 instead
+        # of 2 brings to 4e-11
+        k = np.concatenate([np.geomspace(1e-3, 2e4, 200_001), 2.0 + np.array([-2e-6, 0.0, 2e-6])])
+        want = spherical_jn(3, k)
+        err = np.abs(k**3 * _j3_quotient(k) - want)
+        assert np.all(err <= 1e-13 * np.maximum(np.abs(want), np.minimum(k**3 / 105.0, 1.0 / k)))
+        assert _j3_quotient(np.zeros(1))[0] == 1.0 / 105.0
+
+    def test_d1_transform_does_not_import_scipy_special(self):
+        # the CLI, every criterion and the d = 1 bump norms load no
+        # scipy.special, whose import is most of a process's start-up;
+        # a d = 2 transform imports it where it is needed
+        script = (
+            "import sys\n"
+            "import numpy as np\n"
+            "import fflab.acceptance, fflab.cli\n"
+            "from fflab.spectral import BumpFamily, FreqGrid, bump_sum_norms, smooth_bump_transform\n"
+            "smooth_bump_transform(np.linspace(0.0, 5.0, 11), 1)\n"
+            "bump_sum_norms(BumpFamily((((0.3,), 0.05), ((0.7,), 0.02)), 1), FreqGrid(1, 64.0, 256))\n"
+            "print('scipy.special' in sys.modules)\n"
+            "d2 = smooth_bump_transform(np.array([0.0, 0.1, 1.0]), 2)\n"
+            "print(bool(np.all(np.isfinite(d2))), 'scipy.special' in sys.modules)\n"
+        )
+        src = str(Path(fflab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+        ).stdout.split()
+        assert out == ["False", "True", "True"]
 
     def test_closed_form_rejects_other_dimensions(self):
         with pytest.raises(ValueError):
