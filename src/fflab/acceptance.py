@@ -46,7 +46,7 @@ CRITERIA: List[tuple] = [
     (5, "lornor_bands", _from_experiment("LORNOR", {}), 10.0),
     (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS", {}), 5.0),
     (7, "bump_norm_regression", _from_experiment("DD_CORPUS", {}), 5.0),
-    (8, "series_threshold", _from_experiment("RESL_SERIES", {}), 0.0),
+    (8, "series_threshold", _from_experiment("RESL_SERIES", {}), 1.0),
     (9, "per_step_norm_growth", _from_experiment("SPECTRUM_NORM", {}), 5.0),
     (10, "capacity_dp_exactness", _dp_runner, 2.0),
     (11, "gauge_chains", _from_experiment("HLP", {}), 0.0),

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Dict, Optional
 
 from . import __version__
-from .experiments import EXPERIMENTS, run_experiment, write_tables
+from .experiments import check_params, run_experiment, write_tables
 
 __all__ = ["ConfigError", "ExperimentConfig", "RunManifest", "run"]
 
@@ -23,21 +23,6 @@ __all__ = ["ConfigError", "ExperimentConfig", "RunManifest", "run"]
 class ConfigError(ValueError):
     """Malformed configuration; the message carries a line or key diagnostic."""
 
-
-ALLOWED_PARAMS: Dict[str, tuple] = {
-    "LORNOR": ("n_seq", "alphas", "qs"),
-    "HLP": ("n_clouds",),
-    "H_ZERO": ("layers",),
-    "NP_SWEEP": ("M", "r", "trials", "slope_tol"),
-    "OOO_SWEEP": ("p",),
-    "DD_CORPUS": ("n_families",),
-    "CONSTRUCT": ("preset", "depth", "budget"),
-    "SPECTRUM_NORM": ("preset", "budget", "extent", "samples"),
-    "RESL_SERIES": ("q", "n_max"),
-    "FROSTMAN": ("alpha", "q", "gamma", "preset_seed"),
-    "TR_PPLUS": ("n_instances",),
-    "PHI_GENERAL": (),
-}
 
 _RUN_KEYS = ("experiment", "seed", "output")
 
@@ -50,16 +35,12 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; choose from {sorted(EXPERIMENTS)}"
-            )
-        allowed = ALLOWED_PARAMS[self.experiment]
-        for key in self.params:
-            if key not in allowed:
-                raise ConfigError(
-                    f"unknown parameter {key!r} for {self.experiment}; allowed: {allowed}"
-                )
+        try:
+            check_params(self.experiment, self.params)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _parse_value(raw: str):
@@ -89,7 +70,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         return ExperimentConfig(
             doc["experiment"],
             dict(doc.get("params", {})),
-            int(doc.get("seed", 0)),
+            doc.get("seed", 0),
             doc.get("output"),
         )
 
@@ -117,7 +98,7 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     if "experiment" not in run_kv:
         raise ConfigError(f"{source}: missing 'experiment' in [run]")
     return ExperimentConfig(
-        run_kv["experiment"], params, int(run_kv.get("seed", 0)), run_kv.get("output")
+        run_kv["experiment"], params, run_kv.get("seed", 0), run_kv.get("output")
     )
 
 

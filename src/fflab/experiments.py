@@ -64,6 +64,8 @@ __all__ = [
     "CheckResult",
     "ExperimentResult",
     "EXPERIMENTS",
+    "ALLOWED_PARAMS",
+    "check_params",
     "run_experiment",
 ]
 
@@ -561,22 +563,20 @@ def run_resl_series(params: dict, seed: int) -> ExperimentResult:
     del seed
     qs = params.get("q", (1.5, 2.0, 3.0))
     n_max = int(params.get("n_max", 200))
-    checks, rows = [], []
-    all_ok = True
+    rows, witnessed = [], []
     for q in qs:
         qp = q / (q - 1.0)
         betas = np.round(np.arange(qp / 2.0 - 0.25, qp / 2.0 + 0.55, 0.05), 10)
-        for beta in betas:
-            if beta <= 0:
-                continue
-            sums, verdict = resl_series(4.0, q, 1, float(beta), n_max)
-            rows.append((q, float(beta), qp / 2.0, verdict.value, float(sums[-1])))
-            if beta <= qp / 2.0 + 1e-12 and verdict is not SeriesVerdict.DIVERGENT:
-                all_ok = False
-            if beta >= qp / 2.0 + 0.05 - 1e-12 and verdict is not SeriesVerdict.CONVERGENT:
-                all_ok = False
-    checks.append(CheckResult("resl_threshold", all_ok, "verdict flips at the critical exponent"))
-    tables = {"verdicts": (("q", "beta", "critical_beta", "verdict", "partial_sum"), rows)}
+        for beta in betas[betas > 0]:
+            sums, verdict, upper = resl_series(4.0, q, 1, float(beta), n_max)
+            rows.append((q, float(beta), qp / 2.0, verdict.value, float(sums[-1]), upper))
+            # every term >= 1 witnesses divergence; a finite bound, convergence
+            if verdict is SeriesVerdict.DIVERGENT:
+                witnessed.append(sums[0] >= 1 and bool(np.all(np.diff(sums) >= 1)))
+            else:
+                witnessed.append(math.isfinite(upper))
+    checks = [CheckResult("resl_threshold", bool(all(witnessed)), "verdict flips at the critical exponent")]
+    tables = {"verdicts": (("q", "beta", "critical_beta", "verdict", "partial_sum", "sum_upper"), rows)}
     return ExperimentResult("RESL_SERIES", checks, tables)
 
 
@@ -873,7 +873,33 @@ EXPERIMENTS: Dict[str, Callable[[dict, int], ExperimentResult]] = {
 }
 
 
-def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:
+# The parameter keys each runner reads; any other key is rejected.
+ALLOWED_PARAMS: Dict[str, tuple] = {
+    "LORNOR": ("n_seq", "alphas", "qs"),
+    "HLP": ("n_clouds",),
+    "H_ZERO": ("layers",),
+    "NP_SWEEP": ("M", "r", "trials", "slope_tol"),
+    "OOO_SWEEP": ("p",),
+    "DD_CORPUS": ("n_families",),
+    "CONSTRUCT": ("preset", "depth", "budget"),
+    "SPECTRUM_NORM": ("preset", "budget", "extent", "samples"),
+    "RESL_SERIES": ("q", "n_max"),
+    "FROSTMAN": ("alpha", "q", "gamma", "preset_seed"),
+    "TR_PPLUS": ("n_instances",),
+    "PHI_GENERAL": (),
+}
+
+
+def check_params(experiment: str, params: dict) -> None:
+    """Raise ValueError for an unknown experiment or parameter key."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
+    allowed = ALLOWED_PARAMS[experiment]
+    for key in params:
+        if key not in allowed:
+            raise ValueError(f"unknown parameter {key!r} for {experiment}; allowed: {allowed}")
+
+
+def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:
+    check_params(experiment, params)
     return EXPERIMENTS[experiment](dict(params), seed)

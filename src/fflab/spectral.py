@@ -18,6 +18,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -195,12 +196,21 @@ def random_transform(s: ShiftSample, grid: FreqGrid) -> SpectrumField:
 
 
 def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float:
-    """Bound on the p-th moment mass beyond the window, from per-axis
-    |cube transform| <= 1/(pi r |xi|)."""
+    """Bound on the integral of |nu_hat - E mu_hat|^p outside the window
+    [-X, X]^d, the quantity np_moment_estimate truncates.
+
+    Both transforms are the side-r cube envelope times a factor of modulus at
+    most 1 (the mean shift phase, the shift law's characteristic function),
+    so |nu_hat - E mu_hat| <= 2 prod_a min(1, 1/(pi r |xi_a|)).  Outside the
+    window some |xi_a| > X: that axis contributes at most
+    2 (pi r)^-p X^(1-p)/(p-1), and in d = 2 the other axis, over all of R,
+    int min(1, (pi r |xi|)^-p) dxi = 2p/((p-1) pi r).
+    """
     if p_exp <= 1:
         raise ValueError("tail bound needs p_exp > 1")
     per_axis = 2.0 * (math.pi * r) ** (-p_exp) * half_extent ** (1.0 - p_exp) / (p_exp - 1.0)
-    return d * per_axis * (2.0 * half_extent) ** (d - 1)
+    other_axis = 2.0 * p_exp / ((p_exp - 1.0) * math.pi * r)
+    return 2.0**p_exp * d * per_axis * other_axis ** (d - 1)
 
 
 def centred_moments(
@@ -425,47 +435,56 @@ class SeriesVerdict(enum.Enum):
     DIVERGENT = "divergent"
 
 
-_DIVERGENCE_THRESHOLD = 1e6
-_CAUCHY_TOL = 1e-9
-_HARD_CAP = 2**21
-
-
 def resl_series(p: float, q: float, d: int, beta: float, n_max: int):
-    """Partial sums and verdict of the threshold series with terms
-    2^{-n ((q-1)/beta)(beta - q'/2)} (n+1)^{q d / p}.
+    """Partial sums S_0..S_{n_max}, verdict and an upper bound on the sum of
+    the threshold series sum_n t_n, t_n = 2^{-n rate} (n+1)^{q d / p} with
+    rate = ((q-1)/beta)(beta - q'/2) and q' = q/(q-1).
 
-    DIVERGENT when the terms are nondecreasing or the partial sums blow past
-    a fixed threshold; CONVERGENT when the term ratio settles below 1 and the
-    increments fall below 1e-9 (the geometric envelope then bounds the tail).
+    For q > 1 and beta > 0 the factor (q-1)/beta is positive, so rate has
+    the sign of beta - q'/2.  That sign is decided exactly, on the Fractions
+    of the inputs' decimal values: in floats 1.1/(2 (1.1 - 1)) falls below
+    5.5, which would put q = 1.1, beta = 5.5 on the wrong side.
+    If beta <= q'/2, then rate <= 0 and t_n >= (n+1)^{qd/p} >= 1, so the
+    terms do not tend to 0: DIVERGENT.  If beta > q'/2, the term ratio
+    r_n = t_{n+1}/t_n = 2^{-rate}((n+2)/(n+1))^{qd/p} decreases to
+    2^{-rate} < 1: CONVERGENT by the ratio test.
+
+    The bound, with a = rate ln 2 and P = qd/p: r_n <= 2^{-rate/2} once
+    n + 1 >= 1/(2^{rate/(2P)} - 1); let m be the first such n >= n_max.
+    Because r_n decreases, the terms past m shrink by at least r_m each, so
+    sum_{n>m} t_n <= t_{m+1}/(1 - r_m); and every term is at most the
+    maximum of e^{-ax}(x+1)^P over x >= 0, t_max = e^a (P/(e a))^P, which
+    bounds the m - n_max terms between.  So
+    upper = S_{n_max} + (m - n_max) t_max + t_{m+1}/(1 - r_m),
+    with m = n_max (and no t_max term) once r_{n_max} <= 2^{-rate/2}.
+    upper is then widened by (m + 2a(m+1) + 32) 2^-53 of itself for
+    rounding: the float partial sum is within n_max 2^-53 of the real one,
+    each float term within (a n + 3) 2^-53 of its real value (the exponent
+    -n rate is rounded), and 1 - r_m, which the choice of m keeps at least
+    1 - 2^{-rate/2}, within a few units.  upper is inf for a DIVERGENT
+    series, and when rate rounds to 0 or below.
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10")
     if not q > 1:
         raise ValueError("q must exceed 1")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
+    qx, bx = (Fraction(repr(float(x))) for x in (q, beta))
+    verdict = SeriesVerdict.CONVERGENT if 2 * bx * (qx - 1) > qx else SeriesVerdict.DIVERGENT
     qp = q / (q - 1.0)
     rate = ((q - 1.0) / beta) * (beta - qp / 2.0)
     poly = q * d / p
-
-    def terms(upto):
-        n = np.arange(upto + 1, dtype=float)
-        return 2.0 ** (-n * rate) * (n + 1.0) ** poly
-
-    upto = n_max
-    while True:
-        t = terms(upto)
-        sums = np.cumsum(t)
-        ratios = t[1:] / t[:-1]
-        nondecreasing = bool(np.all(np.diff(t) >= -1e-15 * t[:-1]))
-        if nondecreasing and ratios[-1] >= 1.0 and sums[-1] > _DIVERGENCE_THRESHOLD:
-            verdict = SeriesVerdict.DIVERGENT
-            break
-        if t[-1] < _CAUCHY_TOL and ratios[-1] < 1.0:
-            verdict = SeriesVerdict.CONVERGENT
-            break
-        if upto >= _HARD_CAP:
-            raise RuntimeError(f"series undecided after {upto} terms")
-        upto *= 4
-    return sums[: n_max + 1], verdict
+    n = np.arange(n_max + 1, dtype=float)
+    sums = np.cumsum(2.0 ** (-n * rate) * (n + 1.0) ** poly)
+    if verdict is SeriesVerdict.DIVERGENT or not rate > 0:
+        return sums, verdict, math.inf
+    a = rate * math.log(2.0)
+    m = max(n_max, math.ceil(1.0 / math.expm1(a / (2.0 * poly))) - 1)
+    between = (m - n_max) * math.exp(a) * (poly / (math.e * a)) ** poly if m > n_max else 0.0
+    tail = 2.0 ** (-(m + 1) * rate) * (m + 2.0) ** poly / -math.expm1(poly * math.log1p(1.0 / (m + 1.0)) - a)
+    upper = (float(sums[-1]) + between + tail) * (1.0 + (m + 2.0 * a * (m + 1) + 32) * 2.0**-53)
+    return sums, verdict, upper
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import fflab.config as config_mod
 from fflab.capacity import ResourceLimitError
 from fflab.cli import main
 from fflab.config import ConfigError, parse_config_text
-from fflab.experiments import CheckResult, ExperimentResult
+from fflab.experiments import CheckResult, ExperimentResult, run_experiment
 from fflab.measures import CubeMeasure
 from fflab.spectral import read_spectrum
 
@@ -69,6 +69,11 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_text("[run]\nnot a pair\n")
 
+    def test_run_experiment_rejects_unknown_param(self):
+        # a misspelt key would otherwise run the experiment at its defaults
+        with pytest.raises(ValueError, match="unknown parameter 'n_sq' for LORNOR"):
+            run_experiment("LORNOR", {"n_sq": 200}, 0)
+
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
             parse_config_text("{broken")
@@ -110,6 +115,20 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(cfg)])
         assert result.exit_code == 2
         assert "config error" in result.output
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("word.cfg", "[run]\nexperiment = H_ZERO\nseed = abc\n"),
+            ("fraction.json", '{"experiment": "H_ZERO", "seed": 1.7}'),
+        ],
+    )
+    def test_non_integer_seed_exits_2(self, runner, tmp_path, name, text):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 2
+        assert "config error" in result.output and "seed must be an integer" in result.output
 
     def test_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
         def fake_run(experiment, params, seed):

@@ -3,10 +3,12 @@
 import ast
 import importlib
 import importlib.util
+import inspect
+import textwrap
 from pathlib import Path
 
 import fflab
-from fflab import acceptance
+from fflab import acceptance, experiments
 from fflab.measures import CubeMeasure
 
 PACKAGE = Path(fflab.__file__).parent
@@ -54,3 +56,36 @@ def test_benchmark_traced_names_resolve():
     if not callable(getattr(acceptance, "capacity_dp_exactness", None)):
         missing.append("acceptance.capacity_dp_exactness")
     assert missing == []
+
+
+def test_runners_read_exactly_their_schema_keys():
+    # run_experiment rejects keys outside ALLOWED_PARAMS, so a key a runner
+    # reads but the schema lacks could never be set, and a schema key the
+    # runner ignores would be accepted and silently do nothing
+    read, other_uses = {}, []
+    for name, runner in experiments.EXPERIMENTS.items():
+        func = ast.parse(textwrap.dedent(inspect.getsource(runner))).body[0]
+        arg = func.args.args[0].arg
+        keys, reads = set(), set()
+        for node in ast.walk(func):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "get"
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == arg
+            ):
+                keys.add(node.args[0].value)
+                reads.add(id(node.func.value))
+            elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == arg:
+                keys.add(node.slice.value)
+                reads.add(id(node.value))
+        other_uses += [
+            f"{name}:{node.lineno}"
+            for node in ast.walk(func)
+            if isinstance(node, ast.Name) and node.id == arg and isinstance(node.ctx, ast.Load)
+            and id(node) not in reads
+        ]
+        read[name] = keys
+    assert read == {name: set(keys) for name, keys in experiments.ALLOWED_PARAMS.items()}
+    assert other_uses == []

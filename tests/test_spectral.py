@@ -15,9 +15,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import j0, spherical_jn
 
 import fflab
+from fflab import experiments
+from fflab.experiments import run_experiment
 from fflab.lorentz import LorentzExponents
 from fflab.measures import CubeMeasure, ShiftSample
 from fflab.spectral import (
@@ -30,6 +34,7 @@ from fflab.spectral import (
     _j3_quotient,
     _split_phases,
     bump_sum_norms,
+    centred_moments,
     cube_measure_transform,
     expected_transform,
     lorentz_spectrum_norm,
@@ -170,6 +175,26 @@ class TestRandomAndExpected:
         b1 = sinc_tail_bound(0.1, 4.0, 16.0, 1)
         b2 = sinc_tail_bound(0.1, 4.0, 64.0, 1)
         assert 0 < b2 < b1
+
+    @pytest.mark.parametrize(
+        "d, r, p_exp, half_extent, samples",
+        [(1, 0.125, 2.0, 4.0, 256), (1, 0.05, 3.0, 8.0, 512), (2, 0.05, 1.5, 2.0, 32)],
+    )
+    def test_tail_bound_holds_on_a_wider_grid(self, d, r, p_exp, half_extent, samples):
+        # the window's tail of |nu_hat - E mu_hat|^p, summed out to 8 times the
+        # window on the same spacing, for 20 draws; one shift per draw keeps
+        # |nu_hat - E mu_hat| near its largest.  In d = 2 a bound taking the
+        # other axis over the window width only falls below this tail.
+        window = FreqGrid(d, half_extent, samples)
+        wide = FreqGrid(d, 8.0 * half_extent, 8 * samples)
+        shifts = np.random.default_rng(1).random((20, 1, d)) * (1.0 - r)
+        moments = [
+            centred_moments(shifts, r, g, expected_transform(r, g).values, (p_exp,))[:, 0]
+            for g in (window, wide)
+        ]
+        tail = moments[1] - moments[0]
+        assert np.all(tail > 0)
+        assert tail.max() <= sinc_tail_bound(r, p_exp, half_extent, d)
 
 
 def direct_transform(points, sides, masses, grid: FreqGrid) -> np.ndarray:
@@ -456,30 +481,114 @@ class TestLorentzSpectrumNorm:
         assert lorentz_spectrum_norm(field, LorentzExponents(2.0, 2.0)) == 0.0
 
 
+def series_sum(p, q, d, beta):
+    """math.fsum of the first K terms of the threshold series, K doubled until
+    the ratio-test bound on the rest is below 1e-15 of the sum."""
+    rate = ((q - 1.0) / beta) * (beta - q / (q - 1.0) / 2.0)
+    k = 64
+    while True:
+        n = np.arange(k + 2, dtype=float)
+        t = 2.0 ** (-n * rate) * (n + 1.0) ** (q * d / p)
+        total = math.fsum(t[:-1])
+        rho = t[-1] / t[-2]
+        if rho < 1.0 and t[-1] / (1.0 - rho) < 1e-15 * total:
+            return total
+        k *= 2
+
+
 class TestSeries:
     def test_boundary_diverges(self):
-        _, verdict = resl_series(4.0, 2.0, 1, 1.0, 50)
+        _, verdict, _ = resl_series(4.0, 2.0, 1, 1.0, 50)
         assert verdict is SeriesVerdict.DIVERGENT
 
     def test_below_boundary_diverges(self):
-        _, verdict = resl_series(4.0, 2.0, 1, 0.8, 50)
+        _, verdict, _ = resl_series(4.0, 2.0, 1, 0.8, 50)
         assert verdict is SeriesVerdict.DIVERGENT
 
     def test_above_boundary_converges(self):
-        sums, verdict = resl_series(4.0, 2.0, 1, 1.6, 50)
+        sums, verdict, _ = resl_series(4.0, 2.0, 1, 1.6, 50)
         assert verdict is SeriesVerdict.CONVERGENT
         assert len(sums) == 51
         assert np.all(np.diff(sums) > 0)
 
     def test_partial_sums_prefix_stable(self):
-        s10, _ = resl_series(4.0, 3.0, 1, 1.2, 10)
-        s40, _ = resl_series(4.0, 3.0, 1, 1.2, 40)
+        s10, _, _ = resl_series(4.0, 3.0, 1, 1.2, 10)
+        s40, _, _ = resl_series(4.0, 3.0, 1, 1.2, 40)
         assert np.allclose(s10, s40[:11])
 
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             resl_series(4.0, 1.0, 1, 2.0, 20)
 
+    @pytest.mark.parametrize("beta", [1.00001, 1.000001])
+    def test_converges_just_above_the_threshold(self, beta):
+        _, verdict, _ = resl_series(4.0, 2.0, 1, beta, 200)
+        assert verdict is SeriesVerdict.CONVERGENT
+
+    @pytest.mark.parametrize(
+        "q, beta",
+        [
+            (1.5, 1.5),
+            (2.0, 1.0),
+            (3.0, 0.75),
+            (1.1, 5.5),
+            pytest.param(np.float64(1.1), np.float64(5.5), id="numpy-1.1-5.5"),
+        ],
+    )
+    def test_diverges_exactly_at_the_threshold(self, q, beta):
+        # 1.1/(2 (1.1 - 1)) is 5.5 in decimals but falls below 5.5 in floats
+        sums, verdict, upper = resl_series(4.0, q, 1, beta, 200)
+        assert verdict is SeriesVerdict.DIVERGENT
+        assert upper == math.inf
+        assert sums[-1] >= 201
+
+    @pytest.mark.parametrize("beta", [0.0, -0.5])
+    def test_rejects_non_positive_beta(self, beta):
+        with pytest.raises(ValueError, match="beta"):
+            resl_series(4.0, 2.0, 1, beta, 50)
+
+    @settings(max_examples=40)
+    @given(
+        q=st.floats(1.25, 4.0),
+        gap=st.floats(1e-3, 1.0),
+        p=st.floats(1.0, 8.0),
+        d=st.sampled_from((1, 2)),
+        n_max=st.integers(10, 500),
+    )
+    def test_tail_bound_encloses_the_sum(self, q, gap, p, d, n_max):
+        beta = q / (q - 1.0) / 2.0 + gap
+        sums, verdict, upper = resl_series(p, q, d, beta, n_max)
+        assert verdict is SeriesVerdict.CONVERGENT
+        total = series_sum(p, q, d, beta)
+        # a float sum of n positive terms is within (n - 1) u of the exact
+        # sum (recursive summation, Higham ch. 4); upper is already widened
+        assert sums[-1] <= total + (n_max + 2) * 2.0**-53 * total
+        assert total <= upper < math.inf
+
+    @pytest.mark.parametrize("q, beta", [(1.5, 1.55), (2.0, 1.05), (3.0, 0.8), (2.0, 1.001)])
+    @pytest.mark.parametrize("n_max", [10, 20])
+    def test_bound_is_finite_where_the_last_ratio_exceeds_one(self, q, beta, n_max):
+        # the term ratio at n_max is still above 1 here: the terms peak later
+        _, verdict, upper = resl_series(4.0, q, 1, beta, n_max)
+        assert verdict is SeriesVerdict.CONVERGENT
+        assert series_sum(4.0, q, 1, beta) <= upper < math.inf
+
+    @pytest.mark.parametrize("n_max", [10, 20, 200])
+    def test_threshold_check_passes_at_short_sums(self, n_max):
+        result = run_experiment("RESL_SERIES", {"n_max": n_max}, 0)
+        assert [(c.name, c.passed) for c in result.checks] == [("resl_threshold", True)]
+
+    def test_threshold_check_fails_on_a_flipped_verdict(self, monkeypatch):
+        # beta = 1.55 > q'/2 = 1.5 for q = 1.5: its terms fall below 1
+        def flipped(p, q, d, beta, n_max):
+            sums, verdict, upper = resl_series(p, q, d, beta, n_max)
+            if (q, beta) == (1.5, 1.55):
+                return sums, SeriesVerdict.DIVERGENT, math.inf
+            return sums, verdict, upper
+
+        monkeypatch.setattr(experiments, "resl_series", flipped)
+        result = run_experiment("RESL_SERIES", {}, 0)
+        assert not result.checks[0].passed
 
 class TestBinaryFormat:
     def test_round_trip(self, tmp_path):
