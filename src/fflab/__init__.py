@@ -1,13 +1,12 @@
 """Desk-scale laboratory for Lorentz quasi-norms, dyadic capacities and
 randomized nested-cube measures."""
 
-from .lorentz import INFINITY, LorentzExponents, WeightedSample, lorentz_norm, lorentz_seq_norm
+from .lorentz import LorentzExponents, WeightedSample, lorentz_norm, lorentz_seq_norm
 from .measures import CubeMeasure, ShiftSample
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "INFINITY",
     "LorentzExponents",
     "WeightedSample",
     "lorentz_norm",

@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lorentz import LorentzExponents, WeightedSample, _sample_norms, dyadic_block_index, is_infinite
+from .lorentz import LorentzExponents, WeightedSample, _sample_norms, dyadic_block_index
 
 __all__ = [
     "ResourceLimitError",
@@ -66,22 +66,22 @@ def _check_regular(f: Callable[[float], float], name: str) -> None:
 class CapacityParams:
     """Aggregation parameters (alpha, q) with an optional block gauge phi.
 
-    When phi is absent the power law phi(t) = t^q is implied; q = INFINITY
+    When phi is absent the power law phi(t) = t^q is implied; q = math.inf
     switches the outer sum to a sup.
     """
 
     alpha: float
-    q: object = 1.0
+    q: float = 1.0
     phi: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
         if not self.alpha > 0:
             raise ValueError("alpha must be positive")
-        if not (is_infinite(self.q) or self.q > 0):
-            raise ValueError("q must be positive or INFINITY")
+        if not self.q > 0:
+            raise ValueError("q must be positive")
         if self.phi is not None:
-            if is_infinite(self.q):
-                raise ValueError("phi cannot be combined with q = INFINITY")
+            if self.q == math.inf:
+                raise ValueError("phi cannot be combined with q = inf")
             _check_regular(self.phi, "phi")
 
     def block_gauge(self, s: float) -> float:
@@ -149,7 +149,7 @@ def nh_covering_sum(cov: DyadicCovering, params: CapacityParams) -> float:
     for t in cov.diameters:
         k = dyadic_block_index(t)
         block_sums[k] = block_sums.get(k, 0.0) + t**params.alpha
-    if is_infinite(params.q):
+    if params.q == math.inf:
         return max(block_sums.values())
     return sum(params.block_gauge(s) for s in block_sums.values())
 
@@ -259,10 +259,10 @@ def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams
     Column j counts the boxes of generation g_min + j, one generation per
     dyadic block since sqrt(d) < 2 for d <= 3.  Each distinct count of a
     column is scored once as the block gauge of count * diam**alpha, and
-    the columns are added left to right (max for q = INFINITY); a zero
+    the columns are added left to right (max for q = inf); a zero
     count adds 0.0.
     """
-    sup = is_infinite(params.q)
+    sup = params.q == math.inf
     costs = np.zeros(front.shape)
     for j in range(front.shape[1]):
         term = (2.0 ** (-(g_min + j)) * math.sqrt(d)) ** params.alpha
@@ -351,8 +351,8 @@ class HlpInstance:
     gauge: Optional[GaugeFunction] = None
     alpha: Optional[float] = None
     alpha2: Optional[float] = None
-    q: object = None
-    q2: object = None
+    q: Optional[float] = None
+    q2: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -368,7 +368,7 @@ def _merge_factor(params: CapacityParams) -> float:
     for q > 1; concave or sup aggregation merges for free."""
     if params.phi is not None:
         raise ValueError("merge factor is only pinned for the power gauge")
-    if is_infinite(params.q) or params.q <= 1:
+    if params.q == math.inf or params.q <= 1:
         return 1.0
     return 2.0 ** (params.q - 1.0)
 
@@ -427,7 +427,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         s = s[s > 0]
 
         def outer(qv):
-            if is_infinite(qv):
+            if qv == math.inf:
                 return float(np.max(s)) ** (1.0 / inst.alpha)
             return float(np.sum(s**qv)) ** (1.0 / (inst.alpha * qv))
 
@@ -459,13 +459,13 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
     if item is HlpItem.GAUGE_UPPER:
         qv = inst.q
         lhs = float(np.sum(counts * f_vals))
-        if is_infinite(qv):
+        if qv == math.inf:
             rhs = float(np.max(counts * diams**inst.alpha)) * float(
                 np.sum(f_vals / diams**inst.alpha)
             )
         else:
             if not qv > 1:
-                raise ValueError("gauge_upper chain requires q > 1 or INFINITY")
+                raise ValueError("gauge_upper chain requires q > 1")
             qp = qv / (qv - 1.0)
             rhs = float(np.sum(counts**qv * diams ** (qv * inst.alpha))) ** (1.0 / qv) * float(
                 np.sum((f_vals / diams**inst.alpha) ** qp)
@@ -548,6 +548,8 @@ def frostman_ratio(
     """
     if mu.d not in (1, 2):
         raise ValueError("only d = 1 and d = 2 are supported at desk scale")
+    if q == math.inf:
+        raise ValueError("q must be finite: the radii norm is raised to the power q*gamma")
     if not mu.points:
         return FrostmanResult(0.0, 0.0, 0, 0)
     candidates = list(_dyadic_ball_candidates(mu.d))

@@ -48,6 +48,9 @@ def run_cmd(config_path):
     except (ResourceLimitError, SelectionBudgetError) as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
+    except ValueError as exc:  # a parameter value the experiment rejects
+        click.echo(f"config error: {config.experiment}: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     for name, passed in manifest.checks.items():
         click.echo(f"{'PASS' if passed else 'FAIL'} {name}")
     if config.output:

@@ -36,7 +36,6 @@ from .capacity import (
 )
 from .cantor import build_tree, layer_covering, realize_tree
 from .lorentz import (
-    INFINITY,
     LorentzExponents,
     PplusStatus,
     _TRIANGLE_RTOL,
@@ -44,7 +43,6 @@ from .lorentz import (
     _pad_rows,
     _pplus_rows,
     _quasi_triangle_rows,
-    is_infinite,
 )
 from .presets import preset
 from .spectral import (
@@ -111,16 +109,12 @@ def write_tables(result: ExperimentResult, outdir) -> List[str]:
     return paths
 
 
-def _q_key(q) -> str:
-    return "inf" if is_infinite(q) else repr(float(q))
-
-
 # ---------------------------------------------------------------------------
 # corpora
 
 
 LORNOR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
-LORNOR_QS = (0.5, 1.0, 2.0, INFINITY)
+LORNOR_QS = (0.5, 1.0, 2.0, math.inf)
 
 
 # Sequences or instances drawn together.  A LORNOR chunk of 512 peaks at
@@ -133,14 +127,14 @@ _CORPUS_BLOCK = 512
 _LORNOR_ROWS = 128
 
 
-def lornor_corpus(alpha: float, q, seed: int, n_seq: int):
+def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int):
     """The seeded sequences, yielded as blocks of up to _LORNOR_ROWS rows
     padded with 0.  The sequences are drawn in chunks of _CORPUS_BLOCK, one
     uniform draw per chunk (the same values as one draw per sequence); each
     chunk is put in stable length order and cut into blocks, so a block is
     padded only to its own longest row.  Lengths are uniform on 3..199, so
     sorting cuts the padding from about 48 % of the cells to about 20 %."""
-    rng = _rng(seed, "lornor", repr(alpha), _q_key(q))
+    rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
     lengths = rng.integers(3, 200, n_seq)
     for start in range(0, n_seq, _CORPUS_BLOCK):
         chunk = lengths[start : start + _CORPUS_BLOCK]
@@ -316,12 +310,13 @@ def run_lornor(params: dict, seed: int) -> ExperimentResult:
                 [_lornor_ratios(block, alpha, q) for block in lornor_corpus(alpha, q, seed, n_seq)]
             )
             lo, hi = float(ratios.min()), float(ratios.max())
-            band = bands[(repr(float(alpha)), _q_key(q))]
+            q_key = repr(float(q))
+            band = bands[(repr(float(alpha)), q_key)]
             ok = 1.0 / band <= lo and hi <= band
-            rows.append((alpha, _q_key(q), lo, hi, band, int(ok)))
+            rows.append((alpha, q_key, lo, hi, band, int(ok)))
             checks.append(
                 CheckResult(
-                    f"lornor_band_alpha={alpha}_q={_q_key(q)}",
+                    f"lornor_band_alpha={alpha}_q={q_key}",
                     ok,
                     f"ratios in [{lo:.6g}, {hi:.6g}], band C = {band}",
                 )
@@ -565,6 +560,8 @@ def run_resl_series(params: dict, seed: int) -> ExperimentResult:
     n_max = int(params.get("n_max", 200))
     rows, witnessed = [], []
     for q in qs:
+        if not 1 < q < math.inf:
+            raise ValueError(f"every q must lie in (1, inf), got {q!r}")
         qp = q / (q - 1.0)
         betas = np.round(np.arange(qp / 2.0 - 0.25, qp / 2.0 + 0.55, 0.05), 10)
         for beta in betas[betas > 0]:
@@ -589,7 +586,7 @@ def run_hlp(params: dict, seed: int) -> ExperimentResult:
         a = random_cloud(rng, int(rng.integers(1, 7)))
         b = random_cloud(rng, int(rng.integers(1, 7)))
         alpha = float(rng.choice((0.3, 0.5, 1.0)))
-        q = (0.5, 1.0, 2.0, INFINITY)[int(rng.integers(0, 4))]
+        q = (0.5, 1.0, 2.0, math.inf)[int(rng.integers(0, 4))]
         inst = HlpInstance(cloud_a=a, cloud_b=b, params=CapacityParams(alpha, q), delta=0.5, depth=7)
         v = check_hlp_item(HlpItem.SUBADDITIVITY, inst)
         if not v.ok:
@@ -623,7 +620,7 @@ def run_hlp(params: dict, seed: int) -> ExperimentResult:
             viol.append(profile)
     checks.append(CheckResult("q_monotone_alpha_jump", not viol, f"{len(viol)} violations"))
     lower_qs = (0.25, 0.5, 0.75)
-    upper_qs = (1.5, 2.0, 4.0, INFINITY)
+    upper_qs = (1.5, 2.0, 4.0, math.inf)
     total, viol_n = 0, 0
     for profile in profiles:
         for gauge in gauge_gallery(0.5):
@@ -806,10 +803,10 @@ def covering_sums(keys: Tuple[np.ndarray, np.ndarray, np.ndarray], params: Capac
     Each (generation, count) pair is scored once in Python scalars, by the
     same left-to-right addition of t**alpha and the same block gauge; the
     table is gathered in each key's block order and its columns added left
-    to right (max for q = INFINITY).  Empty positions add 0.0.
+    to right (max for q = inf).  Empty positions add 0.0.
     """
     diameters, order, counts = keys
-    sup = is_infinite(params.q)
+    sup = params.q == math.inf
     table = np.zeros((len(diameters), int(counts.max(initial=0)) + 1))
     for g, t in enumerate(diameters.tolist()):
         if math.isnan(t):
@@ -846,7 +843,7 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
         if ci >= 2:
             depth = 7
         keys = covering_keys(cloud, 0.5, depth)
-        for q in (0.5, 1.0, 2.0, INFINITY):
+        for q in (0.5, 1.0, 2.0, math.inf):
             params = CapacityParams(0.5, q)
             dp = nh_capacity_delta(cloud, params, 0.5, depth)
             brute = float(covering_sums(keys, params).min())

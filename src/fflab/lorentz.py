@@ -15,12 +15,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 __all__ = [
-    "INFINITY",
     "LorentzExponents",
     "WeightedSample",
     "distribution_function",
@@ -39,41 +38,21 @@ __all__ = [
 ]
 
 
-class _InfiniteExponent:
-    """Distinguished 'second exponent is infinite' marker (not a float)."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-INFINITY = _InfiniteExponent()
-
-
-def is_infinite(q) -> bool:
-    return q is INFINITY
-
-
 @dataclass(frozen=True)
 class LorentzExponents:
-    """The pair (p, q) indexing a Lorentz quasi-norm; q may be INFINITY."""
+    """The pair (p, q) indexing a Lorentz quasi-norm; q = math.inf is the
+    weak space L_{p,inf}."""
 
     p: float
-    q: object = None  # float > 0 or INFINITY; defaults to p
+    q: Optional[float] = None  # float > 0, math.inf included; defaults to p
 
     def __post_init__(self):
         if self.q is None:
             object.__setattr__(self, "q", self.p)
         if not self.p > 0:
             raise ValueError(f"p must be positive, got {self.p}")
-        if not (is_infinite(self.q) or self.q > 0):
-            raise ValueError(f"q must be positive or INFINITY, got {self.q}")
+        if not self.q > 0:
+            raise ValueError(f"q must be positive, got {self.q}")
 
 
 @dataclass(frozen=True)
@@ -158,7 +137,7 @@ def _row_sums(terms: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(terms.T).sum(axis=0)
 
 
-def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
+def _lorentz_norms(values: np.ndarray, masses, p: float, q: float) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
     (rows, n) arrays holds the plateau values >= 0 and masses of one;
     ``masses`` None means unit masses (finite sequences).
@@ -166,7 +145,7 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
     With a row sorted by descending value, the mass w_i of the first i
     plateaus is m_f on [v_{i+1}, v_i), so the norm is (sum_i w_i^{q/p}
     (v_i^q - v_{i+1}^q))^{1/q} with v_{n+1} = 0, or max_i w_i^{1/p} v_i for
-    q = INFINITY.  Ties need no merging (all members but the last add zero
+    q = inf.  Ties need no merging (all members but the last add zero
     terms, and the last has the largest w), nor do zero values.  The masses
     are summed per row, so a row of huge masses costs the others no precision;
     unit masses sum to w_i = i exactly, so that row is shared.  The terms
@@ -183,7 +162,7 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q) -> np.ndarray:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
         v = values[sort]
         w = np.cumsum(masses[sort], axis=1)
-    if is_infinite(q):
+    if q == math.inf:
         return np.max(w ** (1.0 / p) * v, axis=1)
     vq = v**q
     gaps = vq.copy()  # v_i^q - v_{i+1}^q
@@ -202,7 +181,7 @@ def lorentz_norm(f: WeightedSample, e: LorentzExponents) -> float:
 
     For q < infinity this evaluates q * int (m_f(t) t^p)^{q/p} dt/t by
     summing the closed-form integral over each interval where m_f is
-    constant; for q = INFINITY it is the sup of m_f(t)^{1/p} t over the
+    constant; for q = inf it is the sup of m_f(t)^{1/p} t over the
     plateau values.
 
     In this normalization ||f||_{p,q}^q = q int t^{q-1} m_f(t)^{q/p} dt
@@ -233,11 +212,11 @@ def dyadic_block_index(v: float) -> int:
     return -exp
 
 
-def _block_norms(values: np.ndarray, alpha: float, q) -> np.ndarray:
+def _block_norms(values: np.ndarray, alpha: float, q: float) -> np.ndarray:
     """Block-aggregated norms of nonnegative sequences, one per row: the
     alpha-th powers are summed per dyadic range [2^{-k-1}, 2^{-k}) with one
     bincount on row * nb + k, and the block sums aggregated in l_q (max for
-    q = INFINITY), all raised to 1/(q*alpha) (1/alpha).  Padding 0s and
+    q = inf), all raised to 1/(q*alpha) (1/alpha).  Padding 0s and
     empty blocks add 0: rows are summed left to right (``_row_sums``)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
@@ -253,7 +232,7 @@ def _block_norms(values: np.ndarray, alpha: float, q) -> np.ndarray:
     sums = np.bincount(
         bins.ravel(), weights=(values**alpha).ravel(), minlength=n_rows * nb
     ).reshape(n_rows, nb)
-    if is_infinite(q):
+    if q == math.inf:
         return np.max(sums, axis=1) ** (1.0 / alpha)
     sums **= q
     return _row_sums(sums) ** (1.0 / (q * alpha))
@@ -266,18 +245,17 @@ def _block_row(a: Sequence[float]) -> np.ndarray:
     return row
 
 
-def dyadic_block_norm(a: Sequence[float], alpha: float, q) -> float:
+def dyadic_block_norm(a: Sequence[float], alpha: float, q: float) -> float:
     """Block-aggregated sequence norm of |a| (see ``_block_norms``)."""
     return float(_block_norms(_block_row(a), alpha, q)[0])
 
 
-def _lornor_ratios(rows: np.ndarray, alpha: float, q) -> np.ndarray:
+def _lornor_ratios(rows: np.ndarray, alpha: float, q: float) -> np.ndarray:
     """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
-    seq_q = INFINITY if is_infinite(q) else alpha * q
-    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, None, alpha, seq_q)
+    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, None, alpha, alpha * q)
 
 
-def check_lornor_equivalence(a: Sequence[float], alpha: float, q) -> float:
+def check_lornor_equivalence(a: Sequence[float], alpha: float, q: float) -> float:
     """Ratio of the dyadic-block norm to the l_{alpha, alpha*q} sequence norm."""
     row = _block_row(a)
     if row.size == 0:
@@ -312,7 +290,7 @@ def quasi_triangle_constants(e: LorentzExponents, eps: float):
     halved until A_delta <= 1+eps, so the returned f-coefficient is at most
     1+eps.
     """
-    if is_infinite(e.q):
+    if e.q == math.inf:
         raise ValueError("quasi-triangle check requires finite q")
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -438,7 +416,7 @@ def _pplus_rows(f, gs, a_limits: np.ndarray, e: LorentzExponents, p1: float):
     Returns the arrays (status, limsup_q, bound, detail): PplusStatus
     members, NaN for the NOT_APPLICABLE instances, and their reasons.
     """
-    if is_infinite(e.q):
+    if e.q == math.inf:
         raise ValueError("check requires finite q")
     if p1 <= e.p:
         raise ValueError("p1 must exceed p")

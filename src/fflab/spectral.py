@@ -466,8 +466,8 @@ def resl_series(p: float, q: float, d: int, beta: float, n_max: int):
     """
     if n_max < 10:
         raise ValueError("n_max must be at least 10")
-    if not q > 1:
-        raise ValueError("q must exceed 1")
+    if not 1 < q < math.inf:
+        raise ValueError(f"q must lie in (1, inf), got {q!r}")
     if not beta > 0:
         raise ValueError("beta must be positive")
     qx, bx = (Fraction(repr(float(x))) for x in (q, beta))

@@ -32,7 +32,6 @@ from fflab.capacity import (
     tent_profile,
 )
 from fflab.experiments import covering_keys, covering_sums, run_experiment
-from fflab.lorentz import INFINITY
 
 
 def brute_capacity(cloud, params, delta, depth):
@@ -110,8 +109,13 @@ class TestCoveringSum:
 
     def test_sup_aggregation(self):
         cov = DyadicCovering((0.5, 0.5, 0.126))
-        p = CapacityParams(1.0, INFINITY)
+        p = CapacityParams(1.0, math.inf)
         assert nh_covering_sum(cov, p) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("inf", [math.inf, float("inf")], ids=["math.inf", "float"])
+    def test_sup_is_the_largest_block(self, inf):
+        # 0.3 and 0.2 lie in the blocks [1/4, 1/2) and [1/8, 1/4)
+        assert nh_covering_sum(DyadicCovering((0.3, 0.2)), CapacityParams(1.0, inf)) == 0.3
 
     def test_custom_phi_matches_power(self):
         cov = DyadicCovering((0.4, 0.3, 0.05, 0.01))
@@ -139,7 +143,7 @@ class TestValidation:
 
     def test_phi_with_sup_rejected(self):
         with pytest.raises(ValueError):
-            CapacityParams(1.0, INFINITY, phi=lambda s: s)
+            CapacityParams(1.0, math.inf, phi=lambda s: s)
 
     def test_nonmonotone_gauge_rejected(self):
         with pytest.raises(ValueError):
@@ -164,14 +168,14 @@ class TestValidation:
 
 
 class TestCapacityExactness:
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3")])
     def test_structured_cloud(self, q):
         cloud = PointCloud(tuple((j / 7.0,) for j in range(8)), 1)
         params = CapacityParams(0.6, q)
         dp = nh_capacity_delta(cloud, params, 0.6, 6)
         assert dp == pytest.approx(brute_capacity(cloud, params, 0.6, 6), rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3")])
     def test_random_clouds(self, q):
         rng = np.random.default_rng(11)
         for _ in range(4):
@@ -180,6 +184,14 @@ class TestCapacityExactness:
             dp = nh_capacity_delta(cloud, params, 0.9, 6)
             assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 6), rel=1e-12)
 
+    @pytest.mark.parametrize("inf", [math.inf, float("inf")], ids=["math.inf", "float"])
+    def test_sup_capacity_closed_form(self, inf):
+        # one point in each half: two boxes of one generation g share a
+        # block, 2 * 2^(-g/2), so the least sup takes generations 6 and 5,
+        # max(2^-3, 2^-2.5)
+        cloud = PointCloud(((0.1,), (0.7,)), 1)
+        assert nh_capacity_delta(cloud, CapacityParams(0.5, inf), 0.5, 6) == (2.0**-5) ** 0.5
+
     def test_two_dimensional(self):
         rng = np.random.default_rng(3)
         cloud = PointCloud(tuple(map(tuple, rng.random((3, 2)))), 2)
@@ -187,14 +199,16 @@ class TestCapacityExactness:
         dp = nh_capacity_delta(cloud, params, 0.9, 4)
         assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 4), rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3")])
     def test_two_dimensional_deep(self, q):
         cloud = DEEP_CLOUD_2D
         params = CapacityParams(0.5, q)
         dp = nh_capacity_delta(cloud, params, 0.9, 7)
         assert dp == pytest.approx(brute_capacity(cloud, params, 0.9, 7), rel=1e-12)
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY, pytest.param(math.log1p, id="phi")])
+    @pytest.mark.parametrize(
+        "q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3"), pytest.param(math.log1p, id="phi")]
+    )
     def test_distinct_coverings_oracle_is_exact(self, q, oracle_cases):
         # every key scores its own covering to the last bit, and the keys'
         # sums are exactly the raw coverings' sums; a key with sorted
@@ -307,7 +321,7 @@ class TestPropertyChecks:
         b = PointCloud(((0.55,), (0.7,), (0.95,)), 1)
         return a, b
 
-    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3")])
     def test_subadditivity(self, q):
         a, b = self._clouds()
         inst = HlpInstance(cloud_a=a, cloud_b=b, params=CapacityParams(0.5, q), delta=0.5, depth=6)
@@ -339,7 +353,7 @@ class TestPropertyChecks:
     def test_q_monotone(self):
         inst = HlpInstance(profile=(2, 4, 8, 16), alpha=0.5, q=1.0, q2=2.0)
         assert check_hlp_item(HlpItem.Q_MONOTONE, inst).ok
-        inst = HlpInstance(profile=(3, 1, 9, 2), alpha=1.0, q=2.0, q2=INFINITY)
+        inst = HlpInstance(profile=(3, 1, 9, 2), alpha=1.0, q=2.0, q2=math.inf)
         assert check_hlp_item(HlpItem.Q_MONOTONE, inst).ok
 
     def test_alpha_jump_tight_profile(self):
@@ -356,7 +370,7 @@ class TestPropertyChecks:
         )
         assert check_hlp_item(HlpItem.GAUGE_LOWER, inst).ok
 
-    @pytest.mark.parametrize("q", [2.0, INFINITY])
+    @pytest.mark.parametrize("q", [2.0, pytest.param(math.inf, id="q1")])
     def test_gauge_upper_chain(self, q):
         inst = HlpInstance(
             profile=(1, 3, 9, 27), alpha=1.0, q=q, gauge=GaugeFunction(lambda t: t**1.3)
@@ -404,3 +418,10 @@ class TestFrostman:
     def test_empty_measure(self):
         res = frostman_ratio(GridMeasure(1, (), ()), 0.5, 1.0, 1.0, np.random.default_rng(0))
         assert res.hypothesis_constant == 0.0 and res.conclusion_constant == 0.0
+
+    def test_rejects_infinite_q(self):
+        # the radii norm ** (q * gamma) would be 0 or inf, so every family
+        # would be skipped and the hypothesis constant read 0
+        mu = GridMeasure(1, ((0.5,),), (1.0,))
+        with pytest.raises(ValueError, match="q must be finite"):
+            frostman_ratio(mu, 0.5, math.inf, 1.0, np.random.default_rng(0))

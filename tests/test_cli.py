@@ -130,6 +130,38 @@ class TestRunCommand:
         assert result.exit_code == 2
         assert "config error" in result.output and "seed must be an integer" in result.output
 
+    @pytest.mark.parametrize(
+        "experiment, params, message",
+        [
+            ("RESL_SERIES", "n_max = abc", "invalid literal for int()"),
+            ("RESL_SERIES", "q = 1,", "every q must lie in (1, inf), got 1"),
+            ("FROSTMAN", "q = inf", "q must be finite"),
+        ],
+    )
+    def test_bad_parameter_value_exits_2(self, runner, tmp_path, experiment, params, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[run]\nexperiment = {experiment}\n[params]\n{params}\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output.startswith(f"config error: {experiment}: ")
+        assert message in result.output and result.output.count("\n") == 1
+
+    def test_lornor_at_q_inf(self, runner, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        out = tmp_path / "out"
+        cfg.write_text(
+            f"[run]\nexperiment = LORNOR\noutput = {out}\n"
+            "[params]\nn_seq = 200\nalphas = 1.0,\nqs = inf,\n"
+        )
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 0, result.output
+        assert "PASS lornor_band_alpha=1.0_q=inf" in result.output
+        rows = (out / "lornor_bands.csv").read_text().splitlines()
+        _, lo, hi = rows[1].split(",")[1:4]
+        assert float(lo) < 1.0 < float(hi)
+        default = run_experiment("LORNOR", {"n_seq": 200, "alphas": (1.0,)}, 0).tables["bands"][1]
+        assert [(1.0, "inf", float(lo), float(hi))] == [r[:4] for r in default if r[1] == "inf"]
+
     def test_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
         def fake_run(experiment, params, seed):
             return ExperimentResult(experiment, [CheckResult("always_fails", False, "synthetic")])

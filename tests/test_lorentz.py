@@ -24,7 +24,6 @@ from fflab.experiments import (
     tr_corpus,
 )
 from fflab.lorentz import (
-    INFINITY,
     LorentzExponents,
     PplusStatus,
     WeightedSample,
@@ -93,7 +92,7 @@ def merged_norm(f: WeightedSample, p: float, q) -> float:
     m = np.zeros_like(v)
     np.add.at(m, inverse, [m for _, m in entries])
     w = np.cumsum(m)
-    if q is INFINITY:
+    if q == math.inf:
         return float(np.max(w ** (1.0 / p) * v))
     v_next = np.append(v[1:], 0.0)
     return float(np.sum(w ** (q / p) * (v**q - v_next**q)) ** (1.0 / q))
@@ -141,7 +140,7 @@ class TestDistributionFunction:
 
 class TestLorentzNorm:
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0, 10.0])
-    @pytest.mark.parametrize("q", [0.7, 1.0, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.7, 1.0, 2.0, pytest.param(math.inf, id="q3")])
     def test_indicator(self, p, q):
         f = WeightedSample(((1.0, 0.37),))
         e = LorentzExponents(p, q)
@@ -185,7 +184,7 @@ class TestLorentzNorm:
     def test_embedding_direction(self, f):
         # the norm does not increase in q (proof in ``lorentz_norm``)
         for p in (1.0, 2.0, 4.0):
-            for q1, q2 in ((0.5, 1.0), (1.0, 2.0), (2.0, INFINITY)):
+            for q1, q2 in ((0.5, 1.0), (1.0, 2.0), (2.0, math.inf)):
                 n1 = lorentz_norm(f, LorentzExponents(p, q1))
                 n2 = lorentz_norm(f, LorentzExponents(p, q2))
                 assert n2 <= n1 * (1 + 1e-12)
@@ -207,7 +206,7 @@ class TestRowKernels:
         rows.append(WeightedSample(tuple(zip(rng.uniform(0.0, 3.0, 9), rng.uniform(0.5, 2.0, 9)))))
         return rows
 
-    @pytest.mark.parametrize("pq", [(2.0, 0.7), (4.0, 2.0), (1.5, INFINITY)])
+    @pytest.mark.parametrize("pq", [(2.0, 0.7), (4.0, 2.0), (1.5, math.inf)])
     def test_batch_matches_batch_of_one(self, pq):
         samples = self._mixed_samples()
         e = LorentzExponents(*pq)
@@ -216,7 +215,7 @@ class TestRowKernels:
         assert batch.tolist() == single
         assert batch[0] == pytest.approx(merged_norm(samples[0], *pq), rel=1e-13)
 
-    @pytest.mark.parametrize("q", [0.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 2.0, pytest.param(math.inf, id="q2")])
     def test_block_batch_matches_batch_of_one(self, q):
         rng = np.random.default_rng(12)
         lengths = [1, 50, 3, 199, 12]
@@ -237,7 +236,7 @@ class TestRowKernels:
             want.append(acc)
         assert _row_sums(terms).tolist() == want
 
-    @pytest.mark.parametrize("q", [0.7, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.7, 2.0, pytest.param(math.inf, id="q2")])
     def test_ties_match_merged_oracle(self, q):
         rng = np.random.default_rng(13)
         for _ in range(50):
@@ -250,11 +249,11 @@ class TestRowKernels:
 
     def test_corpus_blocks_match_per_sequence_draws(self):
         def per_sequence(alpha, q, seed, n_seq):
-            rng = _rng(seed, "lornor", repr(alpha), "inf" if q is INFINITY else repr(float(q)))
+            rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
             for n in rng.integers(3, 200, n_seq):
                 yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
 
-        for alpha, q in ((0.5, 2.0), (4.0, INFINITY)):
+        for alpha, q in ((0.5, 2.0), (4.0, math.inf)):
             blocks = list(lornor_corpus(alpha, q, 0, 1100))
             # chunks of 512, 512 and 76 sequences, cut into blocks of 128 rows
             assert [len(b) for b in blocks] == [128] * 8 + [76]
@@ -281,7 +280,9 @@ class TestRowKernels:
         padding = cells - sum(np.count_nonzero(b) for b in blocks)
         assert padding <= 0.25 * cells
 
-    @pytest.mark.parametrize("alpha, q", [(0.25, 0.5), (0.5, INFINITY), (1.0, 2.0), (2.0, 1.0)])
+    @pytest.mark.parametrize(
+        "alpha, q", [(0.25, 0.5), pytest.param(0.5, math.inf, id="0.5-q1"), (1.0, 2.0), (2.0, 1.0)]
+    )
     def test_block_ratios_match_unpadded_sequences(self, alpha, q):
         # rows are summed left to right, so neither the block width nor the
         # rows beside a sequence move its ratio
@@ -290,7 +291,7 @@ class TestRowKernels:
             want = [check_lornor_equivalence(row[row > 0], alpha, q) for row in block]
             assert got.tolist() == want
 
-    @pytest.mark.parametrize("q", [0.5, 2.0, INFINITY])
+    @pytest.mark.parametrize("q", [0.5, 2.0, pytest.param(math.inf, id="q2")])
     def test_unit_masses_match_explicit_ones(self, q):
         # rounding to multiples of 1/64 makes ties, and zeros beside the padding
         for block in lornor_corpus(0.5, 2.0, 0, 300):
@@ -343,7 +344,7 @@ class TestDyadicBlocks:
         assert dyadic_block_index(1.5) == -1
 
     def test_singleton(self):
-        for alpha, q in ((0.5, 1.0), (1.0, 2.0), (2.0, INFINITY)):
+        for alpha, q in ((0.5, 1.0), (1.0, 2.0), (2.0, math.inf)):
             assert dyadic_block_norm([2.0**-3], alpha, q) == pytest.approx(2.0**-3, rel=1e-12)
 
     def test_two_block_example(self):
@@ -370,7 +371,7 @@ class TestDyadicBlocks:
         rng = np.random.default_rng(6)
         a = rng.uniform(2.0**-4, 2.0**-3 - 1e-9, 20)
         alpha = 0.8
-        for q in (0.5, 2.0, INFINITY):
+        for q in (0.5, 2.0, math.inf):
             expect = np.sum(a**alpha) ** (1.0 / alpha)
             assert dyadic_block_norm(a, alpha, q) == pytest.approx(expect, rel=1e-12)
 
@@ -389,6 +390,55 @@ class TestLornorEquivalence:
             a = np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), rng.integers(3, 100)))
             ratio = check_lornor_equivalence(a, 1.0, 2.0)
             assert 1.0 / band <= ratio <= band
+
+
+INFS = pytest.mark.parametrize("inf", [math.inf, float("inf")], ids=["math.inf", "float"])
+
+
+@pytest.mark.filterwarnings("error")
+class TestInfiniteQ:
+    """q = inf is the float inf, however it is spelt, and every function
+    that takes q aggregates by the sup there."""
+
+    @INFS
+    def test_lorentz_norm_is_the_sup(self, inf):
+        # sup of m_f(t)^(1/2) t over the plateau values: 1 * 3 at t = 3,
+        # 3^(1/2) * 0.5 at t = 0.5
+        f = WeightedSample(((3.0, 1.0), (0.5, 2.0)))
+        assert lorentz_norm(f, LorentzExponents(2.0, inf)) == 3.0
+
+    @INFS
+    def test_lorentz_seq_norm_is_the_sup(self, inf):
+        # i^(1/2) a*_i is largest at the last index
+        assert lorentz_seq_norm([1.0, 0.9, 0.9], LorentzExponents(2.0, inf)) == 3.0**0.5 * 0.9
+
+    @INFS
+    def test_dyadic_block_norm_is_the_largest_block(self, inf):
+        # 0.3 and 0.2 lie in the blocks [1/4, 1/2) and [1/8, 1/4)
+        assert dyadic_block_norm([0.3, 0.2], 1.0, inf) == 0.3
+
+    @INFS
+    def test_lornor_ratio(self, inf):
+        # largest block 0.3 over the l_(1,inf) norm max(1 * 0.3, 2 * 0.2)
+        assert check_lornor_equivalence([0.3, 0.2], 1.0, inf) == 0.3 / 0.4
+
+    @INFS
+    def test_finite_q_checks_reject_inf(self, inf):
+        e = LorentzExponents(2.0, inf)
+        f = WeightedSample(((1.0, 1.0),))
+        with pytest.raises(ValueError, match="requires finite q"):
+            check_quasi_triangle(f, f, e, 0.1)
+        with pytest.raises(ValueError, match="requires finite q"):
+            check_pplus(f, [f], e, 3.0, 1.0)
+
+    def test_lornor_experiment_inf_rows(self):
+        rows = run_experiment("LORNOR", {"n_seq": 200}, 0).tables["bands"][1]
+        inf_rows = [row for row in rows if row[1] == "inf"]
+        assert len(inf_rows) == 5
+        for qs in ((math.inf,), (float("inf"),)):
+            got = run_experiment("LORNOR", {"n_seq": 200, "qs": qs}, 0).tables["bands"][1]
+            assert got == inf_rows
+        assert all(lo < 1.0 < hi for _, _, lo, hi, _, _ in inf_rows)
 
 
 class TestQuasiTriangle:

@@ -480,6 +480,15 @@ class TestLorentzSpectrumNorm:
         field = SpectrumField(grid, np.zeros(16, dtype=complex))
         assert lorentz_spectrum_norm(field, LorentzExponents(2.0, 2.0)) == 0.0
 
+    def test_weak_norm(self):
+        grid = FreqGrid(1, 2.0, 16)
+        values = np.full(16, 0.5, dtype=complex)
+        values[0] = 3.0
+        # cells of width 1/4: sup of m(t)^(1/2) t is (1/4)^(1/2) * 3 = 1.5
+        # at t = 3, against 4^(1/2) * 0.5 = 1 at t = 0.5
+        field = SpectrumField(grid, values)
+        assert lorentz_spectrum_norm(field, LorentzExponents(2.0, math.inf)) == 1.5
+
 
 def series_sum(p, q, d, beta):
     """math.fsum of the first K terms of the threshold series, K doubled until
@@ -519,6 +528,10 @@ class TestSeries:
     def test_rejects_small_q(self):
         with pytest.raises(ValueError):
             resl_series(4.0, 1.0, 1, 2.0, 20)
+
+    def test_rejects_infinite_q(self):
+        with pytest.raises(ValueError, match=r"q must lie in \(1, inf\), got inf"):
+            resl_series(4.0, math.inf, 1, 2.0, 20)
 
     @pytest.mark.parametrize("beta", [1.00001, 1.000001])
     def test_converges_just_above_the_threshold(self, beta):
