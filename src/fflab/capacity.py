@@ -300,10 +300,10 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
 
 
 def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
-    """Yield the diameter multisets of every dyadic antichain covering.
+    """Yield the diameters of every dyadic antichain covering, box by box.
 
-    Exhaustive take-or-refine enumeration over the occupied tree; intended as
-    an independent oracle for nh_capacity_delta on tiny instances.
+    Exhaustive take-or-refine enumeration over the occupied tree, repeats
+    included: the tests' oracle for nh_capacity_delta and covering_keys.
     """
     if not cloud.points:
         yield ()

@@ -9,6 +9,7 @@ repr-formatted floats, which makes re-runs byte-identical.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import zlib
@@ -28,8 +29,8 @@ from .capacity import (
     HlpInstance,
     HlpItem,
     PointCloud,
+    _groups,
     check_hlp_item,
-    enumerate_antichain_coverings,
     frostman_ratio,
     nh_capacity_delta,
     nh_covering_sum,
@@ -729,72 +730,72 @@ def run_phi_general(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("PHI_GENERAL", checks, tables)
 
 
-# Coverings per chunk pulled from the enumeration.  Each chunk's temporaries
-# hold a few 8-byte entries per diameter; a larger chunk runs no faster.
-_KEY_CHUNK = 2**12
+# Rows per block of a key product, each row a few 8-byte words per generation
+_KEY_CHUNK = 2**13
 
 
 def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The distinct count keys of the antichain coverings, as int arrays.
 
     A covering's ``nh_covering_sum`` depends only on how many sets of each
-    diameter it has, and on the order in which its dyadic blocks first
-    appear, since the block sums are added in that order.  A diameter
-    2^-g sqrt(d), d <= 3, lies in block g - 1, so its generation g is one
-    minus its frexp exponent.  Returns ``(diameters, order, counts)``:
-    ``diameters[g]`` is the diameter of generation g (nan if none occurs),
-    row i of ``order`` lists the generations of key i in order of first
-    appearance, padded with -1, and ``counts[i, g]`` is its number of sets
-    of generation g.  Keys come in order of first appearance.
+    generation it has, and on the order in which its dyadic blocks first
+    appear, since the block sums are added in that order.  Returns
+    ``(diameters, order, counts)``: ``diameters[g]`` is the diameter of
+    generation g (nan if none occurs), row i of ``order`` lists the
+    generations of key i in order of first appearance, padded with -1, and
+    ``counts[i, g]`` is its number of sets of generation g.  Keys come in
+    the order in which ``enumerate_antichain_coverings`` first yields them.
 
-    The enumeration is pulled in chunks of ``_KEY_CHUNK`` coverings, and
-    each key is deduplicated by an exact int64 code: one digit per position
-    of ``order``, naming its (generation, count) pair.
+    The keys are built box by box, as that enumeration builds coverings: a
+    box's own key (one set of its generation), then the product of its
+    kids' keys in kid order.  Key A times key B adds the counts and lists
+    A's generations, then B's new ones.  A product keeps its first
+    occurrences, which pair its factors' first occurrences, found in blocks
+    of ``_KEY_CHUNK`` rows by an exact int64 code with one digit per
+    position of ``order`` naming its (generation, count) pair.
     """
-    n_gen, n_points = depth + 1, len(cloud.points)
+    n_gen, n_points, g_min = depth + 1, len(cloud.points), max(0, math.ceil(math.log2(1.0 / delta)))
+    if depth < g_min:
+        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
     radix = n_gen * n_points + 1
     if radix**n_gen >= 2**63:
         raise ValueError(f"covering codes of {n_points} points at depth {depth} overflow int64")
-    # int8 holds every generation: with a point, radix >= 2 bounds n_gen by 62
-    count_type = np.min_scalar_type(n_points)
-    diameters = np.full(n_gen, np.nan)
-    orders, counts = [], []
-    seen = np.array([2**63 - 1])  # sorted codes so far, above a sentinel no code reaches
-    coverings = iter(enumerate_antichain_coverings(cloud, delta, depth))
-    while chunk := list(itertools.islice(coverings, _KEY_CHUNK)):
-        n = len(chunk)
-        lengths = np.fromiter(map(len, chunk), dtype=np.int64, count=n)
-        flat = np.fromiter(itertools.chain.from_iterable(chunk), dtype=float, count=int(lengths.sum()))
-        gen = 1 - np.frexp(flat)[1].astype(np.int64)
-        if np.any((gen < 0) | (gen >= n_gen)):
-            raise ValueError(f"a covering diameter lies outside generations 0..{depth}")
-        block_diam = np.full(n_gen, np.nan)
-        block_diam[gen] = flat  # any one diameter per block: all are compared next
-        diameters = np.where(np.isnan(diameters), block_diam, diameters)
-        if np.any(flat != diameters[gen]):
-            raise ValueError("a dyadic block holds more than one covering diameter")
-        cell = np.repeat(np.arange(n), lengths) * n_gen + gen
-        count = np.bincount(cell, minlength=n * n_gen).reshape(n, n_gen)
-        if count.max() > n_points:
-            raise ValueError("a covering has more sets of one generation than the cloud has points")
-        # each row's generations sorted by their first position in the chunk
-        first = np.full(n * n_gen, flat.size, dtype=np.int64)
-        np.minimum.at(first, cell, np.arange(flat.size))
-        order = np.argsort(first.reshape(n, n_gen), axis=1, kind="stable")
-        ordered = np.take_along_axis(count, order, axis=1)
-        order[ordered == 0] = -1
-        digits = np.where(ordered > 0, order * n_points + ordered, 0)
-        code = digits[:, 0]
-        for j in range(1, n_gen):
-            code = code * radix + digits[:, j]
-        code, row = np.unique(code, return_index=True)
-        at = np.searchsorted(seen, code)
-        fresh = seen[at] != code
-        keep = np.sort(row[fresh])
-        seen = np.insert(seen, at[fresh], code[fresh])
-        orders.append(order[keep].astype(np.int8))
-        counts.append(count[keep].astype(count_type))
-    return diameters, np.concatenate(orders), np.concatenate(counts)
+    # int8 holds n_gen plus a rank: with a point, radix >= 2 bounds n_gen by 62
+    gens = np.arange(n_gen)
+    place = radix ** (n_gen - 1 - gens)  # the code's weight of each position
+
+    # keys are (rank, count) rows: rank[g] is generation g's position in the
+    # key's order if count[g] > 0, and no less than its generations if not
+    def product(a, b):
+        (rank_a, count_a), (rank_b, count_b) = a, b
+        n, kept, seen = len(rank_a) * len(rank_b), [], np.array([2**63 - 1])  # above every code
+        for lo in range(0, n, _KEY_CHUNK):
+            i, j = np.divmod(np.arange(lo, min(lo + _KEY_CHUNK, n)), len(rank_b))
+            count = count_a[i] + count_b[j]
+            first = np.where(count_a[i] > 0, rank_a[i], n_gen + rank_b[j])
+            rank = sum((column[:, None] < first for column in first.T), np.zeros_like(first))
+            code = ((gens * n_points + count) * (count > 0) * place[rank]).sum(axis=1)
+            code, row = np.unique(code, return_index=True)
+            at = np.searchsorted(seen, code)
+            fresh = seen[at] != code
+            seen = np.insert(seen, at[fresh], code[fresh])
+            keep = np.sort(row[fresh])
+            kept.append((rank[keep], count[keep]))
+        return tuple(map(np.concatenate, zip(*kept)))
+
+    def box_keys(points, g):
+        keys = [((gens != g).astype(np.int8)[None], (gens == g).astype(np.min_scalar_type(n_points))[None])]
+        if g < depth:
+            keys.append(functools.reduce(product, (box_keys(kid, g + 1) for kid in _groups(points, g + 1))))
+        return tuple(map(np.concatenate, zip(*keys)))
+
+    empty = (np.zeros((1, n_gen), np.int8), np.zeros((1, n_gen), np.min_scalar_type(n_points)))
+    tops = (box_keys(points, g_min) for points in _groups(cloud.points, g_min))
+    rank, counts = functools.reduce(product, tops, empty)
+    order = np.full(rank.shape, -1, np.int8)
+    np.put_along_axis(order, rank, np.where(counts > 0, gens, -1), axis=1)
+    diameters = np.where((gens >= g_min) & bool(cloud.points), 2.0 ** -gens * math.sqrt(cloud.d), np.nan)
+    return diameters, order, counts
 
 
 def covering_sums(keys: Tuple[np.ndarray, np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
@@ -870,31 +871,36 @@ EXPERIMENTS: Dict[str, Callable[[dict, int], ExperimentResult]] = {
 }
 
 
-# The parameter keys each runner reads; any other key is rejected.
-ALLOWED_PARAMS: Dict[str, tuple] = {
-    "LORNOR": ("n_seq", "alphas", "qs"),
-    "HLP": ("n_clouds",),
-    "H_ZERO": ("layers",),
-    "NP_SWEEP": ("M", "r", "trials", "slope_tol"),
-    "OOO_SWEEP": ("p",),
-    "DD_CORPUS": ("n_families",),
-    "CONSTRUCT": ("preset", "depth", "budget"),
-    "SPECTRUM_NORM": ("preset", "budget", "extent", "samples"),
-    "RESL_SERIES": ("q", "n_max"),
-    "FROSTMAN": ("alpha", "q", "gamma", "preset_seed"),
-    "TR_PPLUS": ("n_instances",),
-    "PHI_GENERAL": (),
+# The parameter keys each runner reads, each with the shape of value it
+# takes; any other key, and a list for a number or name or the reverse, is
+# rejected.
+ALLOWED_PARAMS: Dict[str, Dict[str, str]] = {
+    "LORNOR": {"n_seq": "number", "alphas": "list", "qs": "list"},
+    "HLP": {"n_clouds": "number"},
+    "H_ZERO": {"layers": "number"},
+    "NP_SWEEP": {"M": "list", "r": "list", "trials": "number", "slope_tol": "number"},
+    "OOO_SWEEP": {"p": "list"},
+    "DD_CORPUS": {"n_families": "number"},
+    "CONSTRUCT": {"preset": "name", "depth": "number", "budget": "number"},
+    "SPECTRUM_NORM": {"preset": "name", "budget": "number", "extent": "number", "samples": "number"},
+    "RESL_SERIES": {"q": "list", "n_max": "number"},
+    "FROSTMAN": {"alpha": "number", "q": "number", "gamma": "number", "preset_seed": "number"},
+    "TR_PPLUS": {"n_instances": "number"},
+    "PHI_GENERAL": {},
 }
 
 
 def check_params(experiment: str, params: dict) -> None:
-    """Raise ValueError for an unknown experiment or parameter key."""
+    """Raise ValueError for an unknown experiment or parameter key, or for a
+    value of the wrong shape."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
     allowed = ALLOWED_PARAMS[experiment]
-    for key in params:
+    for key, value in params.items():
         if key not in allowed:
-            raise ValueError(f"unknown parameter {key!r} for {experiment}; allowed: {allowed}")
+            raise ValueError(f"unknown parameter {key!r} for {experiment}; allowed: {tuple(allowed)}")
+        if isinstance(value, (list, tuple)) != (allowed[key] == "list"):
+            raise ValueError(f"{experiment}: parameter {key!r} takes a {allowed[key]}, got {value!r}")
 
 
 def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:

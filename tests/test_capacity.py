@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fflab import capacity, experiments
@@ -73,6 +73,39 @@ def count_rows(draw):
     if draw(st.booleans()):
         rows[:, -1] = top * (k - 1) - rows[:, :-1].sum(axis=1) + rng.integers(0, 2, size=n)
     return rows
+
+
+def enumerated_keys(cloud, delta, depth):
+    """``covering_keys`` read off the raw enumeration: each covering's
+    generations in order of first appearance and its count per generation,
+    each distinct key in order of first appearance."""
+    n_gen = depth + 1
+    generation = {2.0 ** (-g) * math.sqrt(cloud.d): g for g in range(n_gen)}
+    diameters, keys = np.full(n_gen, np.nan), {}
+    for diams in enumerate_antichain_coverings(cloud, delta, depth):
+        order, counts = [], [0] * n_gen
+        for t in diams:
+            g = generation[t]
+            diameters[g] = t
+            counts[g] += 1
+            if g not in order:
+                order.append(g)
+        keys.setdefault((tuple(order + [-1] * (n_gen - len(order))), tuple(counts)), None)
+    return (
+        diameters,
+        np.array([order for order, _ in keys], dtype=np.int8),
+        np.array([counts for _, counts in keys], dtype=np.min_scalar_type(len(cloud.points))),
+    )
+
+
+@st.composite
+def small_clouds(draw):
+    """(cloud, delta, depth): one to six points in d = 1 or 2, often sharing
+    boxes, at depth 1..6."""
+    d = draw(st.sampled_from((1, 2)))
+    coords = st.floats(0.0, 1.0) | st.sampled_from((0.0, 0.1, 0.11, 0.5, 0.52, 0.9, 1.0))
+    points = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6))
+    return PointCloud(tuple(points), d), draw(st.sampled_from((0.5, 0.9))), draw(st.integers(1, 6))
 
 
 def rebuilt_coverings(keys):
@@ -284,9 +317,8 @@ class TestCoveringOracle:
         assert covering_sums(keys, params).min() == dp
 
     def test_memory_is_bounded_by_chunks(self):
-        # 109 600 coverings stream through in chunks: the peak measured 6.2 MiB,
-        # 2.2 MiB of it inside the enumeration; one chunk of every covering
-        # peaks at 78 MiB
+        # 34 438 keys of 109 600 coverings: the peak measured 3.7 MiB, most of
+        # it the keys themselves; one block per key product peaks at 8.5 MiB
         tracemalloc.start()
         try:
             covering_keys(DP_CLOUDS[0], 0.5, 8)
@@ -295,19 +327,19 @@ class TestCoveringOracle:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
-    @pytest.mark.parametrize(
-        "coverings, match",
-        [
-            ([(0.3, 0.4)], "more than one covering diameter"),
-            ([(0.25,), (0.3,)], "more than one covering diameter"),
-            ([(0.5, 0.5, 0.5)], "more sets of one generation"),
-            ([(4.0,)], "outside generations"),
-        ],
-    )
-    def test_rejects_malformed_coverings(self, monkeypatch, coverings, match):
-        monkeypatch.setattr(experiments, "enumerate_antichain_coverings", lambda *args: iter(coverings))
-        with pytest.raises(ValueError, match=match):
-            covering_keys(PointCloud(((0.1,), (0.9,)), 1), 0.5, 4)
+    @settings(max_examples=60, deadline=None)
+    @given(small_clouds())
+    @example((PointCloud((), 1), 0.5, 4))
+    @example((PointCloud((), 2), 0.9, 1))
+    def test_matches_the_raw_enumeration(self, case):
+        got, want = covering_keys(*case), enumerated_keys(*case)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+
+    def test_rejects_depth_below_the_coarsest_generation(self):
+        with pytest.raises(ValueError, match="below the coarsest generation 1"):
+            covering_keys(PointCloud(((0.3,),), 1), 0.5, 0)
 
     def test_rejects_codes_that_overflow(self):
         # 13 generations of 8 points need 105^13 > 2^63 codes

@@ -136,6 +136,9 @@ class TestRunCommand:
             ("RESL_SERIES", "n_max = abc", "invalid literal for int()"),
             ("RESL_SERIES", "q = 1,", "every q must lie in (1, inf), got 1"),
             ("FROSTMAN", "q = inf", "q must be finite"),
+            ("LORNOR", "alphas = 1.0", "parameter 'alphas' takes a list, got 1.0"),
+            ("RESL_SERIES", "q = 2.0", "parameter 'q' takes a list, got 2.0"),
+            ("FROSTMAN", "q = 1, 2", "parameter 'q' takes a number, got (1, 2)"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, runner, tmp_path, experiment, params, message):
