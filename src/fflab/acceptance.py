@@ -1,8 +1,10 @@
 """The twelve-point acceptance suite behind ``lab verify``.
 
-Each criterion runs one seeded experiment at its canonical settings and
-reduces it to a single pass/fail with a human-readable detail line.  The
-summary is deterministic for a fixed seed.
+Each criterion runs one seeded experiment at its canonical settings.  Its
+checks are ``CheckResult`` records, a measured value against its bound; the
+criterion passes when every check does and it stays within its runtime
+limit.  The JSON summary carries each check's value, bound, margin and
+verdict, and is byte-identical across reruns at one seed.
 """
 
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from .experiments import capacity_dp_exactness, run_experiment
+from .experiments import CheckResult, capacity_dp_exactness, run_experiment
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "verify_all", "summary_json"]
 
@@ -24,6 +26,7 @@ class CriterionResult:
     passed: bool
     detail: str
     wall_time: float
+    checks: Tuple[CheckResult, ...] = ()
 
 
 def _from_experiment(experiment: str, params: dict):
@@ -66,11 +69,11 @@ def run_criterion(number: int, seed: int = 0) -> CriterionResult:
             return CriterionResult(num, name, False, f"error: {exc}", elapsed)
         elapsed = time.perf_counter() - started
         passed = all(c.passed for c in checks)
-        detail = "; ".join(f"{c.name}: {c.detail}" if c.detail else c.name for c in checks)
+        detail = "; ".join(f"{c.name}: {c.detail}" for c in checks)
         if limit and elapsed > limit:
             passed = False
             detail += f"; runtime {elapsed:.2f}s exceeded limit {limit}s"
-        return CriterionResult(num, name, passed, detail, elapsed)
+        return CriterionResult(num, name, passed, detail, elapsed, tuple(checks))
     raise ValueError(f"no criterion numbered {number}")
 
 
@@ -82,7 +85,8 @@ def summary_json(results: List[CriterionResult]) -> str:
     """Machine-readable summary; byte-identical across reruns at one seed
     because timings are excluded."""
     doc = [
-        {"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail}
+        {"criterion": r.number, "name": r.name, "passed": r.passed, "detail": r.detail,
+         "checks": [c.to_dict() for c in r.checks]}
         for r in results
     ]
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"

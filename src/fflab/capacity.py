@@ -305,10 +305,12 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
     Exhaustive take-or-refine enumeration over the occupied tree, repeats
     included: the tests' oracle for nh_capacity_delta and covering_keys.
     """
+    g_min = max(0, math.ceil(math.log2(1.0 / delta)))
+    if depth < g_min:
+        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
     if not cloud.points:
         yield ()
         return
-    g_min = max(0, math.ceil(math.log2(1.0 / delta)))
 
     def expand(points, g):
         diam = 2.0 ** (-g) * math.sqrt(cloud.d)

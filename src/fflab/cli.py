@@ -51,8 +51,8 @@ def run_cmd(config_path):
     except ValueError as exc:  # a parameter value the experiment rejects
         click.echo(f"config error: {config.experiment}: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    for name, passed in manifest.checks.items():
-        click.echo(f"{'PASS' if passed else 'FAIL'} {name}")
+    for c in manifest.checks:
+        click.echo(f"{'PASS' if c.passed else 'FAIL'} {c.name}")
     if config.output:
         click.echo(f"artifacts in {config.output}")
     sys.exit(EXIT_OK if manifest.passed else EXIT_ASSERTION)

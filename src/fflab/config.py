@@ -12,10 +12,10 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional
+from typing import List, Optional
 
 from . import __version__
-from .experiments import check_params, run_experiment, write_tables
+from .experiments import CheckResult, check_params, run_experiment, write_tables
 
 __all__ = ["ConfigError", "ExperimentConfig", "RunManifest", "run"]
 
@@ -111,19 +111,19 @@ class RunManifest:
     config: dict
     version: str
     wall_time: float
-    checks: Dict[str, bool]
+    checks: List[CheckResult]
     artifacts: list
 
     @property
     def passed(self) -> bool:
-        return all(self.checks.values())
+        return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
         doc = {
             "config": self.config,
             "version": self.version,
             "wall_time_seconds": round(self.wall_time, 3),
-            "checks": self.checks,
+            "checks": [c.to_dict() for c in self.checks],
             "artifacts": self.artifacts,
         }
         return json.dumps(doc, sort_keys=True, indent=2) + "\n"
@@ -146,7 +146,7 @@ def run(config: ExperimentConfig) -> RunManifest:
         },
         version=__version__,
         wall_time=time.perf_counter() - started,
-        checks={c.name: c.passed for c in result.checks},
+        checks=list(result.checks),
         artifacts=artifacts,
     )
     if outdir is not None:

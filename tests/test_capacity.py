@@ -317,15 +317,16 @@ class TestCoveringOracle:
         assert covering_sums(keys, params).min() == dp
 
     def test_memory_is_bounded_by_chunks(self):
-        # 34 438 keys of 109 600 coverings: the peak measured 3.7 MiB, most of
-        # it the keys themselves; one block per key product peaks at 8.5 MiB
+        # 34 438 keys of 109 600 coverings: blocks of _KEY_CHUNK rows peak at
+        # 3.7 MiB under tracemalloc, most of it the keys themselves; one block
+        # per key product peaks at 8.5 MiB, so the bound tells the two apart
         tracemalloc.start()
         try:
             covering_keys(DP_CLOUDS[0], 0.5, 8)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10 * 2**20
+        assert peak < 6 * 2**20
 
     @settings(max_examples=60, deadline=None)
     @given(small_clouds())
@@ -340,6 +341,12 @@ class TestCoveringOracle:
     def test_rejects_depth_below_the_coarsest_generation(self):
         with pytest.raises(ValueError, match="below the coarsest generation 1"):
             covering_keys(PointCloud(((0.3,),), 1), 0.5, 0)
+
+    @pytest.mark.parametrize("points", [((0.3,),), ()])
+    def test_enumeration_rejects_depth_below_the_coarsest_generation(self, points):
+        # expand stops only at g == depth, so from g_min > depth it never would
+        with pytest.raises(ValueError, match="below the coarsest generation 1"):
+            list(enumerate_antichain_coverings(PointCloud(points, 1), 0.5, 0))
 
     def test_rejects_codes_that_overflow(self):
         # 13 generations of 8 points need 105^13 > 2^63 codes

@@ -91,7 +91,9 @@ class TestRunCommand:
         assert "PASS" in result.output
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["experiment"] == "H_ZERO"
-        assert all(manifest["checks"].values())
+        (check,) = manifest["checks"]
+        assert check["name"] == "layer_sum_law" and check["passed"] is True
+        assert set(check) == {"name", "value", "bound", "margin", "passed"}
         csvs = list(out.glob("*.csv"))
         assert csvs
 
@@ -139,6 +141,8 @@ class TestRunCommand:
             ("LORNOR", "alphas = 1.0", "parameter 'alphas' takes a list, got 1.0"),
             ("RESL_SERIES", "q = 2.0", "parameter 'q' takes a list, got 2.0"),
             ("FROSTMAN", "q = 1, 2", "parameter 'q' takes a number, got (1, 2)"),
+            ("LORNOR", "n_seq = 50\nalphas = 0.3,", "no recorded band at alpha = 0.3, q = 0.5; the bands cover"),
+            ("LORNOR", "n_seq = 50\nqs = 3.0,", "no recorded band at alpha = 0.25, q = 3.0; the bands cover"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, runner, tmp_path, experiment, params, message):
@@ -167,7 +171,7 @@ class TestRunCommand:
 
     def test_failed_check_exits_1(self, runner, tmp_path, monkeypatch):
         def fake_run(experiment, params, seed):
-            return ExperimentResult(experiment, [CheckResult("always_fails", False, "synthetic")])
+            return ExperimentResult(experiment, [CheckResult("always_fails", 1.0, 0.0)])
 
         monkeypatch.setattr(config_mod, "run_experiment", fake_run)
         cfg = tmp_path / "exp.cfg"
@@ -267,9 +271,24 @@ class TestVerifyCommand:
     def test_summary_json_shape(self):
         from fflab.acceptance import CriterionResult, summary_json
 
+        check = CheckResult("layer_sum_law", 0.25, 0.5)
         doc = json.loads(
-            summary_json([CriterionResult(1, "layer_sum_law", True, "ok", 0.1)])
+            summary_json([CriterionResult(1, "layer_sum_law", True, "ok", 0.1, (check,))])
         )
         assert doc == [
-            {"criterion": 1, "name": "layer_sum_law", "passed": True, "detail": "ok"}
+            {
+                "criterion": 1, "name": "layer_sum_law", "passed": True, "detail": "ok",
+                "checks": [{"name": "layer_sum_law", "value": 0.25, "bound": 0.5, "margin": 0.5, "passed": True}],
+            }
         ]
+
+    def test_summary_json_carries_each_check_record(self):
+        from fflab.acceptance import run_criterion, summary_json
+
+        texts = [summary_json([run_criterion(n) for n in (1, 7)]) for _ in range(2)]
+        assert texts[0] == texts[1]
+        records = [c for r in json.loads(texts[0]) for c in r["checks"]]
+        assert [c["name"] for c in records] == [
+            "layer_sum_law", "dd_l2_ratio_regression", "dd_sobolev_ratio_regression", "dd_two_bump_orthogonality",
+        ]
+        assert all(c["passed"] and c["margin"] >= 0 and c["value"] <= c["bound"] for c in records)

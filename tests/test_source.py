@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -89,3 +90,31 @@ def test_runners_read_exactly_their_schema_keys():
         read[name] = keys
     assert read == {name: set(keys) for name, keys in experiments.ALLOWED_PARAMS.items()}
     assert other_uses == []
+
+
+def test_every_check_is_a_value_against_a_bound():
+    # CheckResult(name, value, bound) derives its verdict and detail, so no
+    # call site may pass a flag or a hand-formatted string
+    calls = [
+        (path.name, node)
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+    ]
+    assert len(calls) > 20
+
+    def flag_or_string(arg):
+        return (
+            isinstance(arg, (ast.JoinedStr, ast.Compare, ast.BoolOp))
+            or isinstance(arg, ast.UnaryOp) and isinstance(arg.op, ast.Not)
+            or isinstance(arg, ast.Constant) and isinstance(arg.value, (str, bool))
+        )
+
+    bad = [
+        f"{name}:{node.lineno}"
+        for name, node in calls
+        if len(node.args) != 3 or node.keywords or any(map(flag_or_string, node.args[1:]))
+    ]
+    assert bad == []
+    assert [f.name for f in dataclasses.fields(experiments.CheckResult)] == ["name", "value", "bound"]
