@@ -14,7 +14,8 @@ import time
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from .experiments import CheckResult, capacity_dp_exactness, run_experiment
+from .checks import CheckResult
+from .experiments import capacity_dp_exactness, run_experiment
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "verify_all", "summary_json"]
 

@@ -18,7 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .lorentz import LorentzExponents, WeightedSample, _sample_norms, dyadic_block_index
+from .checks import CheckResult
+from .lorentz import LorentzExponents, WeightedSample, _row_sums, _sample_norms, dyadic_block_index
 
 __all__ = [
     "ResourceLimitError",
@@ -31,7 +32,6 @@ __all__ = [
     "enumerate_antichain_coverings",
     "HlpItem",
     "HlpInstance",
-    "HlpVerdict",
     "check_hlp_item",
     "GridMeasure",
     "tent_profile",
@@ -259,8 +259,8 @@ def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams
     Column j counts the boxes of generation g_min + j, one generation per
     dyadic block since sqrt(d) < 2 for d <= 3.  Each distinct count of a
     column is scored once as the block gauge of count * diam**alpha, and
-    the columns are added left to right (max for q = inf); a zero
-    count adds 0.0.
+    the columns are added left to right (``_row_sums``; max for q = inf); a
+    zero count adds 0.0.
     """
     sup = params.q == math.inf
     costs = np.zeros(front.shape)
@@ -271,10 +271,7 @@ def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams
         costs[:, j] = np.array(scored)[at]
     if sup:
         return float(costs.max(axis=1).min())
-    total = costs[:, 0].copy()
-    for j in range(1, costs.shape[1]):
-        total += costs[:, j]
-    return float(total.min())
+    return float(_row_sums(costs).min())
 
 
 def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, depth: int) -> float:
@@ -357,14 +354,6 @@ class HlpInstance:
     q2: Optional[float] = None
 
 
-@dataclass(frozen=True)
-class HlpVerdict:
-    ok: bool
-    lhs: float
-    rhs: float
-    note: str = ""
-
-
 def _merge_factor(params: CapacityParams) -> float:
     """Cost of merging two coverings' block sums: (a+b)^q <= 2^{q-1}(a^q+b^q)
     for q > 1; concave or sup aggregation merges for free."""
@@ -380,14 +369,17 @@ def _profile_terms(profile):
     return np.asarray(profile, dtype=float), 2.0 ** (-ks)
 
 
-def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
-    """Evaluate one capacity property on a generated instance.
+def check_hlp_item(item: HlpItem, inst: HlpInstance) -> CheckResult:
+    """Evaluate one capacity property on a generated instance, as a record
+    named after the item.
 
     SUBADDITIVITY and SEPARATED_ADDITIVITY compare capacities of point
-    clouds at matched depth.  Q_MONOTONE, ALPHA_JUMP, GAUGE_LOWER and
+    clouds at matched depth, with the absolute slack 1e-12 (1e-9 on the
+    additive gauge's |lhs - rhs|).  Q_MONOTONE, ALPHA_JUMP, GAUGE_LOWER and
     GAUGE_UPPER evaluate the corresponding inequality chains directly on a
-    per-generation count profile {M_k}.
+    per-generation count profile {M_k}, with the relative slack 1e-12.
     """
+    name, chain_rtol = item.value, 1.0 + 1e-12
     if item is HlpItem.SUBADDITIVITY:
         union = inst.cloud_a.union(inst.cloud_b)
         lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth)
@@ -397,16 +389,14 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         # at a matched finite depth the convex regime only admits the
         # elementary merge factor: refining one covering out of the way,
         # which restores plain subadditivity, needs unbounded depth
-        factor = _merge_factor(inst.params)
-        note = "" if factor == 1.0 else f"merge factor {factor}"
-        return HlpVerdict(lhs <= factor * rhs + 1e-12, lhs, factor * rhs, note)
+        return CheckResult(name, lhs, _merge_factor(inst.params) * rhs + 1e-12)
 
     if item is HlpItem.SEPARATED_ADDITIVITY:
         gap = min(
             math.dist(a, b) for a in inst.cloud_a.points for b in inst.cloud_b.points
         )
         if gap <= inst.delta:
-            return HlpVerdict(True, math.nan, math.nan, "clouds not separated; vacuous")
+            raise ValueError(f"clouds {gap} apart, not separated by more than delta = {inst.delta}")
         union = inst.cloud_a.union(inst.cloud_b)
         lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth)
         parts = [
@@ -416,14 +406,15 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         rhs = parts[0] + parts[1]
         if inst.params.phi is None and inst.params.q == 1:
             # for the additive gauge the separated optimum splits exactly
-            return HlpVerdict(abs(lhs - rhs) <= 1e-9, lhs, rhs)
+            return CheckResult(name, abs(lhs - rhs), 1e-9)
         # a non-additive gauge merges the parts' block sums, so only
-        # two-sided bounds are available at fixed depth
-        factor = _merge_factor(inst.params)
-        ok = lhs <= factor * rhs + 1e-12 and lhs >= max(parts) - 1e-12
-        return HlpVerdict(ok, lhs, factor * rhs, "two-sided bounds (gauge not additive)")
+        # two-sided bounds are available at fixed depth: the larger excess
+        upper, lower = _merge_factor(inst.params) * rhs + 1e-12, np.maximum(*parts) - 1e-12
+        return CheckResult(name, np.maximum(lhs - upper, lower - lhs), 0.0)
 
     if item is HlpItem.Q_MONOTONE:
+        if not inst.q2 >= inst.q:
+            raise ValueError(f"q_monotone compares q2 >= q, got q = {inst.q}, q2 = {inst.q2}")
         counts, diams = _profile_terms(inst.profile)
         s = counts * diams**inst.alpha
         s = s[s > 0]
@@ -433,18 +424,15 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
                 return float(np.max(s)) ** (1.0 / inst.alpha)
             return float(np.sum(s**qv)) ** (1.0 / (inst.alpha * qv))
 
-        q1, q2 = inst.q, inst.q2
-        lhs, rhs = outer(q2), outer(q1)
-        return HlpVerdict(lhs <= rhs * (1 + 1e-12), lhs, rhs)
+        return CheckResult(name, outer(inst.q2), outer(inst.q) * chain_rtol)
 
     if item is HlpItem.ALPHA_JUMP:
         counts, diams = _profile_terms(inst.profile)
         sup1 = float(np.max(counts * diams**inst.alpha))
         tail2 = counts * diams**inst.alpha2
-        lhs = float(tail2[-1])
         # the alpha2-terms must decay geometrically once the alpha-sup is bounded
         bound = sup1 * 2.0 ** (-(len(counts)) * (inst.alpha2 - inst.alpha))
-        return HlpVerdict(lhs <= bound * (1 + 1e-12), lhs, bound)
+        return CheckResult(name, tail2[-1], bound * chain_rtol)
 
     counts, diams = _profile_terms(inst.profile)
     f_vals = np.array([inst.gauge(t) for t in diams])
@@ -455,8 +443,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
         lhs = float(np.sum(counts**qv * diams ** (qv * inst.alpha)))
         fac1 = float(np.sum(counts * f_vals)) ** qv
         fac2 = float(np.sum((diams**inst.alpha / f_vals) ** (qv / (1.0 - qv)))) ** (1.0 - qv)
-        rhs = fac1 * fac2
-        return HlpVerdict(lhs <= rhs * (1 + 1e-12), lhs, rhs)
+        return CheckResult(name, lhs, fac1 * fac2 * chain_rtol)
 
     if item is HlpItem.GAUGE_UPPER:
         qv = inst.q
@@ -472,7 +459,7 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> HlpVerdict:
             rhs = float(np.sum(counts**qv * diams ** (qv * inst.alpha))) ** (1.0 / qv) * float(
                 np.sum((f_vals / diams**inst.alpha) ** qp)
             ) ** (1.0 / qp)
-        return HlpVerdict(lhs <= rhs * (1 + 1e-12), lhs, rhs)
+        return CheckResult(name, lhs, rhs * chain_rtol)
 
     raise ValueError(f"unknown item {item}")
 

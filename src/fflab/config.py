@@ -15,7 +15,8 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
-from .experiments import CheckResult, check_params, run_experiment, write_tables
+from .checks import CheckResult
+from .experiments import check_params, run_experiment, write_tables
 
 __all__ = ["ConfigError", "ExperimentConfig", "RunManifest", "run"]
 

@@ -12,12 +12,13 @@ per-sample functions call the kernels with a batch of one.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+
+from .checks import CheckResult
 
 __all__ = [
     "LorentzExponents",
@@ -32,8 +33,6 @@ __all__ = [
     "quasi_triangle_constants",
     "overlay_sum",
     "check_quasi_triangle",
-    "PplusStatus",
-    "PplusVerdict",
     "check_pplus",
 ]
 
@@ -363,44 +362,25 @@ _TRIANGLE_RTOL = 1e-12
 
 
 def _quasi_triangle_rows(f, g, e: LorentzExponents, eps: float):
-    """Arrays (lhs, rhs) with lhs = ||f+g|| and rhs = (1+eps)||f|| + C_eps ||g||,
-    one per row of the padded (values, masses, origins) rows f and g."""
+    """Arrays (values, bounds), one per row of the padded (values, masses,
+    origins) rows f and g: ||f+g|| against ((1+eps)||f|| + C_eps ||g||) *
+    (1 + _TRIANGLE_RTOL)."""
     _, _, c_coeff = quasi_triangle_constants(e, eps)
     for values, masses, _ in (f, g):
         _check_rows(values, masses)
     s_vals, s_masses, _ = _overlay_rows(*f, *g)
     lhs = _lorentz_norms(s_vals, s_masses, e.p, e.q)
     norm_f, norm_g = (_lorentz_norms(values, masses, e.p, e.q) for values, masses, _ in (f, g))
-    return lhs, (1.0 + eps) * norm_f + c_coeff * norm_g
+    return lhs, ((1.0 + eps) * norm_f + c_coeff * norm_g) * (1.0 + _TRIANGLE_RTOL)
 
 
-def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponents, eps: float):
-    """(lhs, rhs) with lhs = ||f+g|| and rhs = (1+eps)||f|| + C_eps ||g||.
-
-    Raises AssertionError if the proven bound is violated (it never should
-    be; the randomized corpora in the test-suite search for counterexamples).
-    """
-    lhs, rhs = (float(x[0]) for x in _quasi_triangle_rows(_sample_rows([f]), _sample_rows([g]), e, eps))
-    if lhs > rhs * (1.0 + _TRIANGLE_RTOL):
-        _, a_coeff, c_coeff = quasi_triangle_constants(e, eps)
-        raise AssertionError(
-            f"quasi-triangle violation: lhs={lhs!r} rhs={rhs!r} (A={a_coeff}, C={c_coeff})"
-        )
-    return lhs, rhs
-
-
-class PplusStatus(enum.Enum):
-    OK = "ok"
-    VIOLATION = "violation"
-    NOT_APPLICABLE = "not_applicable"
-
-
-@dataclass(frozen=True)
-class PplusVerdict:
-    status: PplusStatus
-    limsup_q: float
-    bound: float
-    detail: str = ""
+def check_quasi_triangle(f: WeightedSample, g: WeightedSample, e: LorentzExponents, eps: float) -> CheckResult:
+    """||f+g|| against the proven bound (1+eps)||f|| + C_eps ||g||, with the
+    relative slack _TRIANGLE_RTOL.  It never should fail; the randomized
+    corpora in the test-suite search for counterexamples.  A batch of one
+    of ``_quasi_triangle_rows``."""
+    lhs, bound = _quasi_triangle_rows(_sample_rows([f]), _sample_rows([g]), e, eps)
+    return CheckResult("quasi_triangle", lhs[0], bound[0])
 
 
 _PPLUS_TOL = 1e-6
@@ -413,8 +393,8 @@ def _pplus_rows(f, gs, a_limits: np.ndarray, e: LorentzExponents, p1: float):
     (values, masses, origins) rows f, the sequence g_1..g_n in row i of the
     (rows, n, width) arrays of gs (origins (rows, n)), and A = a_limits[i].
 
-    Returns the arrays (status, limsup_q, bound, detail): PplusStatus
-    members, NaN for the NOT_APPLICABLE instances, and their reasons.
+    Returns the arrays (values, bounds): limsup_q, and +inf for an instance
+    whose preconditions fail, against ||f||^q + A^q + _PPLUS_TOL.
     """
     if e.q == math.inf:
         raise ValueError("check requires finite q")
@@ -444,34 +424,21 @@ def _pplus_rows(f, gs, a_limits: np.ndarray, e: LorentzExponents, p1: float):
     s_vals, s_masses, _ = _overlay_rows(*f_tail, *g_tail)
     limsup_q = np.max(_lorentz_norms(s_vals, s_masses, e.p, q).reshape(rows, tail) ** q, axis=1)
     bound = _lorentz_norms(f[0], f[1], e.p, q) ** q + a_limits**q + _PPLUS_TOL
-    status = np.full(rows, PplusStatus.OK, dtype=object)
-    status[~(limsup_q <= bound)] = PplusStatus.VIOLATION
-    detail = np.full(rows, "", dtype=object)
-    for i in np.flatnonzero(off.any(axis=1) | stalled):
-        status[i], limsup_q[i], bound[i] = PplusStatus.NOT_APPLICABLE, math.nan, math.nan
-        detail[i] = (
-            f"||g_j||_(p,q) = {float(g_pq_tail[i, off[i].argmax()])} not near A = "
-            f"{float(a_limits[i])} in the tail"
-            if off[i].any()
-            else "||g_j||_(p1) does not decay along the sequence"
-        )
-    return status, limsup_q, bound, detail
+    return np.where(off.any(axis=1) | stalled, math.inf, limsup_q), bound
 
 
 def check_pplus(
     f: WeightedSample, gs: Sequence[WeightedSample], e: LorentzExponents, p1: float, a_limit: float
-) -> PplusVerdict:
-    """Check limsup_j ||f + g_j||^q <= ||f||^q + A^q + 1e-6.
+) -> CheckResult:
+    """limsup_j ||f + g_j||^q against ||f||^q + A^q + 1e-6.
 
     The limsup is approximated by the max over the trailing quarter of the
-    sequence.  Preconditions are checked numerically, and failures yield
-    NOT_APPLICABLE rather than a verdict: ||g_j||_{p,q} must lie within
-    5e-2 * A + 1e-12 of A throughout the tail, and ||g_j||_{p1} must decay
-    (the tail minimum at most a quarter of the head maximum).  A batch of
-    one of ``_pplus_rows``.
+    sequence.  Preconditions are checked numerically, and an instance that
+    fails them has the value +inf, so it fails: ||g_j||_{p,q} must lie
+    within 5e-2 * A + 1e-12 of A throughout the tail, and ||g_j||_{p1} must
+    decay (the tail minimum at most a quarter of the head maximum).  A batch
+    of one of ``_pplus_rows``.
     """
     g_rows = tuple(a.reshape((1, len(gs)) + a.shape[1:]) for a in _sample_rows(gs))
-    status, limsup_q, bound, detail = _pplus_rows(
-        _sample_rows([f]), g_rows, np.array([a_limit], dtype=float), e, p1
-    )
-    return PplusVerdict(status[0], float(limsup_q[0]), float(bound[0]), detail[0])
+    values, bounds = _pplus_rows(_sample_rows([f]), g_rows, np.array([a_limit], dtype=float), e, p1)
+    return CheckResult("pplus", values[0], bounds[0])

@@ -10,9 +10,9 @@ LORNOR_BANDS = {('0.25', '0.5'): 4895.299023, ('0.25', '1.0'): 1.05, ('0.25', '2
 
 DD_CORPUS_MAX = {'l2': 1.701813179, 'sobolev': 1.084411197}
 
-FROSTMAN = {'hypothesis': 5.597386995, 'conclusion': 85.333333333, 'K': 16.007469}
+FROSTMAN = {'K': 16.007469}
 
-NORM_GROWTH = {'C': 1.216378, 'norms': [0.971913902, 1.370852849, 1.439352843, 1.540356017]}
+NORM_GROWTH = {'C': 1.216378}
 
 OOO_REFERENCE = {'r': 0.1, 'p': 4.0, 'value': 0.2043108163112931}
 

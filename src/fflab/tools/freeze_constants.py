@@ -36,18 +36,11 @@ def measure(seed: int = DEFAULT_SEED) -> dict:
     out["DD_CORPUS_MAX"] = {"l2": round(max_l2 * (1 + 1e-6), 9), "sobolev": round(max_sob * (1 + 1e-6), 9)}
 
     ((hyp, concl, _, _, _),) = table("FROSTMAN", "constants")
-    out["FROSTMAN"] = {
-        "hypothesis": round(hyp, 9),
-        "conclusion": round(concl, 9),
-        "K": round(concl / hyp * 1.05, 6),
-    }
-    print(f"frostman: {out['FROSTMAN']}")
+    out["FROSTMAN"] = {"K": round(concl / hyp * 1.05, 6)}
+    print(f"frostman: hypothesis {hyp:.9f}, conclusion {concl:.9f} -> {out['FROSTMAN']}")
 
     growth = table("SPECTRUM_NORM", "growth")
-    out["NORM_GROWTH"] = {
-        "C": round(max([0.0] + [row[5] for row in growth]) * 1.1, 6),
-        "norms": [round(v, 9) for v in [growth[0][1]] + [row[2] for row in growth]],
-    }
+    out["NORM_GROWTH"] = {"C": round(max([0.0] + [row[5] for row in growth]) * 1.1, 6)}
     print(f"norm growth: {out['NORM_GROWTH']}")
 
     out["OOO_REFERENCE"] = {"r": 0.1, "p": 4.0, "value": ooo_deviation(0.1, 4.0)}

@@ -365,7 +365,7 @@ class TestPropertyChecks:
         a, b = self._clouds()
         inst = HlpInstance(cloud_a=a, cloud_b=b, params=CapacityParams(0.5, q), delta=0.5, depth=6)
         v = check_hlp_item(HlpItem.SUBADDITIVITY, inst)
-        assert v.ok
+        assert v.name == "subadditivity" and v.passed
 
     def test_separated_additivity_exact_for_additive_gauge(self):
         a, b = self._clouds()
@@ -373,48 +373,58 @@ class TestPropertyChecks:
             cloud_a=a, cloud_b=b, params=CapacityParams(0.5, 1.0), delta=0.125, depth=7
         )
         v = check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst)
-        assert v.ok
-        assert v.lhs == pytest.approx(v.rhs, abs=1e-9)
+        # the record is |lhs - rhs| against 1e-9
+        assert (v.name, v.bound) == ("separated_additivity", 1e-9)
+        assert v.passed and v.value >= 0
 
     def test_separated_additivity_two_sided(self):
         a, b = self._clouds()
         inst = HlpInstance(
             cloud_a=a, cloud_b=b, params=CapacityParams(0.5, 2.0), delta=0.125, depth=7
         )
-        assert check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst).ok
+        v = check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst)
+        # the larger of the two sides' excesses, against 0
+        assert v.bound == 0.0 and v.passed and v.margin > 0
 
-    def test_unseparated_is_vacuous(self):
+    def test_unseparated_clouds_are_rejected(self):
+        # the claim is about clouds more than delta apart; a pass here would be vacuous
         a, b = self._clouds()
         inst = HlpInstance(cloud_a=a, cloud_b=b, params=CapacityParams(0.5, 1.0), delta=0.9)
-        v = check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst)
-        assert v.ok and "vacuous" in v.note
+        with pytest.raises(ValueError, match="not separated"):
+            check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst)
 
     def test_q_monotone(self):
         inst = HlpInstance(profile=(2, 4, 8, 16), alpha=0.5, q=1.0, q2=2.0)
-        assert check_hlp_item(HlpItem.Q_MONOTONE, inst).ok
+        assert check_hlp_item(HlpItem.Q_MONOTONE, inst).passed
         inst = HlpInstance(profile=(3, 1, 9, 2), alpha=1.0, q=2.0, q2=math.inf)
-        assert check_hlp_item(HlpItem.Q_MONOTONE, inst).ok
+        assert check_hlp_item(HlpItem.Q_MONOTONE, inst).passed
+
+    def test_q_monotone_rejects_q2_below_q(self):
+        # l^q norms only fall as q grows, so q2 < q is outside the claim
+        inst = HlpInstance(profile=(2, 4, 8, 16), alpha=0.5, q=2.0, q2=1.0)
+        with pytest.raises(ValueError, match="q2 >= q"):
+            check_hlp_item(HlpItem.Q_MONOTONE, inst)
 
     def test_alpha_jump_tight_profile(self):
         # doubling counts keep the alpha = 1 sup at exactly 1, so the
         # alpha2 = 2 tail meets the geometric bound with equality
         inst = HlpInstance(profile=(2, 4, 8, 16), alpha=1.0, alpha2=2.0)
         v = check_hlp_item(HlpItem.ALPHA_JUMP, inst)
-        assert v.ok
-        assert v.lhs == pytest.approx(v.rhs, rel=1e-12)
+        assert v.passed
+        assert v.value == pytest.approx(v.bound, rel=1e-12)
 
     def test_gauge_lower_chain(self):
         inst = HlpInstance(
             profile=(1, 3, 9, 27), alpha=1.0, q=0.5, gauge=GaugeFunction(lambda t: t**0.7)
         )
-        assert check_hlp_item(HlpItem.GAUGE_LOWER, inst).ok
+        assert check_hlp_item(HlpItem.GAUGE_LOWER, inst).passed
 
     @pytest.mark.parametrize("q", [2.0, pytest.param(math.inf, id="q1")])
     def test_gauge_upper_chain(self, q):
         inst = HlpInstance(
             profile=(1, 3, 9, 27), alpha=1.0, q=q, gauge=GaugeFunction(lambda t: t**1.3)
         )
-        assert check_hlp_item(HlpItem.GAUGE_UPPER, inst).ok
+        assert check_hlp_item(HlpItem.GAUGE_UPPER, inst).passed
 
     def test_gauge_lower_requires_concave_q(self):
         inst = HlpInstance(profile=(1, 2), alpha=1.0, q=2.0, gauge=GaugeFunction(lambda t: t))

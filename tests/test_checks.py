@@ -6,12 +6,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from fflab import experiments
-from fflab.experiments import CheckResult, run_experiment
-from fflab.lorentz import PplusStatus
+from fflab.capacity import HlpItem
+from fflab.checks import CheckResult
+from fflab.experiments import run_experiment
 
 
 class TestRecord:
@@ -48,6 +49,34 @@ class TestRecord:
         assert record == {"name": "c", "value": 2.0, "bound": 0.5, "margin": -3.0, "passed": False}
 
 
+class TestWorst:
+    @given(st.lists(st.tuples(st.floats(), st.floats()), min_size=1))
+    @example([(math.inf, math.inf), (1.0, 2.0)])
+    @example([(math.nan, 1.0), (1.0, math.nan), (-math.inf, -math.inf)])
+    @example([(1.0, 2.0), (math.nan, 1.0)])
+    @example([(1.0, 2.0), (1.0, math.nan)])
+    def test_passes_exactly_when_every_instance_does(self, pairs):
+        values, bounds = zip(*pairs)
+        assert CheckResult.worst("c", values, bounds).passed == all(v <= b for v, b in pairs)
+
+    def test_first_failure_else_least_margin(self):
+        assert CheckResult.worst("c", [1.0, 3.0, 5.0], [2.0, 2.0, 4.0]) == CheckResult("c", 3.0, 2.0)
+        # margins 0.5, 0.25 and, against a zero bound, the absolute 1.0
+        assert CheckResult.worst("c", [1.0, 3.0, -1.0], [2.0, 4.0, 0.0]) == CheckResult("c", 3.0, 4.0)
+        assert CheckResult.worst("c", [2.0, 1.0], 2.0) == CheckResult("c", 2.0, 2.0)
+
+    def test_inf_over_inf_passes_with_a_nan_margin(self):
+        # its margin is (inf - inf)/inf, so a finite margin elsewhere is the worst
+        check = CheckResult("c", math.inf, math.inf)
+        assert check.passed and math.isnan(check.margin)
+        assert CheckResult.worst("c", [math.inf, 1.0], [math.inf, 2.0]) == CheckResult("c", 1.0, 2.0)
+        assert CheckResult.worst("c", [math.inf], [math.inf]).passed
+
+    def test_no_instances_rejected(self):
+        with pytest.raises(ValueError, match="no instances"):
+            CheckResult.worst("c", [], [])
+
+
 class TestExperimentChecks:
     def test_dd_sobolev_pin_fails_at_seed_1(self):
         l2, sobolev, _ = run_experiment("DD_CORPUS", {}, 1).checks
@@ -65,11 +94,28 @@ class TestExperimentChecks:
         pplus_rows = experiments._pplus_rows
 
         def one_inapplicable(*args):
-            status, limsup_q, bound, detail = pplus_rows(*args)
-            status[0], limsup_q[0], bound[0] = PplusStatus.NOT_APPLICABLE, math.nan, math.nan
-            return status, limsup_q, bound, detail
+            values, bounds = pplus_rows(*args)
+            values[0] = math.inf  # as for an instance whose preconditions fail
+            return values, bounds
 
         monkeypatch.setattr(experiments, "_pplus_rows", one_inapplicable)
         _, pplus = run_experiment("TR_PPLUS", {"n_instances": 6}, 0).checks
         assert pplus.name == "pplus_zero_violations"
         assert pplus.value == math.inf and not pplus.passed
+
+    def test_subadditivity_instance_over_its_bound_fails(self, monkeypatch):
+        check_hlp_item = experiments.check_hlp_item
+        pushed = []
+
+        def one_over(item, inst):
+            record = check_hlp_item(item, inst)
+            if item is HlpItem.SUBADDITIVITY and not pushed:
+                pushed.append(CheckResult(record.name, math.nextafter(record.bound, math.inf), record.bound))
+                return pushed[0]
+            return record
+
+        monkeypatch.setattr(experiments, "check_hlp_item", one_over)
+        sub, *others = run_experiment("HLP", {"n_clouds": 3}, 0).checks
+        assert sub == pushed[0]
+        assert not sub.passed and sub.margin < 0
+        assert all(c.passed for c in others)

@@ -8,9 +8,10 @@ from click.testing import CliRunner
 
 import fflab.config as config_mod
 from fflab.capacity import ResourceLimitError
+from fflab.checks import CheckResult
 from fflab.cli import main
 from fflab.config import ConfigError, parse_config_text
-from fflab.experiments import CheckResult, ExperimentResult, run_experiment
+from fflab.experiments import ExperimentResult, run_experiment
 from fflab.measures import CubeMeasure
 from fflab.spectral import read_spectrum
 
@@ -73,6 +74,9 @@ class TestConfigParsing:
         # a misspelt key would otherwise run the experiment at its defaults
         with pytest.raises(ValueError, match="unknown parameter 'n_sq' for LORNOR"):
             run_experiment("LORNOR", {"n_sq": 200}, 0)
+        # the slope bound of NP_SWEEP is fixed, as OOO_SWEEP's is
+        with pytest.raises(ValueError, match="unknown parameter 'slope_tol' for NP_SWEEP"):
+            run_experiment("NP_SWEEP", {"slope_tol": 0.3}, 0)
 
     def test_invalid_json(self):
         with pytest.raises(ConfigError, match="invalid JSON"):
