@@ -48,7 +48,7 @@ CRITERIA: List[tuple] = [
     (3, "np_moment_scaling", _from_experiment("NP_SWEEP", {}), 10.0),
     (4, "ooo_scaling", _from_experiment("OOO_SWEEP", {}), 5.0),
     (5, "lornor_bands", _from_experiment("LORNOR", {}), 10.0),
-    (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS", {}), 5.0),
+    (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS", {}), 2.0),
     (7, "bump_norm_regression", _from_experiment("DD_CORPUS", {}), 5.0),
     (8, "series_threshold", _from_experiment("RESL_SERIES", {}), 1.0),
     (9, "per_step_norm_growth", _from_experiment("SPECTRUM_NORM", {}), 5.0),

@@ -109,10 +109,11 @@ LORNOR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 LORNOR_QS = (0.5, 1.0, 2.0, math.inf)
 
 
-# Sequences or instances drawn together.  A LORNOR chunk of 512 peaks at
-# 1.6 MiB under tracemalloc (1024 would peak at 2.8 MiB for padding 11 %
-# instead of 20 %), and it lets run_tr_pplus make a kernel call for about
-# 57 rows instead of 14.
+# Sequences or instances drawn together: every corpus draws its values a
+# block at a time, a few array calls per block.  A LORNOR chunk of 512
+# peaks at 1.6 MiB under tracemalloc (1024 would peak at 2.8 MiB for
+# padding 11 % instead of 20 %).  TR_PPLUS peaks at 1.9 MiB on blocks of
+# 512, and makes a quasi-triangle kernel call for about 57 rows.
 _CORPUS_BLOCK = 512
 # Rows per LORNOR kernel call.  Wider blocks of up to 199 columns fall out
 # of cache: 512 rows made c5 slower, not faster.
@@ -142,19 +143,6 @@ def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int):
             yield _pad_rows(draw[firsts[row] : firsts[row] + block.sum()], block)
 
 
-def _log_plateaus(rng: np.random.Generator):
-    """The logarithms of a random sample's plateau values and masses, one
-    to six plateaus."""
-    n = int(rng.integers(1, 7))
-    return rng.normal(0.0, 1.5, n), rng.normal(0.0, 1.5, n)
-
-
-def _plateau_rows(log_plateaus):
-    """(values, masses) rows padded with (0, 0) from a list of ``_log_plateaus``."""
-    lengths = [len(v) for v, _ in log_plateaus]
-    return tuple(_pad_rows(np.exp(np.concatenate(logs)), lengths) for logs in zip(*log_plateaus))
-
-
 def _past(masses: np.ndarray) -> np.ndarray:
     """The origin just past each row's plateaus laid out from 0: the total
     mass, summed in order as ``WeightedSample.total_mass`` does, plus 1."""
@@ -169,29 +157,38 @@ def _block_exponents(start: int, stop: int) -> np.ndarray:
     return np.array(TR_EXPONENTS)[np.arange(start, stop) % len(TR_EXPONENTS)]
 
 
+def _lognormal_rows(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
+    """exp of one normal(0, 1.5) draw for all the plateaus of a block, as
+    rows of the given lengths padded with 0."""
+    return _pad_rows(np.exp(rng.normal(0.0, 1.5, int(counts.sum()))), counts)
+
+
 def tr_corpus(seed: int, n_pairs: int):
     """The seeded quasi-triangle pairs, yielded as blocks of up to
     _CORPUS_BLOCK instances (f, g, pq, eps): f and g are (values, masses,
     origins) rows padded with (0, 0), pq the (rows, 2) exponents and eps
-    the rows' epsilons.  Half the g start just past f, the rest at 0.  The
-    draws are made instance by instance (f, side, g, eps), so a block holds
-    the values of drawing each pair alone, to the bit.  A row has at most
-    six plateaus, so a block of 512 stays small, and its nine (p, q, eps)
-    groups give the kernels about 57 rows a call."""
+    the rows' epsilons.  Half the g start just past f, the rest at 0.  A
+    block of m instances is drawn array by array: integers(1, 7, m) for the
+    f plateau counts, then for the g counts; integers(0, 2, m) for the
+    sides (1: g starts past f); integers(0, 3, m) for the epsilon indices;
+    then one normal(0, 1.5) draw each for the log f values, log f masses,
+    log g values and log g masses, every row's plateaus in turn.  A row has
+    at most six plateaus, so a block of 512 stays small, and its nine
+    (p, q, eps) groups give the kernels about 57 rows a call."""
     rng = _rng(seed, "tr")
-    eps_menu = (0.1, 0.5, 1.0)
+    eps_menu = np.array((0.1, 0.5, 1.0))
     for start in range(0, n_pairs, _CORPUS_BLOCK):
         stop = min(start + _CORPUS_BLOCK, n_pairs)
-        fs, gs, disjoint, eps = [], [], [], []
-        for _ in range(start, stop):
-            fs.append(_log_plateaus(rng))
-            disjoint.append(bool(rng.integers(0, 2)))
-            gs.append(_log_plateaus(rng))
-            eps.append(eps_menu[int(rng.integers(0, len(eps_menu)))])
-        f_vals, f_masses = _plateau_rows(fs)
-        f = (f_vals, f_masses, np.zeros(stop - start))
-        g = (*_plateau_rows(gs), np.where(disjoint, _past(f_masses), 0.0))
-        yield f, g, _block_exponents(start, stop), np.array(eps)
+        m = stop - start
+        f_counts, g_counts = rng.integers(1, 7, m), rng.integers(1, 7, m)
+        disjoint = rng.integers(0, 2, m).astype(bool)
+        eps = eps_menu[rng.integers(0, len(eps_menu), m)]
+        f_vals, f_masses, g_vals, g_masses = [
+            _lognormal_rows(rng, counts) for counts in (f_counts, f_counts, g_counts, g_counts)
+        ]
+        f = (f_vals, f_masses, np.zeros(m))
+        g = (g_vals, g_masses, np.where(disjoint, _past(f_masses), 0.0))
+        yield f, g, _block_exponents(start, stop), eps
 
 
 # Length of each P+ instance's sequence g_1, g_2, ...
@@ -203,28 +200,27 @@ def pplus_corpus(seed: int, n_instances: int):
     _CORPUS_BLOCK instances (f, gs, pq, a_limits): f as in ``tr_corpus``,
     gs the sequences g_1..g_L, L = _PPLUS_SEQ_LEN, of one plateau each as
     (rows, L, 1) values and masses and (rows, L) origins, all just past f, pq
-    the exponents and a_limits the limits A.  The draws are made instance
-    by instance (f, A), so a block holds the values of drawing each
-    instance alone, to the bit.  Blocks of 512 give each of the three
+    the exponents and a_limits the limits A.  A block of m instances is
+    drawn array by array: integers(1, 7, m) for the f plateau counts, one
+    normal(0, 1.5) draw each for the log f values and log f masses, then
+    normal(0, 0.7, m) for the log A.  Blocks of 512 give each of the three
     exponent groups about 170 rows a call."""
     rng = _rng(seed, "pplus")
     # single plateaus of constant Lorentz norm and vanishing higher norm
     masses = [2.0 ** (4 * j) for j in range(1, _PPLUS_SEQ_LEN + 1)]
-    shrink = {p: np.array([m ** (-1.0 / p) for m in masses]) for p, _ in TR_EXPONENTS}
+    shrink = {p: np.array([mass ** (-1.0 / p) for mass in masses]) for p, _ in TR_EXPONENTS}
     for start in range(0, n_instances, _CORPUS_BLOCK):
         stop = min(start + _CORPUS_BLOCK, n_instances)
-        fs, a_limits = [], []
-        for _ in range(start, stop):
-            fs.append(_log_plateaus(rng))
-            a_limits.append(float(np.exp(rng.normal(0.0, 0.7))))
-        f_vals, f_masses = _plateau_rows(fs)
+        m = stop - start
+        counts = rng.integers(1, 7, m)
+        f_vals, f_masses = _lognormal_rows(rng, counts), _lognormal_rows(rng, counts)
+        a_limits = np.exp(rng.normal(0.0, 0.7, m))
         pq = _block_exponents(start, stop)
-        a_limits = np.array(a_limits)
         g_vals = a_limits[:, None] * np.array([shrink[p] for p in pq[:, 0].tolist()])
-        g_masses = np.tile(masses, (stop - start, 1))
+        g_masses = np.tile(masses, (m, 1))
         origins = np.repeat(_past(f_masses)[:, None], _PPLUS_SEQ_LEN, axis=1)
         gs = (g_vals[..., None], g_masses[..., None], origins)
-        yield (f_vals, f_masses, np.zeros(stop - start)), gs, pq, a_limits
+        yield (f_vals, f_masses, np.zeros(m)), gs, pq, a_limits
 
 
 def gauge_gallery(alpha: float):

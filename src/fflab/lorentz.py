@@ -23,7 +23,6 @@ from .checks import CheckResult
 __all__ = [
     "LorentzExponents",
     "WeightedSample",
-    "distribution_function",
     "lorentz_norm",
     "lorentz_seq_norm",
     "dyadic_block_index",
@@ -84,18 +83,6 @@ class WeightedSample:
     @property
     def total_mass(self) -> float:
         return sum(m for _, m in self.entries)
-
-    def scaled(self, c: float) -> "WeightedSample":
-        if c < 0:
-            raise ValueError("scaling constant must be nonnegative")
-        return WeightedSample(tuple((c * v, m) for v, m in self.entries), self.origin)
-
-
-def distribution_function(f: WeightedSample, t: float) -> float:
-    """m_f(t): total mass where the plateau value is >= t (for t >= 0)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(sum(m for v, m in f.entries if v >= t))
 
 
 def _pad_rows(flat: np.ndarray, lengths) -> np.ndarray:

@@ -129,7 +129,3 @@ class ShiftSample:
             raise ValueError(f"shifts have shape {sh.shape}, expected (M, d) = {(self.M, self.d)}")
         if np.any((sh < 0) | (sh > 1 - self.r + 1e-15)):
             raise ValueError(f"a shift lies outside [0, 1-r]^d = [0, {1 - self.r}]^{self.d}")
-
-    def as_cube_measure(self) -> CubeMeasure:
-        mass = 1.0 / self.M
-        return CubeMeasure(self.d, tuple((v, self.r, mass) for v in self.shifts.tolist()))

@@ -1,6 +1,7 @@
 """Re-measure the empirical regression constants and rewrite recorded.py.
 
-Run as ``python -m fflab.tools.freeze_constants`` after changing any corpus.
+Run as ``python -m fflab.tools.freeze_constants`` after changing a pinned corpus
+(LORNOR, DD_CORPUS, SPECTRUM_NORM, OOO_SWEEP or FROSTMAN).
 The default seed 0 is the one the acceptance suite uses.
 """
 
@@ -53,7 +54,9 @@ HEADER = '''"""Frozen empirical constants for regression checks.
 Every value here was measured once on the seeded corpora defined in the
 experiments module and frozen with a small headroom factor.  They are
 regression bounds, not sharp constants; re-measure with
-``python -m fflab.tools.freeze_constants`` after changing a corpus.
+``python -m fflab.tools.freeze_constants`` after changing a corpus that
+one of them pins: LORNOR, DD_CORPUS, SPECTRUM_NORM, OOO_SWEEP or FROSTMAN.
+TR_PPLUS checks none of them, so its corpora change without a re-freeze.
 """
 
 '''

@@ -39,7 +39,6 @@ from fflab.lorentz import (
     check_lornor_equivalence,
     check_pplus,
     check_quasi_triangle,
-    distribution_function,
     dyadic_block_index,
     dyadic_block_norm,
     elementary_power_constant,
@@ -48,6 +47,18 @@ from fflab.lorentz import (
     overlay_sum,
     quasi_triangle_constants,
 )
+
+
+def distribution_function(f: WeightedSample, t: float) -> float:
+    """m_f(t): total mass where the plateau value is >= t (for t >= 0)."""
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    return float(sum(m for v, m in f.entries if v >= t))
+
+
+def scaled(f: WeightedSample, c: float) -> WeightedSample:
+    """c f for a constant c >= 0."""
+    return WeightedSample(tuple((c * v, m) for v, m in f.entries), f.origin)
 
 
 def distribution_at(f: WeightedSample, ts: np.ndarray) -> np.ndarray:
@@ -169,7 +180,7 @@ class TestLorentzNorm:
     @given(samples(), positive)
     def test_homogeneity(self, f, c):
         e = LorentzExponents(3.0, 1.5)
-        assert lorentz_norm(f.scaled(c), e) == pytest.approx(c * lorentz_norm(f, e), rel=1e-12)
+        assert lorentz_norm(scaled(f, c), e) == pytest.approx(c * lorentz_norm(f, e), rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(samples())
@@ -589,43 +600,54 @@ class TestOverlaySum:
         assert s.entries == () and s.origin == 0.0
 
 
-def per_instance_tr_corpus(seed, n_pairs):
-    """The quasi-triangle corpus drawn one WeightedSample pair at a time."""
+def split_runs(flat, counts):
+    """Consecutive runs of the list ``flat`` of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[end - n : end] for n, end in zip(counts.tolist(), ends)]
 
-    def sample(rng, origin=0.0):
-        n = int(rng.integers(1, 7))
-        values = np.exp(rng.normal(0.0, 1.5, n))
-        masses = np.exp(rng.normal(0.0, 1.5, n))
-        return WeightedSample(tuple(zip(values, masses)), origin=origin)
 
+def documented_tr_corpus(seed, n_pairs, block=512):
+    """The quasi-triangle corpus from the block draws that ``tr_corpus``
+    documents, built one WeightedSample pair at a time."""
     rng = _rng(seed, "tr")
-    for i in range(n_pairs):
-        p, q = TR_EXPONENTS[i % 3]
-        f = sample(rng)
-        origin = f.total_mass + 1.0 if rng.integers(0, 2) else 0.0
-        g = sample(rng, origin=origin)
-        eps = (0.1, 0.5, 1.0)[int(rng.integers(0, 3))]
-        yield f, g, LorentzExponents(p, q), eps
+    for start in range(0, n_pairs, block):
+        m = min(block, n_pairs - start)
+        f_counts, g_counts = rng.integers(1, 7, m), rng.integers(1, 7, m)
+        sides, eps_index = rng.integers(0, 2, m), rng.integers(0, 3, m)
+        f_vals, f_masses, g_vals, g_masses = [
+            split_runs(np.exp(rng.normal(0.0, 1.5, counts.sum())).tolist(), counts)
+            for counts in (f_counts, f_counts, g_counts, g_counts)
+        ]
+        for i in range(m):
+            p, q = TR_EXPONENTS[(start + i) % 3]
+            f = WeightedSample(tuple(zip(f_vals[i], f_masses[i])))
+            origin = f.total_mass + 1.0 if sides[i] else 0.0
+            g = WeightedSample(tuple(zip(g_vals[i], g_masses[i])), origin=origin)
+            yield f, g, LorentzExponents(p, q), (0.1, 0.5, 1.0)[eps_index[i]]
 
 
-def per_instance_pplus_corpus(seed, n_instances, seq_len=16):
-    """The P+ corpus drawn one instance at a time."""
+def documented_pplus_corpus(seed, n_instances, block=512, seq_len=16):
+    """The P+ corpus from the block draws that ``pplus_corpus`` documents,
+    built one instance at a time."""
     rng = _rng(seed, "pplus")
-    for i in range(n_instances):
-        p, q = TR_EXPONENTS[i % 3]
-        n = int(rng.integers(1, 7))
-        values = np.exp(rng.normal(0.0, 1.5, n))
-        masses = np.exp(rng.normal(0.0, 1.5, n))
-        f = WeightedSample(tuple(zip(values, masses)))
-        a_limit = float(np.exp(rng.normal(0.0, 0.7)))
-        ms = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
-        gs = [WeightedSample(((a_limit * m ** (-1.0 / p), m),), origin=f.total_mass + 1.0) for m in ms]
-        yield f, gs, LorentzExponents(p, q), p + 1.0, a_limit
+    ms = [2.0 ** (4 * j) for j in range(1, seq_len + 1)]
+    for start in range(0, n_instances, block):
+        m = min(block, n_instances - start)
+        counts = rng.integers(1, 7, m)
+        values = split_runs(np.exp(rng.normal(0.0, 1.5, counts.sum())).tolist(), counts)
+        masses = split_runs(np.exp(rng.normal(0.0, 1.5, counts.sum())).tolist(), counts)
+        a_limits = np.exp(rng.normal(0.0, 0.7, m)).tolist()
+        for i in range(m):
+            p, q = TR_EXPONENTS[(start + i) % 3]
+            f = WeightedSample(tuple(zip(values[i], masses[i])))
+            a_limit = a_limits[i]
+            gs = [WeightedSample(((a_limit * mass ** (-1.0 / p), mass),), origin=f.total_mass + 1.0) for mass in ms]
+            yield f, gs, LorentzExponents(p, q), p + 1.0, a_limit
 
 
 class TestCorpusBlocks:
-    def test_tr_blocks_match_per_instance_draws(self):
-        old = list(per_instance_tr_corpus(0, 1100))
+    def test_tr_blocks_match_documented_draws(self):
+        want = list(documented_tr_corpus(0, 1100))
         blocks = list(tr_corpus(0, 1100))
         assert [len(eps) for *_, eps in blocks] == [512, 512, 76]
         pairs = [
@@ -633,14 +655,14 @@ class TestCorpusBlocks:
             for f_rows, g_rows, pqs, epss in blocks
             for f, g, pq, eps in zip(row_samples(f_rows), row_samples(g_rows), pqs.tolist(), epss.tolist())
         ]
-        assert len(pairs) == len(old)
-        for (f, g, pq, eps), (f0, g0, e0, eps0) in zip(pairs, old):
+        assert len(pairs) == len(want)
+        for (f, g, pq, eps), (f0, g0, e0, eps0) in zip(pairs, want):
             assert f.entries == f0.entries and f.origin == f0.origin
             assert g.entries == g0.entries and g.origin == g0.origin
             assert pq == (e0.p, e0.q) and eps == eps0
 
-    def test_pplus_blocks_match_per_instance_draws(self):
-        old = list(per_instance_pplus_corpus(0, 1100))
+    def test_pplus_blocks_match_documented_draws(self):
+        want = list(documented_pplus_corpus(0, 1100))
         blocks = list(pplus_corpus(0, 1100))
         assert [len(a) for *_, a in blocks] == [512, 512, 76]
         instances = []
@@ -648,11 +670,18 @@ class TestCorpusBlocks:
             for i, f in enumerate(row_samples(f_rows)):
                 gs = row_samples((g_vals[i], g_masses[i], g_origins[i]))
                 instances.append((f, gs, tuple(pqs[i].tolist()), float(a_limits[i])))
-        assert len(instances) == len(old)
-        for (f, gs, pq, a), (f0, gs0, e0, p1, a0) in zip(instances, old):
+        assert len(instances) == len(want)
+        for (f, gs, pq, a), (f0, gs0, e0, p1, a0) in zip(instances, want):
             assert f.entries == f0.entries and f.origin == f0.origin
             assert [(g.entries, g.origin) for g in gs] == [(g.entries, g.origin) for g in gs0]
             assert pq == (e0.p, e0.q) and p1 == pq[0] + 1.0 and a == a0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_tr_pplus_passes_at_seed(self, seed):
+        # lab verify --seed S and the benchmark run c6 at the requested seed
+        result = run_experiment("TR_PPLUS", {}, seed)
+        assert [c.name for c in result.checks] == ["quasi_triangle_zero_violations", "pplus_zero_violations"]
+        assert result.passed, [c.detail for c in result.checks]
 
     def test_tr_pplus_memory_is_bounded_by_blocks(self):
         # 512-instance blocks peak near 1.4 MiB; one 10k-instance block
