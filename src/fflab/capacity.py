@@ -105,18 +105,15 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class DyadicCovering:
-    """A multiset of covering-set diameters below the scale bound delta."""
+    """A multiset of covering-set diameters."""
 
     diameters: tuple
-    delta: float = math.inf
 
     def __post_init__(self):
         object.__setattr__(self, "diameters", tuple(float(t) for t in self.diameters))
         for t in self.diameters:
             if not t > 0:
                 raise ValueError("zero or negative diameter rejected")
-            if not t < self.delta:
-                raise ValueError(f"diameter {t} not below the scale bound {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -280,13 +277,13 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
     upper-bounds the unrestricted capacity.
     """
-    if not cloud.points:
-        return 0.0
-    if not 0 < delta:
-        raise ValueError("delta must be positive")
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     g_min = max(0, math.ceil(math.log2(1.0 / delta)))
     if depth < g_min:
         raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
+    if not cloud.points:
+        return 0.0
     if depth > 16:
         raise ResourceLimitError(f"depth {depth} exceeds the desk-scale limit 16")
     counter = [0]
@@ -302,6 +299,8 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
     Exhaustive take-or-refine enumeration over the occupied tree, repeats
     included: the tests' oracle for nh_capacity_delta and covering_keys.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     g_min = max(0, math.ceil(math.log2(1.0 / delta)))
     if depth < g_min:
         raise ValueError(f"depth {depth} below the coarsest generation {g_min}")

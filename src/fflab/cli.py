@@ -81,7 +81,11 @@ def verify_cmd(seed, as_json):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def construct_cmd(preset_name, depth, seed, out):
     """Realize a construction preset and write the deepest measure stage."""
-    params = preset(preset_name, depth=depth, seed=seed)
+    try:
+        params = preset(preset_name, depth=depth, seed=seed)
+    except ValueError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     tree = build_tree(params)
     try:
         tree, measures = realize_tree(tree, params)
@@ -105,11 +109,12 @@ def spectrum_cmd(measure_path, p, q, extent, samples, out):
     try:
         mu = CubeMeasure.from_json(Path(measure_path).read_text())
         grid = FreqGrid(mu.d, extent, samples)
+        exponents = LorentzExponents(p, q)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
     field = cube_measure_transform(mu, grid)
-    norm = lorentz_spectrum_norm(field, LorentzExponents(p, q))
+    norm = lorentz_spectrum_norm(field, exponents)
     click.echo(f"lorentz_norm p={p} q={q} extent={extent} samples={samples}: {norm!r}")
     if out:
         write_spectrum(field, out)

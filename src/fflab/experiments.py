@@ -647,6 +647,8 @@ def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarr
     of ``_KEY_CHUNK`` rows by an exact int64 code with one digit per
     position of ``order`` naming its (generation, count) pair.
     """
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
     n_gen, n_points, g_min = depth + 1, len(cloud.points), max(0, math.ceil(math.log2(1.0 / delta)))
     if depth < g_min:
         raise ValueError(f"depth {depth} below the coarsest generation {g_min}")

@@ -26,6 +26,8 @@ def preset(name: str, depth: int = 0, seed: int = 7) -> ConstructionParams:
     expansion steps giving four measure stages.  Used by the per-step norm
     growth check.
     """
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     if name == "layer-law":
         layers = depth or 4
         m = greedy_spacing_branching(1, 4.0, 1.0, layers)

@@ -65,8 +65,8 @@ class FreqGrid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError(f"frequency grids are implemented for d = 1, 2, not d = {self.d}")
-        if self.samples % 2 != 0:
-            raise ValueError("samples per axis must be even")
+        if self.samples < 2 or self.samples % 2 != 0:
+            raise ValueError(f"samples per axis must be even and at least 2, got {self.samples}")
         if not self.half_extent > 0:
             raise ValueError("half_extent must be positive")
 

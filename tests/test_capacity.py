@@ -160,10 +160,6 @@ class TestCoveringSum:
     def test_empty_covering(self):
         assert nh_covering_sum(DyadicCovering(()), CapacityParams(1.0, 1.0)) == 0.0
 
-    def test_scale_bound_enforced(self):
-        with pytest.raises(ValueError):
-            DyadicCovering((0.5,), delta=0.5)
-
 
 class TestValidation:
     def test_cloud_outside_cube(self):
@@ -347,6 +343,30 @@ class TestCoveringOracle:
         # expand stops only at g == depth, so from g_min > depth it never would
         with pytest.raises(ValueError, match="below the coarsest generation 1"):
             list(enumerate_antichain_coverings(PointCloud(points, 1), 0.5, 0))
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda cloud, delta, depth: nh_capacity_delta(cloud, CapacityParams(0.5, 1.0), delta, depth),
+            covering_keys,
+            lambda cloud, delta, depth: list(enumerate_antichain_coverings(cloud, delta, depth)),
+        ],
+        ids=["dp", "covering_keys", "enumeration"],
+    )
+    @pytest.mark.parametrize(
+        "delta,depth,message",
+        [
+            (0.5, 0, "below the coarsest generation 1"),
+            (0.0, 4, "delta must be positive"),
+            (-1.0, 4, "delta must be positive"),
+            (math.nan, 4, "delta must be positive"),
+        ],
+    )
+    @pytest.mark.parametrize("points", [((0.3,),), ()], ids=["one_point", "empty"])
+    def test_dp_and_oracles_reject_the_same_inputs(self, solve, delta, depth, message, points):
+        # the DP validates before its empty-cloud shortcut, as the oracles do
+        with pytest.raises(ValueError, match=message):
+            solve(PointCloud(points, 1), delta, depth)
 
     def test_rejects_codes_that_overflow(self):
         # 13 generations of 8 points need 105^13 > 2^63 codes

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import fflab.cli as cli_mod
 import fflab.config as config_mod
 from fflab.capacity import ResourceLimitError
 from fflab.checks import CheckResult
@@ -227,6 +228,22 @@ class TestConstructCommand:
         )
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize(
+        "name,depth,message",
+        [
+            ("norm-growth", "-1", "depth must be non-negative"),
+            ("layer-law", "-1", "depth must be non-negative"),
+            ("norm-growth", "5", "norm-growth preset supports depth <= 3"),
+        ],
+        ids=["norm-growth_-1", "layer-law_-1", "norm-growth_5"],
+    )
+    def test_bad_depth_exits_2(self, runner, tmp_path, name, depth, message):
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["construct", "--preset", name, "--depth", depth, "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"config error: {message}" in result.output
+        assert not out.exists()
+
 
 class TestSpectrumCommand:
     def test_spectrum_on_constructed_measure(self, runner, tmp_path):
@@ -262,6 +279,30 @@ class TestSpectrumCommand:
              "--extent", "4", "--samples", "16"],
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [
+            ("--samples", "0", "at least 2"),
+            ("--samples", "-2", "at least 2"),
+            ("--p", "0", "p must be positive"),
+        ],
+        ids=["samples_0", "samples_-2", "p_0"],
+    )
+    def test_bad_grid_or_exponent_exits_2_before_the_transform(
+        self, runner, tmp_path, monkeypatch, option, value, message
+    ):
+        def transform(*args):
+            raise AssertionError("transformed a measure under a bad option")
+
+        monkeypatch.setattr(cli_mod, "cube_measure_transform", transform)
+        measure = tmp_path / "measure.json"
+        measure.write_text(CubeMeasure(1, (((0.0,), 1.0, 1.0),)).to_json())
+        args = {"--p": "4", "--q": "2", "--extent": "4", "--samples": "16"}
+        args[option] = value
+        result = runner.invoke(main, ["spectrum", "--measure", str(measure), *sum(args.items(), ())])
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: ") and message in result.output
 
 
 class TestVerifyCommand:

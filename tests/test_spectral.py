@@ -77,6 +77,11 @@ class TestGrid:
         with pytest.raises(ValueError):
             FreqGrid(1, 4.0, 7)
 
+    @pytest.mark.parametrize("samples", [0, -2])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="at least 2"):
+            FreqGrid(1, 4.0, samples)
+
     def test_other_dimensions_rejected(self):
         with pytest.raises(ValueError):
             FreqGrid(3, 4.0, 8)
