@@ -30,9 +30,9 @@ class CriterionResult:
     checks: Tuple[CheckResult, ...] = ()
 
 
-def _from_experiment(experiment: str, params: dict):
+def _from_experiment(experiment: str):
     def runner(seed: int):
-        result = run_experiment(experiment, params, seed)
+        result = run_experiment(experiment, {}, seed)
         return list(result.checks)
 
     return runner
@@ -43,18 +43,18 @@ def _dp_runner(seed: int):
 
 
 CRITERIA: List[tuple] = [
-    (1, "layer_sum_law", _from_experiment("H_ZERO", {"layers": 4}), 1.0),
-    (2, "weight_conservation", _from_experiment("CONSTRUCT", {"preset": "norm-growth"}), 0.0),
-    (3, "np_moment_scaling", _from_experiment("NP_SWEEP", {}), 10.0),
-    (4, "ooo_scaling", _from_experiment("OOO_SWEEP", {}), 5.0),
-    (5, "lornor_bands", _from_experiment("LORNOR", {}), 10.0),
-    (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS", {}), 2.0),
-    (7, "bump_norm_regression", _from_experiment("DD_CORPUS", {}), 5.0),
-    (8, "series_threshold", _from_experiment("RESL_SERIES", {}), 1.0),
-    (9, "per_step_norm_growth", _from_experiment("SPECTRUM_NORM", {}), 5.0),
+    (1, "layer_sum_law", _from_experiment("H_ZERO"), 1.0),
+    (2, "weight_conservation", _from_experiment("CONSTRUCT"), 0.0),
+    (3, "np_moment_scaling", _from_experiment("NP_SWEEP"), 10.0),
+    (4, "ooo_scaling", _from_experiment("OOO_SWEEP"), 5.0),
+    (5, "lornor_bands", _from_experiment("LORNOR"), 10.0),
+    (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS"), 2.0),
+    (7, "bump_norm_regression", _from_experiment("DD_CORPUS"), 5.0),
+    (8, "series_threshold", _from_experiment("RESL_SERIES"), 1.0),
+    (9, "per_step_norm_growth", _from_experiment("SPECTRUM_NORM"), 5.0),
     (10, "capacity_dp_exactness", _dp_runner, 2.0),
-    (11, "gauge_chains", _from_experiment("HLP", {}), 0.0),
-    (12, "frostman_transfer", _from_experiment("FROSTMAN", {}), 0.0),
+    (11, "gauge_chains", _from_experiment("HLP"), 0.0),
+    (12, "frostman_transfer", _from_experiment("FROSTMAN"), 0.0),
 ]
 
 

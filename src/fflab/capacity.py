@@ -271,17 +271,25 @@ def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams
     return float(_row_sums(costs).min())
 
 
+def _coarsest_generation(delta: float, depth: int) -> int:
+    """ceil(log2(1/delta)), at least 0: the coarsest generation of boxes of
+    diameter below delta.  Raises ValueError unless delta > 0 and depth
+    reaches it."""
+    if not delta > 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    g_min = max(0, math.ceil(math.log2(1.0 / delta)))
+    if depth < g_min:
+        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
+    return g_min
+
+
 def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, depth: int) -> float:
     """Exact infimum of nh_covering_sum over dyadic-box coverings.
 
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
     upper-bounds the unrestricted capacity.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    g_min = max(0, math.ceil(math.log2(1.0 / delta)))
-    if depth < g_min:
-        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
+    g_min = _coarsest_generation(delta, depth)
     if not cloud.points:
         return 0.0
     if depth > 16:
@@ -299,11 +307,7 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
     Exhaustive take-or-refine enumeration over the occupied tree, repeats
     included: the tests' oracle for nh_capacity_delta and covering_keys.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    g_min = max(0, math.ceil(math.log2(1.0 / delta)))
-    if depth < g_min:
-        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
+    g_min = _coarsest_generation(delta, depth)
     if not cloud.points:
         yield ()
         return

@@ -59,7 +59,7 @@ def run_cmd(config_path):
 
 
 @main.command("verify")
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--json", "as_json", is_flag=True, help="emit the machine-readable summary")
 def verify_cmd(seed, as_json):
     """Run the full twelve-point acceptance suite."""
@@ -77,7 +77,7 @@ def verify_cmd(seed, as_json):
 @main.command("construct")
 @click.option("--preset", "preset_name", type=click.Choice(PRESET_NAMES), required=True)
 @click.option("--depth", type=int, default=0, help="construction depth (preset default when 0)")
-@click.option("--seed", type=int, default=7, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=7, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def construct_cmd(preset_name, depth, seed, out):
     """Realize a construction preset and write the deepest measure stage."""

@@ -42,6 +42,8 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from exc
         if isinstance(self.seed, bool) or not isinstance(self.seed, int):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
 
 
 def _parse_value(raw: str):

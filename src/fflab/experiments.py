@@ -1,8 +1,8 @@
 """Seeded corpora and the experiment runner binding the core modules.
 
-Every experiment is a pure function of (params, seed); RNG streams are
-derived per sub-task from the seed, so no result depends on the order in
-which the sub-tasks run.  Numeric artifacts are CSV tables with
+Every experiment is a pure function of (seed, keyword parameters); RNG
+streams are derived per sub-task from the seed, so no result depends on the
+order in which the sub-tasks run.  Numeric artifacts are CSV tables with
 repr-formatted floats, which makes re-runs byte-identical.
 """
 
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import inspect
 import itertools
 import math
 import zlib
@@ -19,7 +20,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from . import recorded
+from . import presets, recorded
 from .capacity import (
     CapacityParams,
     DyadicCovering,
@@ -28,6 +29,7 @@ from .capacity import (
     HlpInstance,
     HlpItem,
     PointCloud,
+    _coarsest_generation,
     _groups,
     check_hlp_item,
     frostman_ratio,
@@ -44,7 +46,6 @@ from .lorentz import (
     _quasi_triangle_rows,
     _row_sums,
 )
-from .presets import preset
 from .spectral import (
     BumpFamily,
     FreqGrid,
@@ -61,7 +62,6 @@ from .spectral import (
 __all__ = [
     "ExperimentResult",
     "EXPERIMENTS",
-    "ALLOWED_PARAMS",
     "check_params",
     "run_experiment",
 ]
@@ -273,7 +273,7 @@ def dd_corpus(seed: int, n_families: int):
 def frostman_measure(seed: int) -> GridMeasure:
     """Depth-2 stage of the norm-growth construction, read as point masses
     at the atom cube centers."""
-    params = preset("norm-growth", depth=2, seed=seed)
+    params = presets.preset("norm-growth", depth=2, seed=seed)
     tree = build_tree(params)
     _, mus = realize_tree(tree, params, budget=64)
     mu = mus[-1]
@@ -288,12 +288,11 @@ def frostman_measure(seed: int) -> GridMeasure:
 # experiments
 
 
-def run_lornor(params: dict, seed: int) -> ExperimentResult:
-    n_seq = int(params.get("n_seq", 10_000))
+def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
-    for alpha in params.get("alphas", LORNOR_ALPHAS):
-        for q in params.get("qs", LORNOR_QS):
+    for alpha in alphas:
+        for q in qs:
             q_key = repr(float(q))
             band = bands.get((repr(float(alpha)), q_key))
             if band is None:
@@ -327,14 +326,13 @@ def _worst(*named) -> List[CheckResult]:
     return [CheckResult.worst(name, [r.value for r in rs], [r.bound for r in rs]) for name, rs in named]
 
 
-def run_tr_pplus(params: dict, seed: int) -> ExperimentResult:
-    n = int(params.get("n_instances", 10_000))
+def run_tr_pplus(seed: int, *, n_instances=10_000) -> ExperimentResult:
     tr, pplus = [], []  # the worst instance of each kernel call
-    for f, g, pq, eps in tr_corpus(seed, n):
+    for f, g, pq, eps in tr_corpus(seed, n_instances):
         for (p, q, e), mask in _by_key(np.column_stack((pq, eps))):
             values, bounds = _quasi_triangle_rows(_take(f, mask), _take(g, mask), LorentzExponents(p, q), e)
             tr.append(CheckResult.worst("quasi_triangle", values, bounds))
-    for f, gs, pq, a_limits in pplus_corpus(seed, n):
+    for f, gs, pq, a_limits in pplus_corpus(seed, n_instances):
         for (p, q), mask in _by_key(pq):
             f_rows, g_rows = _take(f, mask), _take(gs, mask)
             values, bounds = _pplus_rows(f_rows, g_rows, a_limits[mask], LorentzExponents(p, q), p + 1.0)
@@ -343,9 +341,8 @@ def run_tr_pplus(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("TR_PPLUS", checks)
 
 
-def run_h_zero(params: dict, seed: int) -> ExperimentResult:
-    layers = int(params.get("layers", 4))
-    cp = preset("layer-law", depth=layers, seed=seed)
+def run_h_zero(seed: int, *, layers=4) -> ExperimentResult:
+    cp = presets.preset("layer-law", depth=layers, seed=seed)
     tree = build_tree(cp)
     cap_params = CapacityParams(2.0 * cp.d / cp.p, cp.beta)
     rows, worst = [], 0.0
@@ -359,14 +356,12 @@ def run_h_zero(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("H_ZERO", checks, tables)
 
 
-def run_construct(params: dict, seed: int) -> ExperimentResult:
-    name = params.get("preset", "norm-growth")
-    depth = int(params.get("depth", 0))
-    cp = preset(name, depth=depth, seed=seed)
+def run_construct(seed: int, *, preset="norm-growth", depth=0, budget=64) -> ExperimentResult:
+    cp = presets.preset(preset, depth=depth, seed=seed)
     tree = build_tree(cp)
     off_sum = sum(tree.layer_weight_sum(n) != 1 for n in range(tree.max_complete_layer() + 1))
     over = sum(node.weight > (1 if node.layer == 0 else 1.0 / 2**node.layer) for node in tree.nodes)
-    tree, mus = realize_tree(tree, cp, budget=int(params.get("budget", 64)))
+    tree, mus = realize_tree(tree, cp, budget=budget)
     mass_dev = np.max([abs(m.total_mass - 1.0) for m in mus])
     outside = sum(
         any(x < lo - 1e-12 or x + kid.side > lo + parent.side + 1e-12 for x, lo in zip(kid.corner, parent.corner))
@@ -388,19 +383,15 @@ def run_construct(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("CONSTRUCT", checks, tables)
 
 
-def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
-    ms = params.get("M", (16, 64, 256))
-    rs = params.get("r", (0.125, 0.03125))
-    trials = int(params.get("trials", 40))
-
+def run_np_sweep(seed: int, *, M=(16, 64, 256), r=(0.125, 0.03125), trials=40) -> ExperimentResult:
     rows, z_max = [], 0.0
-    for i, (m, r) in enumerate(itertools.product(ms, rs)):
-        extent = 4.0 / r
+    for i, (m, radius) in enumerate(itertools.product(M, r)):
+        extent = 4.0 / radius
         grid = FreqGrid(1, extent, int(16 * extent))
-        (e2, se2), (e4, se4) = np_moment_estimate(m, r, (2.0, 4.0), grid, trials, _rng(seed, "np", i))
-        oracle = np_variance_oracle(m, r, grid)
+        (e2, se2), (e4, se4) = np_moment_estimate(m, radius, (2.0, 4.0), grid, trials, _rng(seed, "np", i))
+        oracle = np_variance_oracle(m, radius, grid)
         z_max = np.maximum(z_max, abs(e2 - oracle) / se2)  # NaN propagates
-        rows.append((m, r, e2, se2, oracle, e4, se4, m**-2.0 * r**-1.0))
+        rows.append((m, radius, e2, se2, oracle, e4, se4, m**-2.0 * radius**-1.0))
     xs = np.log([row[7] for row in rows])
     ys = np.log([row[5] for row in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
@@ -417,19 +408,18 @@ def run_np_sweep(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("NP_SWEEP", checks, tables)
 
 
-def run_ooo_sweep(params: dict, seed: int) -> ExperimentResult:
+def run_ooo_sweep(seed: int, *, p=(3.0, 4.0, 6.0)) -> ExperimentResult:
     del seed
-    ps = params.get("p", (3.0, 4.0, 6.0))
     ks = range(3, 11)
     checks, rows = [], []
-    for p in ps:
-        pp = p / (p - 1.0)
+    for exponent in p:
+        pp = exponent / (exponent - 1.0)
         rs = [2.0**-k for k in ks]
-        vals = [ooo_deviation(r, p) for r in rs]
+        vals = [ooo_deviation(r, exponent) for r in rs]
         slope = float(np.polyfit(np.log(rs), np.log(vals), 1)[0])
-        checks.append(CheckResult(f"ooo_slope_p={p}", abs(slope - 1.0 / pp), 0.05))
+        checks.append(CheckResult(f"ooo_slope_p={exponent}", abs(slope - 1.0 / pp), 0.05))
         for r, v in zip(rs, vals):
-            rows.append((p, r, v, v / r ** (1.0 / pp)))
+            rows.append((exponent, r, v, v / r ** (1.0 / pp)))
     ref = recorded.OOO_REFERENCE
     val = ooo_deviation(ref["r"], ref["p"])
     checks.append(CheckResult("ooo_reference_value", abs(val - ref["value"]), 1e-9))
@@ -437,8 +427,7 @@ def run_ooo_sweep(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("OOO_SWEEP", checks, tables)
 
 
-def run_dd_corpus(params: dict, seed: int) -> ExperimentResult:
-    n_families = int(params.get("n_families", 50))
+def run_dd_corpus(seed: int, *, n_families=50) -> ExperimentResult:
     rec = recorded.DD_CORPUS_MAX
     rows, max_l2, max_sob = [], 0.0, 0.0
     for i, fam in enumerate(dd_corpus(seed, n_families)):
@@ -465,15 +454,16 @@ def run_dd_corpus(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("DD_CORPUS", checks, tables)
 
 
-def run_spectrum_norm(params: dict, seed: int) -> ExperimentResult:
-    cp = preset(params.get("preset", "norm-growth"), seed=seed)
+def run_spectrum_norm(
+    seed: int, *, preset="norm-growth", budget=64, extent=None, samples=2**17
+) -> ExperimentResult:
+    cp = presets.preset(preset, seed=seed)
     tree = build_tree(cp)
-    tree, mus = realize_tree(tree, cp, budget=int(params.get("budget", 64)))
+    tree, mus = realize_tree(tree, cp, budget=budget)
     rec = recorded.NORM_GROWTH
     e = LorentzExponents(cp.p, cp.q)
-    min_side = min(side for _, side, _ in mus[-1].atoms)
-    extent = float(params.get("extent", 4.0 / min_side))
-    samples = int(params.get("samples", 2**17))
+    if extent is None:
+        extent = 4.0 / min(side for _, side, _ in mus[-1].atoms)
     grid = FreqGrid(1, extent, samples)
     fine = FreqGrid(1, 2.0 * extent, 2 * samples)
     norms = [lorentz_spectrum_norm(cube_measure_transform(m, grid), e) for m in mus]
@@ -495,19 +485,17 @@ def run_spectrum_norm(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("SPECTRUM_NORM", checks, tables)
 
 
-def run_resl_series(params: dict, seed: int) -> ExperimentResult:
+def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max=200) -> ExperimentResult:
     del seed
-    qs = params.get("q", (1.5, 2.0, 3.0))
-    n_max = int(params.get("n_max", 200))
     rows, unwitnessed = [], 0
-    for q in qs:
-        if not 1 < q < math.inf:
-            raise ValueError(f"every q must lie in (1, inf), got {q!r}")
-        qp = q / (q - 1.0)
+    for qv in q:
+        if not 1 < qv < math.inf:
+            raise ValueError(f"every q must lie in (1, inf), got {qv!r}")
+        qp = qv / (qv - 1.0)
         betas = np.round(np.arange(qp / 2.0 - 0.25, qp / 2.0 + 0.55, 0.05), 10)
         for beta in betas[betas > 0]:
-            sums, verdict, upper = resl_series(4.0, q, 1, float(beta), n_max)
-            rows.append((q, float(beta), qp / 2.0, verdict.value, float(sums[-1]), upper))
+            sums, verdict, upper = resl_series(4.0, qv, 1, float(beta), n_max)
+            rows.append((qv, float(beta), qp / 2.0, verdict.value, float(sums[-1]), upper))
             # every term >= 1 witnesses divergence; a finite bound, convergence
             if verdict is SeriesVerdict.DIVERGENT:
                 unwitnessed += not (sums[0] >= 1 and np.all(np.diff(sums) >= 1))
@@ -518,9 +506,8 @@ def run_resl_series(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("RESL_SERIES", checks, tables)
 
 
-def run_hlp(params: dict, seed: int) -> ExperimentResult:
+def run_hlp(seed: int, *, n_clouds=20) -> ExperimentResult:
     rng = _rng(seed, "hlp")
-    n_clouds = int(params.get("n_clouds", 20))
     sub, sep, jump, gauge = [], [], [], []  # the records of each item
     for _ in range(n_clouds):
         a = random_cloud(rng, int(rng.integers(1, 7)))
@@ -551,16 +538,10 @@ def run_hlp(params: dict, seed: int) -> ExperimentResult:
     return ExperimentResult("HLP", checks)
 
 
-def run_frostman(params: dict, seed: int) -> ExperimentResult:
+def run_frostman(seed: int, *, alpha=0.5, q=1.0, gamma=1.0, preset_seed=7) -> ExperimentResult:
     rec = recorded.FROSTMAN
-    mu = frostman_measure(seed=int(params.get("preset_seed", 7)))
-    res = frostman_ratio(
-        mu,
-        float(params.get("alpha", 0.5)),
-        float(params.get("q", 1.0)),
-        float(params.get("gamma", 1.0)),
-        rng=_rng(seed, "frostman"),
-    )
+    mu = frostman_measure(seed=preset_seed)
+    res = frostman_ratio(mu, alpha, q, gamma, rng=_rng(seed, "frostman"))
     checks = [CheckResult("frostman_transfer", res.conclusion_constant, rec["K"] * res.hypothesis_constant)]
     rows = [
         (res.hypothesis_constant, res.conclusion_constant, rec["K"], res.families_tried, res.sets_tried)
@@ -579,7 +560,7 @@ def _log_gauge(eps: float):
     return lambda t: t**2 * math.log(1.0 / t) ** (-eps) if 0 < t < 1 else (0.0 if t <= 0 else t**2)
 
 
-def run_phi_general(params: dict, seed: int) -> ExperimentResult:
+def run_phi_general(seed: int) -> ExperimentResult:
     """Exploratory gauge generalization: the power gauge supplied explicitly
     must reproduce the power path, and slower-vanishing gauges give larger
     covering sums on the same covering.
@@ -590,7 +571,6 @@ def run_phi_general(params: dict, seed: int) -> ExperimentResult:
     that adds 2^-2 (block sum 0.5) is tabulated as a second row, unchecked:
     there the sums fall as eps falls.
     """
-    del params
     rng = _rng(seed, "phi")
     rows, deviation = [], 0.0
     for _ in range(10):
@@ -647,11 +627,8 @@ def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarr
     of ``_KEY_CHUNK`` rows by an exact int64 code with one digit per
     position of ``order`` naming its (generation, count) pair.
     """
-    if not delta > 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    n_gen, n_points, g_min = depth + 1, len(cloud.points), max(0, math.ceil(math.log2(1.0 / delta)))
-    if depth < g_min:
-        raise ValueError(f"depth {depth} below the coarsest generation {g_min}")
+    g_min = _coarsest_generation(delta, depth)
+    n_gen, n_points = depth + 1, len(cloud.points)
     radix = n_gen * n_points + 1
     if radix**n_gen >= 2**63:
         raise ValueError(f"covering codes of {n_points} points at depth {depth} overflow int64")
@@ -741,7 +718,9 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
     return ExperimentResult("CAPACITY_DP", [CheckResult("capacity_dp_exact", worst, 0)])
 
 
-EXPERIMENTS: Dict[str, Callable[[dict, int], ExperimentResult]] = {
+# Each runner takes the seed and then its parameters, keyword-only with
+# their defaults: the signature is the parameters' one schema.
+EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "LORNOR": run_lornor,
     "HLP": run_hlp,
     "H_ZERO": run_h_zero,
@@ -757,38 +736,38 @@ EXPERIMENTS: Dict[str, Callable[[dict, int], ExperimentResult]] = {
 }
 
 
-# The parameter keys each runner reads, each with the shape of value it
-# takes; any other key, and a list for a number or name or the reverse, is
-# rejected.
-ALLOWED_PARAMS: Dict[str, Dict[str, str]] = {
-    "LORNOR": {"n_seq": "number", "alphas": "list", "qs": "list"},
-    "HLP": {"n_clouds": "number"},
-    "H_ZERO": {"layers": "number"},
-    "NP_SWEEP": {"M": "list", "r": "list", "trials": "number"},
-    "OOO_SWEEP": {"p": "list"},
-    "DD_CORPUS": {"n_families": "number"},
-    "CONSTRUCT": {"preset": "name", "depth": "number", "budget": "number"},
-    "SPECTRUM_NORM": {"preset": "name", "budget": "number", "extent": "number", "samples": "number"},
-    "RESL_SERIES": {"q": "list", "n_max": "number"},
-    "FROSTMAN": {"alpha": "number", "q": "number", "gamma": "number", "preset_seed": "number"},
-    "TR_PPLUS": {"n_instances": "number"},
-    "PHI_GENERAL": {},
-}
+def _kind(default) -> Tuple[str, tuple]:
+    """The kind of value a parameter takes, and its accepted types, read
+    from the type of its default: a tuple takes a list, a str a name, an int
+    a whole number, and a float or None (a default derived at run time) a
+    number.  A bool is never a number."""
+    if isinstance(default, tuple):
+        return "list", (list, tuple)
+    if isinstance(default, str):
+        return "name", (str,)
+    if isinstance(default, int):
+        return "whole number", (int,)
+    return "number", (int, float)
 
 
 def check_params(experiment: str, params: dict) -> None:
     """Raise ValueError for an unknown experiment or parameter key, or for a
-    value of the wrong shape."""
+    value of the wrong kind."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
-    allowed = ALLOWED_PARAMS[experiment]
+    allowed = {
+        name: p.default
+        for name, p in inspect.signature(EXPERIMENTS[experiment]).parameters.items()
+        if p.kind is p.KEYWORD_ONLY
+    }
     for key, value in params.items():
         if key not in allowed:
             raise ValueError(f"unknown parameter {key!r} for {experiment}; allowed: {tuple(allowed)}")
-        if isinstance(value, (list, tuple)) != (allowed[key] == "list"):
-            raise ValueError(f"{experiment}: parameter {key!r} takes a {allowed[key]}, got {value!r}")
+        kind, types = _kind(allowed[key])
+        if not isinstance(value, types) or isinstance(value, bool):
+            raise ValueError(f"{experiment}: parameter {key!r} takes a {kind}, got {value!r}")
 
 
 def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:
     check_params(experiment, params)
-    return EXPERIMENTS[experiment](dict(params), seed)
+    return EXPERIMENTS[experiment](seed, **params)

@@ -334,16 +334,6 @@ class TestCoveringOracle:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
 
-    def test_rejects_depth_below_the_coarsest_generation(self):
-        with pytest.raises(ValueError, match="below the coarsest generation 1"):
-            covering_keys(PointCloud(((0.3,),), 1), 0.5, 0)
-
-    @pytest.mark.parametrize("points", [((0.3,),), ()])
-    def test_enumeration_rejects_depth_below_the_coarsest_generation(self, points):
-        # expand stops only at g == depth, so from g_min > depth it never would
-        with pytest.raises(ValueError, match="below the coarsest generation 1"):
-            list(enumerate_antichain_coverings(PointCloud(points, 1), 0.5, 0))
-
     @pytest.mark.parametrize(
         "solve",
         [

@@ -116,6 +116,20 @@ class TestRunCommand:
             )
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("negative.cfg", "[run]\nexperiment = H_ZERO\nseed = -1\n"),
+            ("negative.json", '{"experiment": "H_ZERO", "seed": -1}'),
+        ],
+    )
+    def test_negative_seed_exits_2(self, runner, tmp_path, name, text):
+        cfg = tmp_path / name
+        cfg.write_text(text)
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 2
+        assert result.output == "config error: seed must be non-negative, got -1\n"
+
     def test_bad_config_exits_2(self, runner, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("[run]\nexperiment = NOPE\n")
@@ -140,7 +154,7 @@ class TestRunCommand:
     @pytest.mark.parametrize(
         "experiment, params, message",
         [
-            ("RESL_SERIES", "n_max = abc", "invalid literal for int()"),
+            ("RESL_SERIES", "n_max = abc", "parameter 'n_max' takes a whole number, got 'abc'"),
             ("RESL_SERIES", "q = 1,", "every q must lie in (1, inf), got 1"),
             ("FROSTMAN", "q = inf", "q must be finite"),
             ("LORNOR", "alphas = 1.0", "parameter 'alphas' takes a list, got 1.0"),
@@ -148,11 +162,22 @@ class TestRunCommand:
             ("FROSTMAN", "q = 1, 2", "parameter 'q' takes a number, got (1, 2)"),
             ("LORNOR", "n_seq = 50\nalphas = 0.3,", "no recorded band at alpha = 0.3, q = 0.5; the bands cover"),
             ("LORNOR", "n_seq = 50\nqs = 3.0,", "no recorded band at alpha = 0.25, q = 3.0; the bands cover"),
+            # JSON values that no key = value line can spell
+            ("LORNOR", {"n_seq": None}, "parameter 'n_seq' takes a whole number, got None"),
+            ("H_ZERO", {"layers": True}, "parameter 'layers' takes a whole number, got True"),
+            ("H_ZERO", {"layers": 1.5}, "parameter 'layers' takes a whole number, got 1.5"),
+            ("H_ZERO", {"layers": {"n": 2}}, "parameter 'layers' takes a whole number, got {'n': 2}"),
+            ("FROSTMAN", {"alpha": False}, "parameter 'alpha' takes a number, got False"),
+            ("SPECTRUM_NORM", {"extent": None}, "parameter 'extent' takes a number, got None"),
+            ("CONSTRUCT", {"preset": ["norm-growth"]}, "parameter 'preset' takes a name, got ['norm-growth']"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, runner, tmp_path, experiment, params, message):
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"[run]\nexperiment = {experiment}\n[params]\n{params}\n")
+        if isinstance(params, dict):
+            cfg.write_text(json.dumps({"experiment": experiment, "params": params}))
+        else:
+            cfg.write_text(f"[run]\nexperiment = {experiment}\n[params]\n{params}\n")
         result = runner.invoke(main, ["run", str(cfg)])
         assert result.exit_code == 2
         assert result.output.startswith(f"config error: {experiment}: ")
@@ -221,6 +246,13 @@ class TestConstructCommand:
             assert result.exit_code == 0
             texts.append(out.read_text())
         assert texts[0] == texts[1]
+
+    def test_negative_seed_exits_2(self, runner, tmp_path):
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["construct", "--preset", "norm-growth", "--seed", "-1", "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "-1 is not in the range x>=0" in result.output
+        assert not out.exists()
 
     def test_unknown_preset(self, runner, tmp_path):
         result = runner.invoke(
@@ -312,6 +344,15 @@ class TestVerifyCommand:
         res = run_criterion(1)
         assert res.passed, res.detail
         assert res.name == "layer_sum_law"
+
+    def test_negative_seed_exits_2(self, runner, monkeypatch):
+        def verify_all(seed):
+            raise AssertionError("ran the suite at a negative seed")
+
+        monkeypatch.setattr(cli_mod, "verify_all", verify_all)
+        result = runner.invoke(main, ["verify", "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert "-1 is not in the range x>=0" in result.output
 
     def test_summary_json_shape(self):
         from fflab.acceptance import CriterionResult, summary_json

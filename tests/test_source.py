@@ -5,7 +5,6 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
-import textwrap
 from pathlib import Path
 
 import fflab
@@ -59,37 +58,15 @@ def test_benchmark_traced_names_resolve():
     assert missing == []
 
 
-def test_runners_read_exactly_their_schema_keys():
-    # run_experiment rejects keys outside ALLOWED_PARAMS, so a key a runner
-    # reads but the schema lacks could never be set, and a schema key the
-    # runner ignores would be accepted and silently do nothing
-    read, other_uses = {}, []
+def test_runners_take_the_seed_then_keyword_parameters():
+    # check_params reads each key's kind from its default, so a default of
+    # any other type would be schema-checked as a number
     for name, runner in experiments.EXPERIMENTS.items():
-        func = ast.parse(textwrap.dedent(inspect.getsource(runner))).body[0]
-        arg = func.args.args[0].arg
-        keys, reads = set(), set()
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == arg
-            ):
-                keys.add(node.args[0].value)
-                reads.add(id(node.func.value))
-            elif isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) and node.value.id == arg:
-                keys.add(node.slice.value)
-                reads.add(id(node.value))
-        other_uses += [
-            f"{name}:{node.lineno}"
-            for node in ast.walk(func)
-            if isinstance(node, ast.Name) and node.id == arg and isinstance(node.ctx, ast.Load)
-            and id(node) not in reads
-        ]
-        read[name] = keys
-    assert read == {name: set(keys) for name, keys in experiments.ALLOWED_PARAMS.items()}
-    assert other_uses == []
+        seed, *params = inspect.signature(runner).parameters.values()
+        assert seed.name == "seed" and seed.kind is seed.POSITIONAL_OR_KEYWORD, name
+        for p in params:
+            assert p.kind is p.KEYWORD_ONLY, (name, p.name)
+            assert p.default is None or type(p.default) in (tuple, str, int, float), (name, p.name)
 
 
 def test_every_check_is_a_value_against_a_bound():
