@@ -47,7 +47,7 @@ CRITERIA: List[tuple] = [
     (2, "weight_conservation", _from_experiment("CONSTRUCT"), 0.0),
     (3, "np_moment_scaling", _from_experiment("NP_SWEEP"), 10.0),
     (4, "ooo_scaling", _from_experiment("OOO_SWEEP"), 5.0),
-    (5, "lornor_bands", _from_experiment("LORNOR"), 10.0),
+    (5, "lornor_bands", _from_experiment("LORNOR"), 5.0),
     (6, "quasi_triangle_and_pplus", _from_experiment("TR_PPLUS"), 2.0),
     (7, "bump_norm_regression", _from_experiment("DD_CORPUS"), 5.0),
     (8, "series_threshold", _from_experiment("RESL_SERIES"), 1.0),

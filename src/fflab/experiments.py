@@ -16,7 +16,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,6 +40,7 @@ from .cantor import build_tree, layer_covering, realize_tree
 from .checks import CheckResult
 from .lorentz import (
     LorentzExponents,
+    _Work,
     _lornor_ratios,
     _pad_rows,
     _pplus_rows,
@@ -110,37 +111,47 @@ LORNOR_QS = (0.5, 1.0, 2.0, math.inf)
 
 
 # Sequences or instances drawn together: every corpus draws its values a
-# block at a time, a few array calls per block.  A LORNOR chunk of 512
-# peaks at 1.6 MiB under tracemalloc (1024 would peak at 2.8 MiB for
-# padding 11 % instead of 20 %).  TR_PPLUS peaks at 1.9 MiB on blocks of
+# block at a time, a few array calls per block.  A LORNOR cell with its
+# work set peaks at 2.7 MiB under tracemalloc (3.5 MiB in chunks of 1024,
+# for padding 11 % instead of 20 %).  TR_PPLUS peaks at 1.9 MiB on blocks of
 # 512, and makes a quasi-triangle kernel call for about 57 rows.
 _CORPUS_BLOCK = 512
 # Rows per LORNOR kernel call.  Wider blocks of up to 199 columns fall out
-# of cache: 512 rows made c5 slower, not faster.
+# of cache, work set or not: c5 took 1.2 s at 512 rows, 0.8 s at 64 to 256.
 _LORNOR_ROWS = 128
+_LORNOR_MAX_LEN = 199
 
 
-def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int):
+def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[_Work] = None):
     """The seeded sequences, yielded as blocks of up to _LORNOR_ROWS rows
     padded with 0.  The sequences are drawn in chunks of _CORPUS_BLOCK, one
     uniform draw per chunk (the same values as one draw per sequence); each
     chunk is put in stable length order and cut into blocks, so a block is
     padded only to its own longest row.  Lengths are uniform on 3..199, so
-    sorting cuts the padding from about 48 % of the cells to about 20 %."""
+    sorting cuts the padding from about 48 % of the cells to about 20 %.  A
+    block is one gather from the draw, its padding read from a 0 just past
+    it; both are views of ``work``, valid only until the next block."""
+    work = work or _Work(_LORNOR_ROWS * _LORNOR_MAX_LEN)
     rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
-    lengths = rng.integers(3, 200, n_seq)
+    lengths = rng.integers(3, _LORNOR_MAX_LEN + 1, n_seq)
     for start in range(0, n_seq, _CORPUS_BLOCK):
         chunk = lengths[start : start + _CORPUS_BLOCK]
-        draw = np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), int(chunk.sum())))
+        n = int(chunk.sum())
+        draw = work.get("draw", (_CORPUS_BLOCK * _LORNOR_MAX_LEN + 1,))[: n + 1]
+        rng.random(out=draw[:n])  # then as rng.uniform(log 2^-12, log 0.5), bit for bit
+        draw[:n] *= math.log(0.5) - math.log(2.0**-12)
+        draw[:n] += math.log(2.0**-12)
+        np.exp(draw[:n], out=draw[:n])
+        draw[n] = 0.0
         order = np.argsort(chunk, kind="stable")
         by_length = chunk[order]
-        firsts = np.cumsum(by_length) - by_length
-        # sequence order[k] moves from its offset in the draw to firsts[k]
-        shift = (np.cumsum(chunk) - chunk)[order] - firsts
-        draw = draw[np.repeat(shift, by_length) + np.arange(draw.size)]
+        offsets = (np.cumsum(chunk) - chunk)[order]  # each row's first value in the draw
         for row in range(0, len(chunk), _LORNOR_ROWS):
             block = by_length[row : row + _LORNOR_ROWS]
-            yield _pad_rows(draw[firsts[row] : firsts[row] + block.sum()], block)
+            index = work.get("bins", (len(block), block[-1]), np.int64)  # free until _block_norms
+            np.add(offsets[row : row + len(block), None], np.arange(block[-1]), out=index)
+            index[np.arange(block[-1]) >= block[:, None]] = n
+            yield np.take(draw, index, out=work.get("rows", index.shape), mode="clip")  # "raise" buffers out
 
 
 def _past(masses: np.ndarray) -> np.ndarray:
@@ -291,6 +302,7 @@ def frostman_measure(seed: int) -> GridMeasure:
 def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
+    work = _Work(_LORNOR_ROWS * _LORNOR_MAX_LEN)  # one set for the whole run
     for alpha in alphas:
         for q in qs:
             q_key = repr(float(q))
@@ -299,7 +311,7 @@ def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -
                 raise ValueError(f"no recorded band at alpha = {alpha}, q = {q}; "
                                  f"the bands cover alphas {LORNOR_ALPHAS} and qs {LORNOR_QS}")
             ratios = np.concatenate(
-                [_lornor_ratios(block, alpha, q) for block in lornor_corpus(alpha, q, seed, n_seq)]
+                [_lornor_ratios(block, alpha, q, work) for block in lornor_corpus(alpha, q, seed, n_seq, work)]
             )
             lo, hi = float(ratios.min()), float(ratios.max())
             checks.append(CheckResult(f"lornor_band_alpha={alpha}_q={q_key}", max(hi, 1.0 / lo), band))
@@ -738,9 +750,9 @@ EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
 
 def _kind(default) -> Tuple[str, tuple]:
     """The kind of value a parameter takes, and its accepted types, read
-    from the type of its default: a tuple takes a list, a str a name, an int
-    a whole number, and a float or None (a default derived at run time) a
-    number.  A bool is never a number."""
+    from the type of its default: a tuple takes a list (of its first item's
+    kind), a str a name, an int a whole number, and a float or None (a
+    default derived at run time) a number.  A bool is never a number."""
     if isinstance(default, tuple):
         return "list", (list, tuple)
     if isinstance(default, str):
@@ -766,6 +778,10 @@ def check_params(experiment: str, params: dict) -> None:
         kind, types = _kind(allowed[key])
         if not isinstance(value, types) or isinstance(value, bool):
             raise ValueError(f"{experiment}: parameter {key!r} takes a {kind}, got {value!r}")
+        if kind == "list" and allowed[key]:
+            kind, types = _kind(allowed[key][0])
+            if any(not isinstance(item, types) or isinstance(item, bool) for item in value):
+                raise ValueError(f"{experiment}: parameter {key!r} takes a list of {kind}s, got {value!r}")
 
 
 def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:

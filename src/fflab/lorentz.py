@@ -7,7 +7,8 @@ dyadic-block sequence norm (``_block_norms``), the positional sum of two
 samples (``_overlay_rows``), and the quasi-triangle and asymptotic-addition
 checks (``_quasi_triangle_rows``, ``_pplus_rows``).  Ragged rows are padded
 with the plateau (0, 0), which changes neither a norm nor a sum.  The
-per-sample functions call the kernels with a batch of one.
+per-sample functions call the kernels with a batch of one.  The LORNOR
+kernels write their block-sized temporaries into a reusable ``_Work`` set.
 """
 
 from __future__ import annotations
@@ -110,20 +111,34 @@ def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
         raise ValueError("plateau masses must be positive")
 
 
+class _Work:
+    """Named flat scratch arrays of at least ``cells`` cells: ``get`` gives a C-contiguous
+    view of the first cells of one, replaced only when a shape needs more."""
+
+    def __init__(self, cells: int = 0):
+        self.cells, self.arrays = cells, {}
+
+    def get(self, name: str, shape, dtype=float) -> np.ndarray:
+        size = math.prod(shape)
+        if name not in self.arrays or self.arrays[name].size < size:
+            self.arrays[name] = np.empty(max(size, self.cells), dtype)
+        return self.arrays[name][:size].reshape(shape)
+
+
 def _row_sums(terms: np.ndarray) -> np.ndarray:
     """Each row summed left to right, one term at a time, whatever the batch
     width.  np.sum along a row adds pairwise in blocks set by the row width,
     so a padded row would round differently from the same row alone.  numpy
     adds pairwise only along the fast axis in memory, so the column sums of
-    the transposed copy are sequential, and vectorised across the rows; a
-    single row, whose transpose would have a fast axis of length 1, goes
-    through np.cumsum, which is sequential by definition."""
+    the column-major terms (row-major ones are copied) are sequential, and
+    vectorised across the rows; a single row, whose column-major form has a
+    fast axis of length 1, goes through np.cumsum, sequential by definition."""
     if len(terms) == 1:
         return np.cumsum(terms, axis=1)[:, -1]
     return np.ascontiguousarray(terms.T).sum(axis=0)
 
 
-def _lorentz_norms(values: np.ndarray, masses, p: float, q: float) -> np.ndarray:
+def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
     (rows, n) arrays holds the plateau values >= 0 and masses of one;
     ``masses`` None means unit masses (finite sequences).
@@ -134,27 +149,33 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q: float) -> np.ndarray
     q = inf.  Ties need no merging (all members but the last add zero
     terms, and the last has the largest w), nor do zero values.  The masses
     are summed per row, so a row of huge masses costs the others no precision;
-    unit masses sum to w_i = i exactly, so that row is shared.  The terms
-    are summed left to right (``_row_sums``), so padding adds an exact +0.0
-    and a row's norm does not depend on the rows beside it.
+    unit masses sum to w_i = i exactly, so that row is shared, and the values
+    are sorted ascending in ``work`` and read in reverse.  The terms, written
+    column-major, are summed left to right (``_row_sums``), so padding adds
+    an exact +0.0 and a row's norm does not depend on the rows beside it.
     """
     n = values.shape[1]
     if n == 0:
         return np.zeros(values.shape[0])
+    work = work or _Work()
     if masses is None:
-        v = -np.sort(-values, axis=1)
-        w = np.arange(1.0, n + 1.0)
+        v = work.get("powers", values.shape)
+        np.copyto(v, values)
+        v.sort(axis=1)
+        w, desc = np.arange(1.0, n + 1.0), v[:, ::-1]
     else:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
-        v = values[sort]
+        v = desc = values[sort]
         w = np.cumsum(masses[sort], axis=1)
+    terms = work.get("terms", (n, len(v)))  # row j holds term j of every plateau row
     if q == math.inf:
-        return np.max(w ** (1.0 / p) * v, axis=1)
-    vq = v**q
-    gaps = vq.copy()  # v_i^q - v_{i+1}^q
-    gaps[:, :-1] -= vq[:, 1:]
-    gaps *= w ** (q / p)
-    return _row_sums(gaps) ** (1.0 / q)
+        np.multiply(desc.T, np.atleast_2d(w ** (1.0 / p)).T, out=terms)
+        return terms.max(axis=0)
+    v **= q  # desc now holds v_i^q; the terms are v_i^q - v_{i+1}^q
+    np.subtract(desc[:, :-1].T, desc[:, 1:].T, out=terms[:-1])
+    terms[-1] = desc[:, -1]
+    terms *= np.atleast_2d(w ** (q / p)).T
+    return _row_sums(terms.T) ** (1.0 / q)
 
 
 def _sample_norms(samples: Sequence[WeightedSample], e: LorentzExponents) -> np.ndarray:
@@ -198,26 +219,28 @@ def dyadic_block_index(v: float) -> int:
     return -exp
 
 
-def _block_norms(values: np.ndarray, alpha: float, q: float) -> np.ndarray:
+def _block_norms(values: np.ndarray, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Block-aggregated norms of nonnegative sequences, one per row: the
     alpha-th powers are summed per dyadic range [2^{-k-1}, 2^{-k}) with one
     bincount on row * nb + k, and the block sums aggregated in l_q (max for
-    q = inf), all raised to 1/(q*alpha) (1/alpha).  Padding 0s and
-    empty blocks add 0: rows are summed left to right (``_row_sums``)."""
+    q = inf), all raised to 1/(q*alpha) (1/alpha).  k is the frexp exponent
+    of every cell, and the bins span the block's exponents and 0, a padding
+    0's: padding and empty blocks add an exact +0.0 to rows summed left to
+    right (``_row_sums``)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    n_rows = values.shape[0]
-    pos = values > 0
-    if not pos.any():
-        return np.zeros(n_rows)
-    _, exps = np.frexp(values)
-    k = -exps
-    k_min = k[pos].min()
-    nb = k[pos].max() - k_min + 1
-    bins = np.arange(n_rows)[:, None] * nb + np.where(pos, k - k_min, 0)
-    sums = np.bincount(
-        bins.ravel(), weights=(values**alpha).ravel(), minlength=n_rows * nb
-    ).reshape(n_rows, nb)
+    work = work or _Work()
+    powers = work.get("powers", values.shape)
+    exps = work.get("exps", values.shape, np.int32)
+    np.frexp(values, out=(powers, exps))  # the mantissas are not used
+    lo, hi = exps.min(initial=0), exps.max(initial=0)
+    nb = int(hi - lo) + 1
+    bins = work.get("bins", values.shape, np.int64)
+    np.subtract(hi, exps, out=bins)  # k - k_min
+    bins += np.arange(0, len(values) * nb, nb)[:, None]
+    np.copyto(powers, values)
+    powers **= alpha  # the operator keeps numpy's scalar-power fast paths (sqrt, square)
+    sums = np.bincount(bins.ravel(), powers.ravel(), len(values) * nb).reshape(len(values), nb)
     if q == math.inf:
         return np.max(sums, axis=1) ** (1.0 / alpha)
     sums **= q
@@ -236,9 +259,9 @@ def dyadic_block_norm(a: Sequence[float], alpha: float, q: float) -> float:
     return float(_block_norms(_block_row(a), alpha, q)[0])
 
 
-def _lornor_ratios(rows: np.ndarray, alpha: float, q: float) -> np.ndarray:
+def _lornor_ratios(rows: np.ndarray, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
-    return _block_norms(rows, alpha, q) / _lorentz_norms(rows, None, alpha, alpha * q)
+    return _block_norms(rows, alpha, q, work) / _lorentz_norms(rows, None, alpha, alpha * q, work)
 
 
 def check_lornor_equivalence(a: Sequence[float], alpha: float, q: float) -> float:

@@ -170,6 +170,10 @@ class TestRunCommand:
             ("FROSTMAN", {"alpha": False}, "parameter 'alpha' takes a number, got False"),
             ("SPECTRUM_NORM", {"extent": None}, "parameter 'extent' takes a number, got None"),
             ("CONSTRUCT", {"preset": ["norm-growth"]}, "parameter 'preset' takes a name, got ['norm-growth']"),
+            ("NP_SWEEP", {"M": ["a"]}, "parameter 'M' takes a list of whole numbers, got ['a']"),
+            ("NP_SWEEP", {"M": [16, 2.5]}, "parameter 'M' takes a list of whole numbers, got [16, 2.5]"),
+            ("LORNOR", {"qs": [1.0, None]}, "parameter 'qs' takes a list of numbers, got [1.0, None]"),
+            ("LORNOR", {"alphas": [True]}, "parameter 'alphas' takes a list of numbers, got [True]"),
         ],
     )
     def test_bad_parameter_value_exits_2(self, runner, tmp_path, experiment, params, message):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fflab import recorded
+from fflab import experiments, recorded
 from fflab.experiments import (
     TR_EXPONENTS,
     _by_key,
@@ -230,9 +230,26 @@ class TestRowKernels:
         rng = np.random.default_rng(12)
         lengths = [1, 50, 3, 199, 12]
         seqs = [np.exp(rng.uniform(math.log(2.0**-30), math.log(8.0), n)) for n in lengths]
+        seqs += [
+            np.array([5e-324, 3 * 2.0**-1074, 1e-310, 2.0**-1022, 0.3]),  # subnormals
+            np.array([2.0**-1, 1.0, 2.0**-12, 2.0**-13, 0.75, 2.0**-12]),  # block edges
+            np.array([3.0, 1e3, 2.0**40, 1.0]),  # above 1
+            np.array([2.0**-12]),
+            np.array([1e-320]),
+        ]
+        lengths = [len(a) for a in seqs]
+        # the bins span the exponents of the batch, 0 (the padding's) among them
         batch = _block_norms(_pad_rows(np.concatenate(seqs), lengths), 0.5, q)
         single = [dyadic_block_norm(a, 0.5, q) for a in seqs]
         assert batch.tolist() == single
+        for a, got in zip(seqs, single):
+            blocks = {}
+            for v in a.tolist():
+                k = dyadic_block_index(v)
+                blocks[k] = blocks.get(k, 0.0) + v**0.5
+            sums = [blocks[k] for k in sorted(blocks)]
+            want = max(sums) ** 2 if q == math.inf else sum(s**q for s in sums) ** (2 / q)
+            assert got == pytest.approx(want, rel=1e-13)
 
     @pytest.mark.parametrize("shape", [(1, 300), (2, 9), (3, 1), (128, 199)])
     def test_row_sums_add_left_to_right(self, shape):
@@ -264,7 +281,8 @@ class TestRowKernels:
                 yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
 
         for alpha, q in ((0.5, 2.0), (4.0, math.inf)):
-            blocks = list(lornor_corpus(alpha, q, 0, 1100))
+            # each block is a view of the corpus's work set: copy it before the next
+            blocks = list(b.copy() for b in lornor_corpus(alpha, q, 0, 1100))
             # chunks of 512, 512 and 76 sequences, cut into blocks of 128 rows
             assert [len(b) for b in blocks] == [128] * 8 + [76]
             old = list(per_sequence(alpha, q, 0, 1100))
@@ -284,7 +302,7 @@ class TestRowKernels:
     def test_corpus_padding_share(self):
         # one length-sorted chunk pads about 20 % of the cells; blocks in
         # draw order padded 48 %
-        blocks = list(lornor_corpus(1.0, 2.0, 0, 10_000))
+        blocks = list(b.copy() for b in lornor_corpus(1.0, 2.0, 0, 10_000))
         assert sum(len(b) for b in blocks) == 10_000
         cells = sum(b.size for b in blocks)
         padding = cells - sum(np.count_nonzero(b) for b in blocks)
@@ -310,9 +328,32 @@ class TestRowKernels:
                 want = _lorentz_norms(rows, np.ones_like(rows), 0.5, q)
                 assert np.array_equal(got, want)
 
+    def test_work_set_leaks_nothing_between_blocks(self, monkeypatch):
+        # one work set serves the run; poisoning all of it but the draw after
+        # every block shows any cell that the corpus or a kernel reads without
+        # rewriting, padding included
+        seen = []
+
+        def poisoning(block, alpha, q, work):
+            ratios = _lornor_ratios(block, alpha, q, work)
+            seen.append((block.copy(), alpha, q, ratios))
+            for name, flat in work.arrays.items():
+                if name != "draw":
+                    flat.fill(np.nan if flat.dtype.kind == "f" else -1)
+            return ratios
+
+        monkeypatch.setattr(experiments, "_lornor_ratios", poisoning)
+        run_experiment("LORNOR", {"n_seq": 600, "alphas": (0.25,), "qs": (math.inf, 0.5)}, 0)
+        widths = [block.shape[1] for block, *_ in seen]
+        # chunks of 512 and 88 rows per cell: the second cell starts narrow
+        assert len(seen) == 10 and widths[5] < widths[4] / 3, widths
+        for block, alpha, q, ratios in seen:
+            want = [check_lornor_equivalence(row[row > 0], alpha, q) for row in block]
+            assert ratios.tolist() == want
+
     def test_lornor_memory_is_bounded_by_blocks(self):
         # one 10k-row batch would peak at about 100 MiB; chunks of 512
-        # sequences in blocks of 128 rows peak near 1.6 MiB
+        # sequences in blocks of 128 rows, with the run's work set, near 2.7 MiB
         tracemalloc.start()
         try:
             result = run_experiment("LORNOR", {"alphas": (1.0,), "qs": (2.0,)}, 0)
