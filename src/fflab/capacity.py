@@ -11,6 +11,7 @@ the concave regime q < 1.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -206,14 +207,6 @@ def _prune(rows: np.ndarray) -> np.ndarray:
     return kept[:n_kept]
 
 
-def _merge(acc: Optional[np.ndarray], front: np.ndarray) -> np.ndarray:
-    """Pareto frontier of the Minkowski sum of two frontiers; ``acc`` None
-    is the empty sum, so the first frontier is taken as it is."""
-    if acc is None:
-        return front
-    return _prune((acc[:, None, :] + front[None, :, :]).reshape(-1, acc.shape[1]))
-
-
 def _groups(points, g: int):
     """The points grouped by their box at generation g, in point order."""
     boxes: dict = {}
@@ -222,32 +215,10 @@ def _groups(points, g: int):
     return boxes.values()
 
 
+# Rows of every Minkowski sum one nh_capacity_delta call forms, counted
+# before each sum is allocated.  At seeds 0-9 the worst call of c10-c12
+# forms 16 689 rows (c11, seed 2): the budget leaves about 12x headroom.
 _FRONTIER_BUDGET = 200_000
-
-
-def _frontier(points, g: int, g_min: int, depth: int, counter: list) -> np.ndarray:
-    """Pareto frontier of per-generation count vectors covering ``points``.
-
-    The box containing ``points`` sits at generation g.  Each row has one
-    column per generation g_min..depth.  ``counter[0]`` sums the sizes of
-    the pruned frontiers built so far, against ``_FRONTIER_BUDGET``.
-    """
-    take = np.zeros((1, depth - g_min + 1), dtype=np.int64)
-    take[0, g - g_min] = 1
-    if g == depth:
-        return take
-    acc = None
-    for kid_points in _groups(points, g + 1):
-        acc = _merge(acc, _frontier(kid_points, g + 1, g_min, depth, counter))
-        counter[0] += len(acc)
-        if counter[0] > _FRONTIER_BUDGET:
-            raise ResourceLimitError(
-                f"covering search reached {counter[0]} frontier rows, over the budget "
-                f"of {_FRONTIER_BUDGET}, at depth {depth}; reduce depth"
-            )
-    # every row of acc covers the box with deeper boxes only, so taking
-    # the box itself is incomparable with all of them
-    return np.vstack((acc, take))
 
 
 def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams) -> float:
@@ -288,17 +259,39 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
 
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
     upper-bounds the unrestricted capacity.
+
+    A frontier holds the Pareto-minimal per-generation box counts of the
+    coverings of some points, one column per generation g_min..depth.  A
+    box's frontier is its own row plus the pruned Minkowski sum of its
+    kids' frontiers; the cloud's is that sum over its boxes at g_min.
     """
     g_min = _coarsest_generation(delta, depth)
-    if not cloud.points:
-        return 0.0
     if depth > 16:
         raise ResourceLimitError(f"depth {depth} exceeds the desk-scale limit 16")
-    counter = [0]
-    acc = None
-    for top_points in _groups(cloud.points, g_min):
-        acc = _merge(acc, _frontier(top_points, g_min, g_min, depth, counter))
-    return _frontier_cost(acc, g_min, cloud.d, params)
+    if not cloud.points:
+        return 0.0
+    n_gen, formed = depth - g_min + 1, 0
+
+    def merge(acc: np.ndarray, front: np.ndarray) -> np.ndarray:
+        nonlocal formed
+        formed += len(acc) * len(front)
+        if formed > _FRONTIER_BUDGET:
+            raise ResourceLimitError(
+                f"covering search would form {formed} Minkowski-sum rows, over the budget "
+                f"of {_FRONTIER_BUDGET}, at depth {depth}; reduce depth"
+            )
+        return _prune((acc[:, None, :] + front[None, :, :]).reshape(-1, n_gen))
+
+    def frontier(points, g: int) -> np.ndarray:
+        """Frontier of the boxes of generation g that hold ``points``."""
+        take = np.zeros((1, n_gen), dtype=np.int64)
+        take[0, g - g_min] = 1
+        # every row of a kids' sum covers the box with deeper boxes only,
+        # so taking the box itself is incomparable with all of them
+        fronts = (take if g == depth else np.vstack((frontier(box, g + 1), take)) for box in _groups(points, g))
+        return functools.reduce(merge, fronts)
+
+    return _frontier_cost(frontier(cloud.points, g_min), g_min, cloud.d, params)
 
 
 def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):

@@ -95,19 +95,27 @@ class CubeMeasure:
 
     @classmethod
     def from_json(cls, text: str) -> "CubeMeasure":
+        """The measure ``to_json`` wrote.  Raises ValueError on another
+        format version, a missing key, or exact masses on some atoms only."""
         doc = json.loads(text)
         if doc.get("version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported measure format {doc.get('version')!r}")
         atoms = []
         fractions = []
-        for rec in doc["atoms"]:
-            atoms.append(
-                (tuple(float(c) for c in rec["corner"]), float(rec["side"]), float(rec["mass"]))
-            )
-            if "mass_exact" in rec:
-                fractions.append(Fraction(rec["mass_exact"]))
+        try:
+            for rec in doc["atoms"]:
+                atoms.append(
+                    (tuple(float(c) for c in rec["corner"]), float(rec["side"]), float(rec["mass"]))
+                )
+                if "mass_exact" in rec:
+                    fractions.append(Fraction(rec["mass_exact"]))
+            d = int(doc["d"])
+        except KeyError as exc:
+            raise ValueError(f"measure file lacks the key {exc.args[0]!r}") from None
+        if fractions and len(fractions) != len(atoms):
+            raise ValueError(f"mass_exact is given on {len(fractions)} of {len(atoms)} atoms")
         mf = tuple(fractions) if len(fractions) == len(atoms) else None
-        return cls(int(doc["d"]), tuple(atoms), mf)
+        return cls(d, tuple(atoms), mf)
 
 
 @dataclass(frozen=True, eq=False)

@@ -495,24 +495,28 @@ _MAGIC = b"SPEC1"
 
 
 def write_spectrum(field: SpectrumField, path) -> None:
-    """Little-endian columnar dump: magic, d, N, X, then interleaved
-    real/imaginary doubles in row-major order."""
+    """Little-endian columnar dump: magic, d, N, X, then the samples as
+    complex doubles (real, imaginary) in row-major order."""
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<iid", field.grid.d, field.grid.samples, field.grid.half_extent))
-        inter = np.empty(field.values.size * 2)
-        flat = field.values.ravel()
-        inter[0::2] = flat.real
-        inter[1::2] = flat.imag
-        fh.write(inter.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(field.values, dtype="<c16").tobytes())
 
 
 def read_spectrum(path) -> SpectrumField:
+    """The field a ``write_spectrum`` file holds.  Raises ValueError on a
+    bad magic, a truncated header, a bad grid or a payload of other than
+    N^d samples."""
     with open(path, "rb") as fh:
         magic = fh.read(5)
         if magic != _MAGIC:
             raise ValueError(f"bad magic {magic!r}")
-        d, n, x = struct.unpack("<iid", fh.read(16))
-        raw = np.frombuffer(fh.read(), dtype="<f8")
-    flat = raw[0::2] + 1j * raw[1::2]
-    return SpectrumField(FreqGrid(d, x, n), flat.reshape(tuple([n] * d)))
+        header, payload = fh.read(16), fh.read()
+    if len(header) != 16:
+        raise ValueError(f"truncated header: {len(header)} of 16 bytes")
+    d, n, x = struct.unpack("<iid", header)
+    grid = FreqGrid(d, x, n)
+    if len(payload) != 16 * n**d:
+        raise ValueError(f"payload of {len(payload)} bytes, expected {n}^{d} complex doubles of 16 bytes")
+    # copied: a field read back is as writable as the one written
+    return SpectrumField(grid, np.frombuffer(payload, "<c16").reshape((n,) * d).copy())

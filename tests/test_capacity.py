@@ -181,19 +181,32 @@ class TestValidation:
     def test_log_gauge_accepted(self):
         GaugeFunction(lambda t: 0.0 if t == 0 else t * math.log(1.0 / t))
 
-    def test_depth_budget(self):
-        cloud = PointCloud(((0.5,),), 1)
+    @pytest.mark.parametrize("points", [(), ((0.5,),)], ids=["empty", "one_point"])
+    def test_depth_budget(self, points):
         with pytest.raises(ResourceLimitError):
-            nh_capacity_delta(cloud, CapacityParams(1.0, 1.0), 0.5, 17)
+            nh_capacity_delta(PointCloud(points, 1), CapacityParams(1.0, 1.0), 0.5, 17)
 
     def test_frontier_budget_counter(self, monkeypatch):
-        # the pruned frontier sizes of this cloud at depth 8 sum to 287
+        # the Minkowski sums of this cloud at depth 8 form 1 306 rows in all
         cloud, params = DP_CLOUDS[1], CapacityParams(0.5, 1.0)
-        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 287)
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 1306)
         nh_capacity_delta(cloud, params, 0.5, 8)
-        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 286)
-        with pytest.raises(ResourceLimitError, match="reached 287 frontier rows.* 286, at depth 8"):
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 1305)
+        with pytest.raises(ResourceLimitError, match="would form 1306 Minkowski-sum rows.* 1305, at depth 8"):
             nh_capacity_delta(cloud, params, 0.5, 8)
+
+    @pytest.mark.parametrize("n", [14, 40])
+    def test_frontier_budget_bounds_every_sum(self, monkeypatch, n):
+        # clouds of 10 to 40 points drawn in turn from one generator; with no
+        # budget, the 14- and 40-point ones form single sums of 1 034 816
+        # and 847 806 660 rows
+        rng = np.random.default_rng(1)
+        clouds = {m: PointCloud(tuple(map(tuple, rng.random((m, 1)))), 1) for m in (10, 12, 14, 16, 20, 40)}
+        pruned, prune = [], capacity._prune
+        monkeypatch.setattr(capacity, "_prune", lambda rows: pruned.append(len(rows)) or prune(rows))
+        with pytest.raises(ResourceLimitError, match="over the budget of 200000, at depth 10"):
+            nh_capacity_delta(clouds[n], CapacityParams(0.5, 2.0), 0.5, 10)
+        assert sum(pruned) <= capacity._FRONTIER_BUDGET
 
 
 class TestCapacityExactness:
@@ -307,7 +320,7 @@ class TestCoveringOracle:
         def refuse(*args, **kwargs):
             raise AssertionError("the oracle called the DP")
 
-        for name in ("_frontier", "_prune", "_merge", "_frontier_cost"):
+        for name in ("_prune", "_frontier_cost"):
             monkeypatch.setattr(capacity, name, refuse)
         keys = covering_keys(cloud, 0.5, 8)
         assert covering_sums(keys, params).min() == dp

@@ -306,15 +306,31 @@ class TestSpectrumCommand:
         assert field.at_zero == pytest.approx(1.0)
         assert np.all(np.abs(field.values) <= 1.0 + 1e-12)
 
-    def test_malformed_measure_exits_2(self, runner, tmp_path):
+    @pytest.mark.parametrize(
+        "spoil,message",
+        [
+            (lambda doc: doc.update(version="something-else"), "unsupported measure format"),
+            (lambda doc: doc.pop("d"), "lacks the key 'd'"),
+            (lambda doc: doc.pop("atoms"), "lacks the key 'atoms'"),
+            (lambda doc: doc["atoms"][1].pop("corner"), "lacks the key 'corner'"),
+            (lambda doc: doc["atoms"][0].pop("side"), "lacks the key 'side'"),
+            (lambda doc: doc["atoms"][1].pop("mass"), "lacks the key 'mass'"),
+            (lambda doc: doc["atoms"][0].pop("mass_exact"), "mass_exact is given on 1 of 2 atoms"),
+        ],
+        ids=["version", "d", "atoms", "corner", "side", "mass", "mass_exact"],
+    )
+    def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):
+        doc = json.loads(CubeMeasure(1, (((0.0,), 0.5, 0.5), ((0.5,), 0.5, 0.5)), (0.5, 0.5)).to_json())
+        spoil(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text('{"version": "something-else", "d": 1, "atoms": []}')
+        bad.write_text(json.dumps(doc))
         result = runner.invoke(
             main,
             ["spectrum", "--measure", str(bad), "--p", "4", "--q", "2",
              "--extent", "4", "--samples", "16"],
         )
-        assert result.exit_code == 2
+        assert result.exit_code == 2, result.output
+        assert result.output.startswith("config error: ") and message in result.output
 
     @pytest.mark.parametrize(
         "option,value,message",

@@ -8,6 +8,7 @@ themselves.
 
 import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -622,6 +623,7 @@ class TestBinaryFormat:
         back = read_spectrum(path)
         assert back.grid == field.grid
         assert np.array_equal(back.values, field.values)
+        assert back.values.flags.writeable
 
     def test_header(self, tmp_path):
         field = SpectrumField(FreqGrid(1, 2.0, 4), np.zeros(4, dtype=complex))
@@ -631,8 +633,17 @@ class TestBinaryFormat:
         assert raw[:5] == b"SPEC1"
         assert len(raw) == 5 + 16 + 4 * 2 * 8
 
-    def test_bad_magic(self, tmp_path):
+    @pytest.mark.parametrize(
+        "raw,message",
+        [
+            (b"NOPE!" + b"\0" * 32, "bad magic"),
+            (b"SPEC1" + struct.pack("<ii", 1, 4), "truncated header: 8 of 16 bytes"),
+            (b"SPEC1" + struct.pack("<iid", 1, 4, 2.0) + b"\0" * 48, "payload of 48 bytes, expected 4\\^1"),
+        ],
+        ids=["magic", "header", "payload"],
+    )
+    def test_malformed_file(self, tmp_path, raw, message):
         path = tmp_path / "bad.spec"
-        path.write_bytes(b"NOPE!" + b"\0" * 32)
-        with pytest.raises(ValueError, match="magic"):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=message):
             read_spectrum(path)
