@@ -19,7 +19,7 @@ import numpy as np
 
 from .capacity import DyadicCovering
 from .measures import CubeMeasure, ShiftSample
-from .spectral import FreqGrid, centred_moments, expected_transform
+from .spectral import FreqGrid, _moment_integrals, expected_transform
 
 __all__ = [
     "SpacingViolation",
@@ -271,13 +271,14 @@ def select_nu(
     expected_vals = expected_transform(r, grid).values
     exponents = (p1, p2)
     calib_shifts = rng.random((_CALIBRATION_DRAWS, int(M), d)) * (1.0 - r)
-    calib = centred_moments(calib_shifts, r, grid, expected_vals, exponents)
+    moments = _moment_integrals(r, grid, expected_vals, exponents)
+    calib = moments(calib_shifts)
     thresholds = tuple(4.0 * np.sort(calib, axis=0)[_CALIBRATION_DRAWS // 2])
 
     best, best_cert, best_score = None, None, math.inf
     for i in range(budget):
         s = sample_shifts(M, r, rng, d)
-        row = centred_moments(s.shifts[None], r, grid, expected_vals, exponents)[0]
+        row = moments(s.shifts[None])[0]
         integrals = tuple(row.tolist())
         cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, _CALIBRATION_DRAWS)
         score = max(

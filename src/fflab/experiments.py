@@ -51,9 +51,8 @@ from .spectral import (
     BumpFamily,
     FreqGrid,
     SeriesVerdict,
+    _spectrum_norms,
     bump_sum_norms,
-    cube_measure_transform,
-    lorentz_spectrum_norm,
     np_moment_estimate,
     np_variance_oracle,
     ooo_deviation,
@@ -478,8 +477,7 @@ def run_spectrum_norm(
         extent = 4.0 / min(side for _, side, _ in mus[-1].atoms)
     grid = FreqGrid(1, extent, samples)
     fine = FreqGrid(1, 2.0 * extent, 2 * samples)
-    norms = [lorentz_spectrum_norm(cube_measure_transform(m, grid), e) for m in mus]
-    norms_fine = [lorentz_spectrum_norm(cube_measure_transform(m, fine), e) for m in mus]
+    norms, norms_fine = _spectrum_norms(mus, grid, e), _spectrum_norms(mus, fine, e)
     refine_dev = max(abs(a - b) / a for a, b in zip(norms, norms_fine))
     rows, c_needed = [], 0.0
     for k, (ki, m, r) in enumerate(tree.steps):

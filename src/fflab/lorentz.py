@@ -112,70 +112,88 @@ def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
 
 
 class _Work:
-    """Named flat scratch arrays of at least ``cells`` cells: ``get`` gives a C-contiguous
-    view of the first cells of one, replaced only when a shape needs more."""
+    """Named flat scratch arrays: ``get`` gives a C-contiguous view of the first
+    cells of one, replaced only when a shape needs more cells or another dtype.
+    Each array is as large as the largest shape asked of its name, or
+    ``cells`` if more: a caller whose shapes grow over a run can allocate
+    each array once."""
 
     def __init__(self, cells: int = 0):
         self.cells, self.arrays = cells, {}
 
     def get(self, name: str, shape, dtype=float) -> np.ndarray:
         size = math.prod(shape)
-        if name not in self.arrays or self.arrays[name].size < size:
-            self.arrays[name] = np.empty(max(size, self.cells), dtype)
-        return self.arrays[name][:size].reshape(shape)
+        flat = self.arrays.get(name)
+        if flat is None or flat.dtype != dtype or flat.size < size:
+            flat = self.arrays[name] = np.empty(max(size, self.cells), dtype)
+        return flat[:size].reshape(shape)
 
 
-def _row_sums(terms: np.ndarray) -> np.ndarray:
+def _row_sums(terms: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """Each row summed left to right, one term at a time, whatever the batch
     width.  np.sum along a row adds pairwise in blocks set by the row width,
     so a padded row would round differently from the same row alone.  numpy
     adds pairwise only along the fast axis in memory, so the column sums of
     the column-major terms (row-major ones are copied) are sequential, and
     vectorised across the rows; a single row, whose column-major form has a
-    fast axis of length 1, goes through np.cumsum, sequential by definition."""
+    fast axis of length 1, goes through np.cumsum, sequential by definition,
+    whose running sums go to ``out`` (of the terms' shape, the terms
+    themselves included) when it is given."""
     if len(terms) == 1:
-        return np.cumsum(terms, axis=1)[:, -1]
+        return np.cumsum(terms, axis=1, out=out)[:, -1]
     return np.ascontiguousarray(terms.T).sum(axis=0)
 
 
 def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
     (rows, n) arrays holds the plateau values >= 0 and masses of one;
-    ``masses`` None means unit masses (finite sequences).
+    ``masses`` None means unit masses (finite sequences), and a number that
+    every plateau has that mass (the cells of a grid).
 
     With a row sorted by descending value, the mass w_i of the first i
     plateaus is m_f on [v_{i+1}, v_i), so the norm is (sum_i w_i^{q/p}
     (v_i^q - v_{i+1}^q))^{1/q} with v_{n+1} = 0, or max_i w_i^{1/p} v_i for
     q = inf.  Ties need no merging (all members but the last add zero
     terms, and the last has the largest w), nor do zero values.  The masses
-    are summed per row, so a row of huge masses costs the others no precision;
-    unit masses sum to w_i = i exactly, so that row is shared, and the values
-    are sorted ascending in ``work`` and read in reverse.  The terms, written
+    are summed per row, so a row of huge masses costs the others no precision.
+    Equal masses (unit ones sum to w_i = i exactly) need no gather, so their
+    w row is shared, and the values are sorted ascending in ``work`` and read
+    in reverse: the order within a tie is immaterial.  The terms, written
     column-major, are summed left to right (``_row_sums``), so padding adds
     an exact +0.0 and a row's norm does not depend on the rows beside it.
+    With equal masses, ``values`` may be ``work``'s "powers" row itself,
+    which is then sorted where it lies.
     """
     n = values.shape[1]
     if n == 0:
         return np.zeros(values.shape[0])
     work = work or _Work()
-    if masses is None:
+    if masses is None or np.ndim(masses) == 0:  # unit masses, or one mass for all
         v = work.get("powers", values.shape)
         np.copyto(v, values)
         v.sort(axis=1)
-        w, desc = np.arange(1.0, n + 1.0), v[:, ::-1]
+        desc = v[:, ::-1]
+        if masses is None:
+            w = np.arange(1.0, n + 1.0)
+        else:
+            w = work.get("w", (n,))
+            w.fill(masses)
+            np.cumsum(w, out=w)
     else:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
         v = desc = values[sort]
         w = np.cumsum(masses[sort], axis=1)
     terms = work.get("terms", (n, len(v)))  # row j holds term j of every plateau row
     if q == math.inf:
-        np.multiply(desc.T, np.atleast_2d(w ** (1.0 / p)).T, out=terms)
+        w **= 1.0 / p
+        np.multiply(desc.T, np.atleast_2d(w).T, out=terms)
         return terms.max(axis=0)
     v **= q  # desc now holds v_i^q; the terms are v_i^q - v_{i+1}^q
     np.subtract(desc[:, :-1].T, desc[:, 1:].T, out=terms[:-1])
     terms[-1] = desc[:, -1]
-    terms *= np.atleast_2d(w ** (q / p)).T
-    return _row_sums(terms.T) ** (1.0 / q)
+    w **= q / p
+    terms *= np.atleast_2d(w).T
+    return _row_sums(terms.T, out=terms.T) ** (1.0 / q)
 
 
 def _sample_norms(samples: Sequence[WeightedSample], e: LorentzExponents) -> np.ndarray:

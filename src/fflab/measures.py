@@ -80,30 +80,48 @@ class CubeMeasure:
         return corners, sides, masses
 
     def to_json(self) -> str:
+        """The measure as the JSON text json.dumps(doc, sort_keys=True,
+        indent=2) gives, written directly, since the indenting encoder is
+        pure Python: doc holds the format version, d and the atoms, each a
+        corner, side and mass given as repr strings of the floats, plus the
+        exact mass as a fraction string when the masses are exact."""
+        exact = self.mass_fractions
+        reprs = {}  # of the sides and masses: few values, all positive, so no -0.0 meets a 0.0
         atoms = []
         for i, (corner, side, mass) in enumerate(self.atoms):
-            rec = {
-                "corner": [repr(c) for c in corner],
-                "side": repr(side),
-                "mass": repr(mass),
-            }
-            if self.mass_fractions is not None:
-                rec["mass_exact"] = str(self.mass_fractions[i])
-            atoms.append(rec)
-        doc = {"version": _FORMAT_VERSION, "d": self.d, "atoms": atoms}
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+            coords = ",\n".join([f'        "{c!r}"' for c in corner])
+            coords = f"[\n{coords}\n      ]" if corner else "[]"
+            mass_exact = f'      "mass_exact": "{exact[i]}",\n' if exact is not None else ""
+            side, mass = (reprs.get(x) or reprs.setdefault(x, repr(x)) for x in (side, mass))
+            atoms.append(
+                f'    {{\n      "corner": {coords},\n      "mass": "{mass}",\n'
+                f'{mass_exact}      "side": "{side}"\n    }}'
+            )
+        body = "[\n" + ",\n".join(atoms) + "\n  ]" if atoms else "[]"
+        return (
+            f'{{\n  "atoms": {body},\n  "d": {json.dumps(self.d)},\n'
+            f'  "version": {json.dumps(_FORMAT_VERSION)}\n}}\n'
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "CubeMeasure":
-        """The measure ``to_json`` wrote.  Raises ValueError on another
-        format version, a missing key, or exact masses on some atoms only."""
+        """The measure ``to_json`` wrote.  Raises ValueError on text that is
+        not JSON or not of that shape (another format version, a missing key,
+        a value of the wrong kind) and on exact masses on some atoms only."""
         doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise ValueError(f"the top level of a measure file must be a JSON object, not {doc!r:.40}")
         if doc.get("version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported measure format {doc.get('version')!r}")
         atoms = []
         fractions = []
         try:
-            for rec in doc["atoms"]:
+            recs = doc["atoms"]
+            if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
+                raise ValueError("the atoms must be a list of JSON objects")
+            for rec in recs:
+                if not isinstance(rec["corner"], list):
+                    raise ValueError(f"an atom's corner must be a list, not {rec['corner']!r}")
                 atoms.append(
                     (tuple(float(c) for c in rec["corner"]), float(rec["side"]), float(rec["mass"]))
                 )
@@ -112,6 +130,8 @@ class CubeMeasure:
             d = int(doc["d"])
         except KeyError as exc:
             raise ValueError(f"measure file lacks the key {exc.args[0]!r}") from None
+        except TypeError as exc:  # null, a list or an object where a number belongs
+            raise ValueError(f"malformed measure file: {exc}") from None
         if fractions and len(fractions) != len(atoms):
             raise ValueError(f"mass_exact is given on {len(fractions)} of {len(atoms)} atoms")
         mf = tuple(fractions) if len(fractions) == len(atoms) else None

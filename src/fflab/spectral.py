@@ -9,6 +9,9 @@ each shift's phases are products of four factors of about N^(1/4) entries
 each, and every phase is one cos/sin pair rather than a complex exponential.
 The smooth bump profile's transform is closed-form too, a Bessel quotient;
 in d = 1 it is elementary, so scipy.special is imported only for d = 2.
+Callers that repeat a transform on one grid (the draws of a moment batch,
+the stages of criterion 9) write its temporaries into one reusable
+``lorentz._Work`` set, so they map no new memory per draw or stage.
 """
 
 from __future__ import annotations
@@ -19,11 +22,11 @@ import struct
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .lorentz import LorentzExponents, _lorentz_norms
+from .lorentz import LorentzExponents, _lorentz_norms, _Work
 from .measures import CubeMeasure, ShiftSample
 
 __all__ = [
@@ -102,39 +105,55 @@ class SpectrumField:
         return complex(self.values[self.grid.zero_index])
 
 
-def _cis(theta: np.ndarray) -> np.ndarray:
+def _cis(theta: np.ndarray, out: np.ndarray) -> np.ndarray:
     """exp(i theta) for real theta: cos and sin written into the real and
-    imaginary parts of one complex buffer."""
-    out = np.empty(theta.shape, dtype=complex)
+    imaginary parts of the complex buffer ``out``."""
     np.cos(theta, out=out.real)
     np.sin(theta, out=out.imag)
     return out
 
 
-def _axis_cube_factor(xi: np.ndarray, side: float) -> np.ndarray:
-    """Transform of the normalized uniform measure on [0, side] along one axis."""
-    return _cis(-math.pi * side * xi) * np.sinc(side * xi)
+def _axis_cube_factor(xi: np.ndarray, side: float, out: np.ndarray, theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Transform of the normalized uniform measure on [0, side] along one
+    axis, e^{-i pi side xi} sinc(side xi), written into the complex ``out``.
+    numpy's sinc is written out (pi x, eps for x = 0, sin(x)/x), bit for bit,
+    in the float scratch ``theta`` and ``x`` of xi's shape."""
+    np.multiply(xi, -math.pi * side, out=theta)
+    _cis(theta, out)
+    np.multiply(xi, side, out=x)
+    x *= math.pi
+    x[x == 0] = np.finfo(float).eps
+    sinc = np.sin(x, out=theta)
+    sinc /= x
+    out *= sinc
+    return out
 
 
 def _cube_envelope(grid: FreqGrid, side: float) -> np.ndarray:
     """Transform of the normalized uniform measure on [0, side]^d on the grid."""
-    f = _axis_cube_factor(grid.axis(), side)
+    xi = grid.axis()
+    f = _axis_cube_factor(xi, side, np.empty(xi.shape, complex), np.empty_like(xi), np.empty_like(xi))
     return f if grid.d == 1 else np.outer(f, f)
 
 
-def _centred_phases(s: np.ndarray, step: float, count: int, centre: int) -> np.ndarray:
+def _centred_phases(s: np.ndarray, step: float, count: int, centre: int, work: _Work, name: str) -> np.ndarray:
     """(K, count) phases exp(-2 pi i s_k step (j - centre)), j < count, as the
     outer product of two factors over j = u*m + v with m = isqrt(count): one
     of ceil(count/m) coarse and one of m fine phases per shift.  Both factors
-    are centred at centre = cu*m + cv, so each is exactly 1 at j = centre."""
+    are centred at centre = cu*m + cv, so each is exactly 1 at j = centre.
+    The factors are ``work``'s "coarse" and "fine", the product its ``name``."""
     m = math.isqrt(count)
     cu, cv = divmod(centre, m)
-    coarse = _cis(np.outer(s, (-2.0 * math.pi * step) * (m * (np.arange(-(-count // m)) - cu))))
-    fine = _cis(np.outer(s, (-2.0 * math.pi * step) * (np.arange(m) - cv)))
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(len(s), -1)[:, :count]
+    u, k = -(-count // m), len(s)
+    angles = np.outer(s, (-2.0 * math.pi * step) * (m * (np.arange(u) - cu)), out=work.get("theta", (k, u)))
+    coarse = _cis(angles, work.get("coarse", (k, u), complex))
+    angles = np.outer(s, (-2.0 * math.pi * step) * (np.arange(m) - cv), out=work.get("theta", (k, m)))
+    fine = _cis(angles, work.get("fine", (k, m), complex))
+    product = np.multiply(coarse[:, :, None], fine[:, None, :], out=work.get(name, (k, u, m), complex))
+    return product.reshape(k, -1)[:, :count]
 
 
-def _split_phases(s: np.ndarray, grid: FreqGrid) -> Tuple[np.ndarray, np.ndarray]:
+def _split_phases(s: np.ndarray, grid: FreqGrid, work: Optional[_Work] = None) -> Tuple[np.ndarray, np.ndarray]:
     """Exact factors of the phases exp(-2 pi i s_k xi_j) on one axis.
 
     With j = a*B + b, B = isqrt(N), A = ceil(N/B), h = 2X/N, c = N/2 (where
@@ -144,40 +163,70 @@ def _split_phases(s: np.ndarray, grid: FreqGrid) -> Tuple[np.ndarray, np.ndarray
     (_centred_phases), so a shift needs about 4 N^(1/4) cos/sin pairs (32
     at N = 4096) and K*(A + B) complex multiplies, instead of the K*N
     exponentials of the direct sum.  Every factor is exactly 1 at xi = 0.
+    Both are views of ``work``'s "hi" and "lo".
     """
+    work = work or _Work()
     n = grid.samples
-    bs = math.isqrt(n)
+    a, bs = _gemm_shape(n)
     a0, b0 = divmod(n // 2, bs)
     h = 2.0 * grid.half_extent / n
-    lo = _centred_phases(s, h, bs, b0)
-    hi = _centred_phases(s, h * bs, -(-n // bs), a0).T
+    lo = _centred_phases(s, h, bs, b0, work, "lo")
+    hi = _centred_phases(s, h * bs, a, a0, work, "hi").T
     return hi, lo
 
 
-def _phase_sum(points: np.ndarray, weights: np.ndarray, grid: FreqGrid) -> np.ndarray:
+def _gemm_shape(n: int) -> Tuple[int, int]:
+    """(A, B) = (ceil(N/B), isqrt(N)): the split j = a*B + b of N grid indices."""
+    b = math.isqrt(n)
+    return -(-n // b), b
+
+
+def _phase_sum(points: np.ndarray, weights: np.ndarray, grid: FreqGrid, work: Optional[_Work] = None) -> np.ndarray:
     """sum_k weights[k] exp(-2 pi i points[k] . xi) at every grid point xi:
     one GEMM hi @ (w lo) in d = 1, and (w E_1)^T @ E_2 of the per-axis (K, N)
-    phase matrices in d = 2.  No (K, N^d) array is formed."""
+    phase matrices in d = 2.  No (K, N^d) array is formed.  In d = 1 lo is
+    weighted in place and the sum is a view of ``work``'s "gemm"."""
+    work = work or _Work()
     n = grid.samples
     if grid.d == 1:
-        hi, lo = _split_phases(points[:, 0], grid)
-        return (hi @ (weights[:, None] * lo)).ravel()[:n]
+        hi, lo = _split_phases(points[:, 0], grid, work)
+        np.multiply(weights[:, None], lo, out=lo)
+        return np.matmul(hi, lo, out=work.get("gemm", _gemm_shape(n), complex)).ravel()[:n]
     axes = []
     for a in range(2):
-        hi, lo = _split_phases(points[:, a], grid)
+        hi, lo = _split_phases(points[:, a], grid, work)
         axes.append((hi.T[:, :, None] * lo[:, None, :]).reshape(len(points), -1)[:, :n])
     return (weights[:, None] * axes[0]).T @ axes[1]
+
+
+def _transform_values(mu: CubeMeasure, grid: FreqGrid, xi: np.ndarray, work: _Work) -> np.ndarray:
+    """cube_measure_transform's values on the grid of axis ``xi``, as ``work``'s
+    "field".  Each side's envelope goes to "envelope" first, with the two
+    halves of "gemm" as its float scratch; the phase sum then fills "gemm".
+    A side's term is envelope * phase sum in d = 1 and phase sum * envelope
+    in d = 2: numpy's SIMD complex multiply rounds a*b and b*a differently,
+    and these are the orders the fields of criterion 9 were recorded in."""
+    corners, sides, masses = mu.corners_sides_masses()
+    n = grid.samples
+    out = work.get("field", (n,) * grid.d, complex)
+    out.fill(0)
+    for side in np.unique(sides):
+        group = sides == side
+        scratch = work.get("gemm", _gemm_shape(n), complex).reshape(-1).view(float)
+        factor = _axis_cube_factor(xi, side, work.get("envelope", (n,), complex), scratch[:n], scratch[n : 2 * n])
+        terms = _phase_sum(corners[group], masses[group], grid, work)
+        if grid.d == 1:
+            np.multiply(factor, terms, out=terms)
+        else:
+            terms *= np.outer(factor, factor)
+        out += terms
+    return out
 
 
 def cube_measure_transform(mu: CubeMeasure, grid: FreqGrid) -> SpectrumField:
     """Exact transform of a sum of weighted normalized cube measures: one
     mass-weighted phase sum per distinct side, times that side's envelope."""
-    corners, sides, masses = mu.corners_sides_masses()
-    out = np.zeros((grid.samples,) * grid.d, dtype=complex)
-    for side in np.unique(sides):
-        group = sides == side
-        out += _phase_sum(corners[group], masses[group], grid) * _cube_envelope(grid, side)
-    return SpectrumField(grid, out)
+    return SpectrumField(grid, _transform_values(mu, grid, grid.axis(), _Work()))
 
 
 def expected_transform(r: float, grid: FreqGrid) -> SpectrumField:
@@ -213,6 +262,32 @@ def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float
     return 2.0**p_exp * d * per_axis * other_axis ** (d - 1)
 
 
+def _moment_integrals(r: float, grid: FreqGrid, expected: np.ndarray, exponents):
+    """centred_moments as a function of the (T, M, d) shift draws alone: the
+    side-r envelope is computed once, and every per-draw temporary (the
+    phase factors, w lo, the GEMM, the deviation and its powers) is written
+    into one work set that all draws of all calls reuse."""
+    envelope = _cube_envelope(grid, r)
+    shape, cell, work = envelope.shape, grid.cell_volume, _Work()
+
+    def integrals(shifts) -> np.ndarray:
+        shifts = np.asarray(shifts, dtype=float)
+        weights = np.full(shifts.shape[1], 1.0 / shifts.shape[1])
+        out = np.empty((len(shifts), len(exponents)))
+        for t, draw in enumerate(shifts):
+            dev = np.multiply(_phase_sum(draw, weights, grid, work), envelope, out=work.get("dev", shape, complex))
+            dev -= expected
+            modulus = np.abs(dev, out=work.get("abs", shape))
+            power = work.get("power", shape)
+            for j, pe in enumerate(exponents):
+                np.copyto(power, modulus)
+                power **= pe  # the operator keeps numpy's scalar-power fast paths (sqrt, square)
+                out[t, j] = np.sum(power) * cell
+        return out
+
+    return integrals
+
+
 def centred_moments(
     shifts: np.ndarray, r: float, grid: FreqGrid, expected: np.ndarray, exponents
 ) -> np.ndarray:
@@ -220,16 +295,9 @@ def centred_moments(
     shift draws: ``shifts`` is (T, M, d), one draw of M side-r cube shifts
     per row, and ``expected`` holds E mu_hat.  Returns a (T, P) array, one
     column per exponent.  The cube envelope is computed once per call; the
-    draws are transformed one at a time, so one N^d field is alive at once."""
-    shifts = np.asarray(shifts, dtype=float)
-    weights = np.full(shifts.shape[1], 1.0 / shifts.shape[1])
-    envelope = _cube_envelope(grid, r)
-    cell = grid.cell_volume
-    out = np.empty((len(shifts), len(exponents)))
-    for t, draw in enumerate(shifts):
-        dev = np.abs(_phase_sum(draw, weights, grid) * envelope - expected)
-        out[t] = [np.sum(dev**pe) * cell for pe in exponents]
-    return out
+    draws are transformed one at a time, so one N^d field is alive at once,
+    and their temporaries share one work set (_moment_integrals)."""
+    return _moment_integrals(r, grid, expected, exponents)(shifts)
 
 
 def np_moment_estimate(
@@ -421,9 +489,22 @@ def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float
 def lorentz_spectrum_norm(field: SpectrumField, e: LorentzExponents) -> float:
     """Lorentz quasi-norm of |field| read as a step function: each grid cell
     is a plateau of mass equal to the cell volume."""
-    mags = np.abs(field.values).reshape(1, -1)
-    masses = np.full(mags.shape, field.grid.cell_volume)
-    return float(_lorentz_norms(mags, masses, e.p, e.q)[0])
+    return _spectrum_norm(field.values, field.grid, e, _Work())
+
+
+def _spectrum_norm(values: np.ndarray, grid: FreqGrid, e: LorentzExponents, work: _Work) -> float:
+    """lorentz_spectrum_norm of the field ``values``: one row of magnitudes,
+    every cell of mass the cell volume.  The magnitudes are written straight
+    into the row that the kernel sorts, ``work``'s "powers"."""
+    mags = np.abs(values.reshape(1, -1), out=work.get("powers", (1, values.size)))
+    return float(_lorentz_norms(mags, grid.cell_volume, e.p, e.q, work)[0])
+
+
+def _spectrum_norms(mus, grid: FreqGrid, e: LorentzExponents) -> list:
+    """lorentz_spectrum_norm(cube_measure_transform(mu, grid), e) for each
+    measure mu, bit for bit, with one axis and one work set for them all."""
+    xi, work = grid.axis(), _Work()
+    return [_spectrum_norm(_transform_values(mu, grid, xi, work), grid, e, work) for mu in mus]
 
 
 # ---------------------------------------------------------------------------

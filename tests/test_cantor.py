@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -215,6 +216,22 @@ class TestBatchedSelection:
         assert hashlib.sha256(measures[-1].to_json().encode()).hexdigest() == ref
 
 
+    def test_layer_law_realization_memory_is_bounded(self):
+        # the moment work set of a step holds the phase factors of its M
+        # shifts (M up to 1746 at depth 4) and one grid of deviations:
+        # 7.4 MiB under tracemalloc; fresh temporaries per draw peaked at 8.3
+        small = preset("layer-law", depth=1, seed=0)
+        realize_tree(build_tree(small), small)  # first-use allocations outside the trace
+        params = preset("layer-law", depth=4, seed=0)
+        tracemalloc.start()
+        try:
+            realize_tree(build_tree(params), params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.9 * 2**20
+
+
 class TestRealizeTree:
     def _realized(self, seed=7):
         params = preset("norm-growth", seed=seed)
@@ -276,6 +293,21 @@ class TestRealizeTree:
         back = CubeMeasure.from_json(mu.to_json())
         assert back == mu
         assert back.mass_fractions == mu.mass_fractions
+
+    @pytest.mark.parametrize(
+        "mu",
+        [
+            CubeMeasure(1, (), ()),
+            CubeMeasure(2, (((0.1, -0.0), 0.5, 2.0), ((1e22, 3.0), 0.25, 1e-300))),
+            CubeMeasure(2, (((0.5, 0.25), 0.5, 0.75),), (Fraction(3, 4),)),
+        ],
+        ids=["empty", "float_masses", "exact_masses"],
+    )
+    def test_json_text_is_the_indented_dump(self, mu):
+        # to_json writes the text itself; json.dumps gives the reference layout
+        text = mu.to_json()
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+        assert CubeMeasure.from_json(text) == mu
 
     def test_two_dimensional_end_to_end(self):
         params = ConstructionParams(2, 4.0, 2.0, 2.0, greedy_spacing_branching(2, 4.0, 2.0, 2))

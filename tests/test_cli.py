@@ -316,14 +316,18 @@ class TestSpectrumCommand:
             (lambda doc: doc["atoms"][0].pop("side"), "lacks the key 'side'"),
             (lambda doc: doc["atoms"][1].pop("mass"), "lacks the key 'mass'"),
             (lambda doc: doc["atoms"][0].pop("mass_exact"), "mass_exact is given on 1 of 2 atoms"),
+            ("[]", "must be a JSON object, not []"),  # the whole file
+            (lambda doc: doc.update(atoms=[[0.0, 1.0, 1.0]]), "atoms must be a list of JSON objects"),
+            (lambda doc: doc["atoms"][0].update(corner=0.0), "corner must be a list, not 0.0"),
         ],
-        ids=["version", "d", "atoms", "corner", "side", "mass", "mass_exact"],
+        ids=["version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner"],
     )
     def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):
         doc = json.loads(CubeMeasure(1, (((0.0,), 0.5, 0.5), ((0.5,), 0.5, 0.5)), (0.5, 0.5)).to_json())
-        spoil(doc)
+        if not isinstance(spoil, str):
+            spoil(doc)
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(doc))
+        bad.write_text(spoil if isinstance(spoil, str) else json.dumps(doc))
         result = runner.invoke(
             main,
             ["spectrum", "--measure", str(bad), "--p", "4", "--q", "2",

@@ -26,6 +26,7 @@ from fflab.experiments import (
 from fflab.lorentz import (
     LorentzExponents,
     WeightedSample,
+    _Work,
     _block_norms,
     _lorentz_norms,
     _lornor_ratios,
@@ -327,6 +328,28 @@ class TestRowKernels:
                 got = _lorentz_norms(rows, None, 0.5, q)
                 want = _lorentz_norms(rows, np.ones_like(rows), 0.5, q)
                 assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("q", [0.5, 2.0, pytest.param(math.inf, id="qinf")])
+    def test_equal_masses_match_explicit_ones(self, q):
+        # a grid's cells: one mass for all, ties included, one row or several
+        rng = np.random.default_rng(4)
+        for rows in (rng.random((1, 5000)), np.round(rng.random((3, 400)) * 32.0) / 32.0):
+            got = _lorentz_norms(rows, 0.125, 3.0, q)
+            want = _lorentz_norms(rows, np.full(rows.shape, 0.125), 3.0, q)
+            assert np.array_equal(got, want)
+
+    def test_work_set_arrays_follow_each_name_s_dtype_and_need(self):
+        work = _Work()
+        assert work.get("x", (4,)).dtype == float
+        assert work.get("x", (2,), complex).dtype == complex  # replaced, not viewed
+        assert work.get("x", (3,), complex).shape == (3,)
+        first = work.arrays["x"]
+        assert work.get("x", (1, 2), complex).base is first  # fits: a view
+        work.get("y", (3, 5), np.int32)
+        assert {name: (flat.size, flat.dtype) for name, flat in work.arrays.items()} == {
+            "x": (3, np.dtype(complex)),
+            "y": (15, np.dtype(np.int32)),
+        }
 
     def test_work_set_leaks_nothing_between_blocks(self, monkeypatch):
         # one work set serves the run; poisoning all of it but the draw after

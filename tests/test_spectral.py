@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 from scipy.special import j0, spherical_jn
 
 import fflab
-from fflab import experiments
+from fflab import experiments, spectral
+from fflab.cantor import _default_selection_grid, build_tree, realize_tree
 from fflab.experiments import run_experiment
 from fflab.lorentz import LorentzExponents
 from fflab.measures import CubeMeasure, ShiftSample
+from fflab.presets import preset
 from fflab.spectral import (
     BumpFamily,
     FreqGrid,
@@ -32,7 +34,10 @@ from fflab.spectral import (
     SpectrumField,
     TruncationWarning,
     _cis,
+    _cube_envelope,
     _j3_quotient,
+    _moment_integrals,
+    _spectrum_norms,
     _split_phases,
     bump_sum_norms,
     centred_moments,
@@ -268,6 +273,84 @@ class TestSplitGemm:
         assert peak < limit_mib * 2**20
 
 
+def _poison(work):
+    for flat in work.arrays.values():
+        flat.fill(np.nan)
+
+
+class TestWorkSets:
+    # One work set serves every draw of a moment batch and every stage of a
+    # SPECTRUM_NORM grid.  Poisoning all of it before each draw or stage
+    # shows any cell read without being rewritten, and the oracles are the
+    # expressions on fresh arrays that the work sets replaced, bit for bit.
+
+    @pytest.mark.parametrize("d, r", [(1, 0.02), (1, 0.3), (2, 0.1)])
+    def test_moment_draws_match_fresh_arrays(self, monkeypatch, d, r):
+        grid = _default_selection_grid(d, r)
+        expected = expected_transform(r, grid).values
+        envelope = _cube_envelope(grid, r)
+        exps = (6.0, 3.0, 2.0)  # 2.0 takes numpy's square fast path
+        phase_sum, works = spectral._phase_sum, []
+
+        def poisoning(points, weights, grid, work=None):
+            _poison(work)
+            works.append(work)
+            return phase_sum(points, weights, grid, work)
+
+        monkeypatch.setattr(spectral, "_phase_sum", poisoning)
+        moments = _moment_integrals(r, grid, expected, exps)
+        rng = np.random.default_rng(5)
+        for M in (16, 200, 3, 64):  # the buffers grow, then serve smaller draws
+            shifts = rng.random((3, M, d)) * (1.0 - r)
+            got = moments(shifts)
+            for t, draw in enumerate(shifts):
+                weights = np.full(M, 1.0 / M)
+                if d == 1:
+                    hi, lo = _split_phases(draw[:, 0], grid)
+                    phase = (hi @ (weights[:, None] * lo)).ravel()[: grid.samples]
+                else:
+                    phase = phase_sum(draw, weights, grid)
+                dev = np.abs(phase * envelope - expected)
+                assert got[t].tolist() == [np.sum(dev**pe) * grid.cell_volume for pe in exps]
+        assert len(works) == 12 and all(w is works[0] for w in works)
+
+    # 2^17 samples split as 363 x 362 > N, 4096 as 64 x 64
+    @pytest.mark.parametrize("samples", [4096, 2**17])
+    def test_spectrum_stages_match_fresh_transforms(self, monkeypatch, samples):
+        params = preset("norm-growth", seed=0)
+        _, mus = realize_tree(build_tree(params), params)
+        grid = FreqGrid(1, 6144.0, samples)
+        fresh = [cube_measure_transform(mu, grid) for mu in mus]
+        transform, fields = spectral._transform_values, []
+
+        def poisoning(mu, grid, xi, work):
+            _poison(work)
+            fields.append(transform(mu, grid, xi, work).copy())
+            return fields[-1]
+
+        monkeypatch.setattr(spectral, "_transform_values", poisoning)
+        for e in (LorentzExponents(4.0, 2.0), LorentzExponents(3.0, math.inf)):
+            fields.clear()
+            norms = _spectrum_norms(mus, grid, e)
+            assert all(np.array_equal(a, f.values) for a, f in zip(fields, fresh, strict=True))
+            assert norms == [lorentz_spectrum_norm(f, e) for f in fresh]
+
+    def test_spectrum_norm_memory_is_bounded(self):
+        # at 2^18 cells the work set holds three complex fields (the sum, the
+        # GEMM, whose halves are the envelope's scratch, and the envelope),
+        # the axis and the norm's three rows: 20.7 MiB under tracemalloc.
+        # Fresh temporaries per stage peaked at 22.0 MiB.
+        run_experiment("SPECTRUM_NORM", {}, 0)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            result = run_experiment("SPECTRUM_NORM", {}, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.checks[0].passed
+        assert peak < 22 * 2**20
+
+
 class TestPhaseFactors:
     # The phase 2 pi s xi, with 0 <= s < 1 and |xi| <= X = 16, is rounded to
     # within a few units of 2 pi X 2^-53 = 1.1e-14 in either form, hence
@@ -316,7 +399,7 @@ class TestPhaseFactors:
     def test_cis_matches_complex_exponential(self):
         theta = np.random.default_rng(0).uniform(-1.0, 1.0, 200_000) * (2.0 * math.pi * 512 * 4096)
         theta[:5] = (0.0, -0.0, math.pi, 2.0 * math.pi * 512 * 4096, -2.0 * math.pi * 512 * 4096)
-        got, want = _cis(theta), np.exp(1j * theta)
+        got, want = _cis(theta, np.empty(theta.shape, complex)), np.exp(1j * theta)
         for part in ("real", "imag"):
             g, w = getattr(got, part), getattr(want, part)
             assert np.all(np.abs(g - w) <= 2 * np.spacing(np.abs(w))), part
