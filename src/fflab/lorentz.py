@@ -147,8 +147,8 @@ def _row_sums(terms: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray
 def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Closed-form L_{p,q} quasi-norms of simple functions: row i of the
     (rows, n) arrays holds the plateau values >= 0 and masses of one;
-    ``masses`` None means unit masses (finite sequences), and a number that
-    every plateau has that mass (the cells of a grid).
+    ``masses`` a number means that every plateau has that mass (1.0 for
+    finite sequences, the cell volume for the cells of a grid).
 
     With a row sorted by descending value, the mass w_i of the first i
     plateaus is m_f on [v_{i+1}, v_i), so the norm is (sum_i w_i^{q/p}
@@ -168,17 +168,14 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optiona
     if n == 0:
         return np.zeros(values.shape[0])
     work = work or _Work()
-    if masses is None or np.ndim(masses) == 0:  # unit masses, or one mass for all
+    if np.ndim(masses) == 0:  # one mass for all plateaus
         v = work.get("powers", values.shape)
         np.copyto(v, values)
         v.sort(axis=1)
         desc = v[:, ::-1]
-        if masses is None:
-            w = np.arange(1.0, n + 1.0)
-        else:
-            w = work.get("w", (n,))
-            w.fill(masses)
-            np.cumsum(w, out=w)
+        w = work.get("w", (n,))
+        w.fill(masses)
+        np.cumsum(w, out=w)
     else:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
         v = desc = values[sort]
@@ -279,7 +276,7 @@ def dyadic_block_norm(a: Sequence[float], alpha: float, q: float) -> float:
 
 def _lornor_ratios(rows: np.ndarray, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
     """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
-    return _block_norms(rows, alpha, q, work) / _lorentz_norms(rows, None, alpha, alpha * q, work)
+    return _block_norms(rows, alpha, q, work) / _lorentz_norms(rows, 1.0, alpha, alpha * q, work)
 
 
 def check_lornor_equivalence(a: Sequence[float], alpha: float, q: float) -> float:

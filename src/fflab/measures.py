@@ -86,16 +86,14 @@ class CubeMeasure:
         corner, side and mass given as repr strings of the floats, plus the
         exact mass as a fraction string when the masses are exact."""
         exact = self.mass_fractions
-        reprs = {}  # of the sides and masses: few values, all positive, so no -0.0 meets a 0.0
         atoms = []
         for i, (corner, side, mass) in enumerate(self.atoms):
             coords = ",\n".join([f'        "{c!r}"' for c in corner])
             coords = f"[\n{coords}\n      ]" if corner else "[]"
             mass_exact = f'      "mass_exact": "{exact[i]}",\n' if exact is not None else ""
-            side, mass = (reprs.get(x) or reprs.setdefault(x, repr(x)) for x in (side, mass))
             atoms.append(
-                f'    {{\n      "corner": {coords},\n      "mass": "{mass}",\n'
-                f'{mass_exact}      "side": "{side}"\n    }}'
+                f'    {{\n      "corner": {coords},\n      "mass": "{mass!r}",\n'
+                f'{mass_exact}      "side": "{side!r}"\n    }}'
             )
         body = "[\n" + ",\n".join(atoms) + "\n  ]" if atoms else "[]"
         return (

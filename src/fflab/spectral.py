@@ -199,13 +199,18 @@ def _phase_sum(points: np.ndarray, weights: np.ndarray, grid: FreqGrid, work: Op
     return (weights[:, None] * axes[0]).T @ axes[1]
 
 
+_ELIDED_CELLS = 256 * 1024 // 16  # numpy's temporary-elision threshold, 256 KiB, in complex cells
+
+
 def _transform_values(mu: CubeMeasure, grid: FreqGrid, xi: np.ndarray, work: _Work) -> np.ndarray:
     """cube_measure_transform's values on the grid of axis ``xi``, as ``work``'s
     "field".  Each side's envelope goes to "envelope" first, with the two
     halves of "gemm" as its float scratch; the phase sum then fills "gemm".
-    A side's term is envelope * phase sum in d = 1 and phase sum * envelope
-    in d = 2: numpy's SIMD complex multiply rounds a*b and b*a differently,
-    and these are the orders the fields of criterion 9 were recorded in."""
+    A side's term is the product phase sum * envelope, in the operand order
+    numpy gives that expression: it evaluates a product whose right operand
+    is a fresh array of at least _ELIDED_CELLS complex cells in that array
+    (temporary elision), so a d = 1 envelope that large is the left operand.
+    Its SIMD complex multiply rounds a*b and b*a differently."""
     corners, sides, masses = mu.corners_sides_masses()
     n = grid.samples
     out = work.get("field", (n,) * grid.d, complex)
@@ -215,10 +220,12 @@ def _transform_values(mu: CubeMeasure, grid: FreqGrid, xi: np.ndarray, work: _Wo
         scratch = work.get("gemm", _gemm_shape(n), complex).reshape(-1).view(float)
         factor = _axis_cube_factor(xi, side, work.get("envelope", (n,), complex), scratch[:n], scratch[n : 2 * n])
         terms = _phase_sum(corners[group], masses[group], grid, work)
-        if grid.d == 1:
+        if grid.d == 2:
+            terms *= np.outer(factor, factor)
+        elif n >= _ELIDED_CELLS:
             np.multiply(factor, terms, out=terms)
         else:
-            terms *= np.outer(factor, factor)
+            terms *= factor
         out += terms
     return out
 

@@ -325,7 +325,7 @@ class TestRowKernels:
         # rounding to multiples of 1/64 makes ties, and zeros beside the padding
         for block in lornor_corpus(0.5, 2.0, 0, 300):
             for rows in (block, np.round(block * 64.0) / 64.0):
-                got = _lorentz_norms(rows, None, 0.5, q)
+                got = _lorentz_norms(rows, 1.0, 0.5, q)
                 want = _lorentz_norms(rows, np.ones_like(rows), 0.5, q)
                 assert np.array_equal(got, want)
 

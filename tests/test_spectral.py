@@ -335,6 +335,38 @@ class TestWorkSets:
             assert all(np.array_equal(a, f.values) for a, f in zip(fields, fresh, strict=True))
             assert norms == [lorentz_spectrum_norm(f, e) for f in fresh]
 
+    # 16 382 is the largest grid below numpy's 256 KiB temporary-elision
+    # threshold of 2^14 complex cells, which reverses a product's operands
+    @pytest.mark.parametrize("d, samples", [(1, 4096), (1, 16382), (1, 2**14), (1, 2**17), (1, 2**18), (2, 128)])
+    def test_transform_matches_fresh_expression(self, d, samples):
+        # the oracle is the transform as one expression of fresh arrays per
+        # side, in whatever operand order numpy evaluates it
+        def envelope(grid, side):
+            xi = grid.axis()
+            f = _cis(-math.pi * side * xi, np.empty(xi.shape, complex)) * np.sinc(side * xi)
+            return f if grid.d == 1 else np.outer(f, f)
+
+        def phase_sum(points, weights, grid):
+            if grid.d == 2:
+                return spectral._phase_sum(points, weights, grid)
+            hi, lo = _split_phases(points[:, 0], grid)
+            return (hi @ (weights[:, None] * lo)).ravel()[: grid.samples]
+
+        if d == 1:
+            params = preset("norm-growth", seed=0)
+            mus = realize_tree(build_tree(params), params)[1]
+        else:
+            rng = np.random.default_rng(6)
+            mus = [CubeMeasure(2, tuple((tuple(rng.random(2)), s, 0.125) for s in (0.1, 0.05) * 4))]
+        grid = FreqGrid(d, 6144.0 if d == 1 else 40.0, samples)
+        for mu in mus:
+            corners, sides, masses = mu.corners_sides_masses()
+            want = np.zeros((samples,) * d, dtype=complex)
+            for side in np.unique(sides):
+                group = sides == side
+                want += phase_sum(corners[group], masses[group], grid) * envelope(grid, side)
+            assert np.array_equal(cube_measure_transform(mu, grid).values, want)
+
     def test_spectrum_norm_memory_is_bounded(self):
         # at 2^18 cells the work set holds three complex fields (the sum, the
         # GEMM, whose halves are the envelope's scratch, and the envelope),
