@@ -173,8 +173,7 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optiona
         np.copyto(v, values)
         v.sort(axis=1)
         desc = v[:, ::-1]
-        w = work.get("w", (n,))
-        w.fill(masses)
+        w = np.full(n, masses, dtype=float)  # fresh: a LORNOR work set would floor it to 128 x 199 cells
         np.cumsum(w, out=w)
     else:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))
