@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .capacity import DyadicCovering
+from .capacity import DyadicCovering, ResourceLimitError
 from .measures import CubeMeasure, ShiftSample
 from .spectral import FreqGrid, _moment_integrals, expected_transform
 
@@ -152,14 +152,25 @@ def _least_branching(side, m: int, r_prev: float, step: int) -> int:
     return m
 
 
+# Nodes of one tree, 1 + Sigma M_k, counted before any is made.  The largest
+# shipped preset, layer-law at depth 4, has 6 270; a one-step d = 1 tree of
+# 60 004 nodes builds and realizes in 2.4 s at 201 MB peak RSS (2-core host).
+_NODE_BUDGET = 2**16
+
+
 def build_tree(params: ConstructionParams) -> CubeTree:
     """Grow the tree by expanding node k at step k with M_k kids.
 
     Weights are exact rationals; kid sides follow the size rule.  The kid
     sides over consecutive steps, starting from the root's side 1, must drop
     strictly below half the previous value, otherwise SpacingViolation
-    reports the minimal branching count that would restore it.
+    reports the minimal branching count that would restore it.  A tree of
+    more than ``_NODE_BUDGET`` nodes raises ResourceLimitError before any
+    node is made.
     """
+    n_nodes = 1 + sum(params.M)
+    if n_nodes > _NODE_BUDGET:
+        raise ResourceLimitError(f"the tree would hold {n_nodes} nodes, over the budget of {_NODE_BUDGET}")
     nodes = [TreeNode(0, None, 0, Fraction(1), 1.0)]
     steps: List[tuple] = []
     r_prev = 1.0

@@ -106,7 +106,8 @@ class GaugeFunction:
 
 @dataclass(frozen=True)
 class DyadicCovering:
-    """A multiset of covering-set diameters."""
+    """A multiset of covering-set diameters: the order of ``diameters``
+    carries no meaning, and ``nh_covering_sum`` does not read it."""
 
     diameters: tuple
 
@@ -140,11 +141,17 @@ class PointCloud:
 
 
 def nh_covering_sum(cov: DyadicCovering, params: CapacityParams) -> float:
-    """Block-aggregated covering sum Sigma_k phi(Sigma_{diam in Delta_k} diam^alpha)."""
+    """Block-aggregated covering sum Sigma_k phi(Sigma_{diam in Delta_k} diam^alpha).
+
+    The diameters are taken largest first, so each block adds its terms in
+    descending order and the blocks are added coarse to fine, in ascending
+    ``dyadic_block_index`` as the DP adds its generations: the sum is a
+    function of the multiset, to the last bit.
+    """
     if not cov.diameters:
         return 0.0
     block_sums: dict = {}
-    for t in cov.diameters:
+    for t in sorted(cov.diameters, reverse=True):
         k = dyadic_block_index(t)
         block_sums[k] = block_sums.get(k, 0.0) + t**params.alpha
     if params.q == math.inf:
@@ -299,6 +306,8 @@ def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):
 
     Exhaustive take-or-refine enumeration over the occupied tree, repeats
     included: the tests' oracle for nh_capacity_delta and covering_keys.
+    Each covering lists its diameters in the order its boxes are visited;
+    ``nh_covering_sum`` reads them as a multiset.
     """
     g_min = _coarsest_generation(delta, depth)
     if not cloud.points:

@@ -86,10 +86,9 @@ def construct_cmd(preset_name, depth, seed, out):
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-    tree = build_tree(params)
     try:
-        tree, measures = realize_tree(tree, params)
-    except SelectionBudgetError as exc:
+        tree, measures = realize_tree(build_tree(params), params)
+    except (ResourceLimitError, SelectionBudgetError) as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
     Path(out).write_text(measures[-1].to_json())

@@ -613,82 +613,43 @@ def run_phi_general(seed: int) -> ExperimentResult:
     return ExperimentResult("PHI_GENERAL", checks, tables)
 
 
-# Rows per block of a key product, each row a few 8-byte words per generation
-_KEY_CHUNK = 2**13
+def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The distinct per-generation count vectors of the antichain coverings.
 
-
-def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct count keys of the antichain coverings, as int arrays.
-
-    A covering's ``nh_covering_sum`` depends only on how many sets of each
-    generation it has, and on the order in which its dyadic blocks first
-    appear, since the block sums are added in that order.  Returns
-    ``(diameters, order, counts)``: ``diameters[g]`` is the diameter of
-    generation g (nan if none occurs), row i of ``order`` lists the
-    generations of key i in order of first appearance, padded with -1, and
-    ``counts[i, g]`` is its number of sets of generation g.  Keys come in
-    the order in which ``enumerate_antichain_coverings`` first yields them.
-
-    The keys are built box by box, as that enumeration builds coverings: a
-    box's own key (one set of its generation), then the product of its
-    kids' keys in kid order.  Key A times key B adds the counts and lists
-    A's generations, then B's new ones.  A product keeps its first
-    occurrences, which pair its factors' first occurrences, found in blocks
-    of ``_KEY_CHUNK`` rows by an exact int64 code with one digit per
-    position of ``order`` naming its (generation, count) pair.
+    Each generation fills one dyadic block, and ``nh_covering_sum`` adds the
+    blocks coarse to fine, so a covering's counts fix its sum.  Returns
+    ``(diameters, counts)``: ``diameters[g]`` is the diameter of generation
+    g (nan if none occurs), and the rows of ``counts``, in ascending order,
+    are the keys.  A box's keys are its own (one set of its generation), then
+    the product of its kids' keys: the distinct rows of their Minkowski sum.
     """
     g_min = _coarsest_generation(delta, depth)
-    n_gen, n_points = depth + 1, len(cloud.points)
-    radix = n_gen * n_points + 1
-    if radix**n_gen >= 2**63:
-        raise ValueError(f"covering codes of {n_points} points at depth {depth} overflow int64")
-    # int8 holds n_gen plus a rank: with a point, radix >= 2 bounds n_gen by 62
-    gens = np.arange(n_gen)
-    place = radix ** (n_gen - 1 - gens)  # the code's weight of each position
+    gens = np.arange(depth + 1)
+    dtype = np.min_scalar_type(len(cloud.points))
 
-    # keys are (rank, count) rows: rank[g] is generation g's position in the
-    # key's order if count[g] > 0, and no less than its generations if not
     def product(a, b):
-        (rank_a, count_a), (rank_b, count_b) = a, b
-        n, kept, seen = len(rank_a) * len(rank_b), [], np.array([2**63 - 1])  # above every code
-        for lo in range(0, n, _KEY_CHUNK):
-            i, j = np.divmod(np.arange(lo, min(lo + _KEY_CHUNK, n)), len(rank_b))
-            count = count_a[i] + count_b[j]
-            first = np.where(count_a[i] > 0, rank_a[i], n_gen + rank_b[j])
-            rank = sum((column[:, None] < first for column in first.T), np.zeros_like(first))
-            code = ((gens * n_points + count) * (count > 0) * place[rank]).sum(axis=1)
-            code, row = np.unique(code, return_index=True)
-            at = np.searchsorted(seen, code)
-            fresh = seen[at] != code
-            seen = np.insert(seen, at[fresh], code[fresh])
-            keep = np.sort(row[fresh])
-            kept.append((rank[keep], count[keep]))
-        return tuple(map(np.concatenate, zip(*kept)))
+        return np.unique((a[:, None, :] + b[None, :, :]).reshape(-1, len(gens)), axis=0)
 
     def box_keys(points, g):
-        keys = [((gens != g).astype(np.int8)[None], (gens == g).astype(np.min_scalar_type(n_points))[None])]
-        if g < depth:
-            keys.append(functools.reduce(product, (box_keys(kid, g + 1) for kid in _groups(points, g + 1))))
-        return tuple(map(np.concatenate, zip(*keys)))
+        own = (gens == g).astype(dtype)[None]
+        if g == depth:
+            return own
+        kids = (box_keys(kid, g + 1) for kid in _groups(points, g + 1))
+        return np.vstack((own, functools.reduce(product, kids)))
 
-    empty = (np.zeros((1, n_gen), np.int8), np.zeros((1, n_gen), np.min_scalar_type(n_points)))
     tops = (box_keys(points, g_min) for points in _groups(cloud.points, g_min))
-    rank, counts = functools.reduce(product, tops, empty)
-    order = np.full(rank.shape, -1, np.int8)
-    np.put_along_axis(order, rank, np.where(counts > 0, gens, -1), axis=1)
+    counts = functools.reduce(product, tops, np.zeros((1, len(gens)), dtype))
     diameters = np.where((gens >= g_min) & bool(cloud.points), 2.0 ** -gens * math.sqrt(cloud.d), np.nan)
-    return diameters, order, counts
+    return diameters, counts
 
 
-def covering_sums(keys: Tuple[np.ndarray, np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
-    """``nh_covering_sum`` of the covering behind each key, to the last bit.
-
-    Each (generation, count) pair is scored once in Python scalars, by the
-    same left-to-right addition of t**alpha and the same block gauge; the
-    table is gathered in each key's block order and its columns added left
-    to right (``_row_sums``; max for q = inf).  Empty positions add 0.0.
+def covering_sums(keys: Tuple[np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
+    """``nh_covering_sum`` of the coverings behind each key, to the last bit:
+    each (generation, count) pair is scored once by the same left-to-right
+    addition of t**alpha and block gauge, and the table gathered in
+    generation order is summed left to right (``_row_sums``; max for q = inf).
     """
-    diameters, order, counts = keys
+    diameters, counts = keys
     sup = params.q == math.inf
     table = np.zeros((len(diameters), int(counts.max(initial=0)) + 1))
     for g, t in enumerate(diameters.tolist()):
@@ -698,11 +659,8 @@ def covering_sums(keys: Tuple[np.ndarray, np.ndarray, np.ndarray], params: Capac
         for c in range(1, table.shape[1]):
             block += term
             table[g, c] = block if sup else params.block_gauge(block)
-    # gathered with one row per position, so _row_sums sums it in place
-    gen = np.maximum(order.T, 0, order="C")
-    at = np.take_along_axis(counts.T, gen, axis=0)
-    at *= order.T >= 0
-    terms = table[gen, at]
+    # gathered with one row per generation, so _row_sums sums it in place
+    terms = table[np.arange(len(diameters))[:, None], counts.T]
     return terms.max(axis=0) if sup else _row_sums(terms.T)
 
 

@@ -38,8 +38,9 @@ class CubeMeasure:
     """A finite sum Sigma w_i * lambda_{Q_i} of normalized Lebesgue measures
     on axis-aligned cubes Q_i = corner + [0, side]^d.
 
-    ``mass_fractions`` optionally carries the masses as exact rationals; the
-    float ``atoms`` field is always authoritative for numerics.
+    ``mass_fractions`` optionally carries the masses as exact rationals, and
+    is None on a measure without atoms, as its JSON cannot tell () from
+    None; the float ``atoms`` field is always authoritative for numerics.
     """
 
     d: int
@@ -50,9 +51,9 @@ class CubeMeasure:
         object.__setattr__(self, "atoms", _checked_atoms(self.d, self.atoms))
         if self.mass_fractions is not None:
             fr = tuple(f if type(f) is Fraction else Fraction(f) for f in self.mass_fractions)
-            object.__setattr__(self, "mass_fractions", fr)
             if len(fr) != len(self.atoms):
                 raise ValueError("mass_fractions must parallel atoms")
+            object.__setattr__(self, "mass_fractions", fr or None)
 
     def split_first(self, cubes) -> "CubeMeasure":
         """This measure without its first atom, followed by the cubes

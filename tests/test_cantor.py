@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fflab import cantor
 from fflab.cantor import (
     ConstructionParams,
     CubeTree,
@@ -22,7 +23,7 @@ from fflab.cantor import (
     sample_shifts,
     select_nu,
 )
-from fflab.capacity import CapacityParams, nh_covering_sum
+from fflab.capacity import CapacityParams, ResourceLimitError, nh_covering_sum
 from fflab.measures import CubeMeasure
 from fflab.presets import preset
 from fflab.spectral import (
@@ -90,6 +91,17 @@ class TestBuildTree:
         build_tree(fixed)
         with pytest.raises(SpacingViolation):
             build_tree(ConstructionParams(1, 4.0, 2.0, 2.0, (100, m_fix - 1)))
+
+    def test_node_budget(self, monkeypatch):
+        # counted before any node is made, so ten million cost nothing
+        with pytest.raises(ResourceLimitError, match="10000001 nodes, over the budget of 65536"):
+            build_tree(ConstructionParams(1, 4.0, 2.0, 2.0, (10**7,)))
+        assert 1 + sum(preset("layer-law").M) == 6270 <= cantor._NODE_BUDGET
+        monkeypatch.setattr(cantor, "_NODE_BUDGET", 28)
+        assert len(build_tree(preset("norm-growth")).nodes) == 28
+        monkeypatch.setattr(cantor, "_NODE_BUDGET", 27)
+        with pytest.raises(ResourceLimitError, match="28 nodes"):
+            build_tree(preset("norm-growth"))
 
     def test_strict_halving_along_steps(self):
         params = preset("layer-law", depth=3)
@@ -298,10 +310,11 @@ class TestRealizeTree:
         "mu",
         [
             CubeMeasure(1, (), ()),
+            CubeMeasure(1, ()),
             CubeMeasure(2, (((0.1, -0.0), 0.5, 2.0), ((1e22, 3.0), 0.25, 1e-300))),
             CubeMeasure(2, (((0.5, 0.25), 0.5, 0.75),), (Fraction(3, 4),)),
         ],
-        ids=["empty", "float_masses", "exact_masses"],
+        ids=["empty", "empty_default", "float_masses", "exact_masses"],
     )
     def test_json_text_is_the_indented_dump(self, mu):
         # to_json writes the text itself; json.dumps gives the reference layout

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fflab import capacity, experiments
+from fflab import capacity
 from fflab.capacity import (
     CapacityParams,
     DyadicCovering,
@@ -31,7 +31,7 @@ from fflab.capacity import (
     nh_covering_sum,
     tent_profile,
 )
-from fflab.experiments import covering_keys, covering_sums, run_experiment
+from fflab.experiments import capacity_dp_exactness, covering_keys, covering_sums, run_experiment
 
 
 def brute_capacity(cloud, params, delta, depth):
@@ -76,26 +76,18 @@ def count_rows(draw):
 
 
 def enumerated_keys(cloud, delta, depth):
-    """``covering_keys`` read off the raw enumeration: each covering's
-    generations in order of first appearance and its count per generation,
-    each distinct key in order of first appearance."""
+    """``covering_keys`` read off the raw enumeration: each covering's count
+    per generation, the distinct ones in ascending lexicographic order."""
     n_gen = depth + 1
     generation = {2.0 ** (-g) * math.sqrt(cloud.d): g for g in range(n_gen)}
-    diameters, keys = np.full(n_gen, np.nan), {}
+    diameters, keys = np.full(n_gen, np.nan), set()
     for diams in enumerate_antichain_coverings(cloud, delta, depth):
-        order, counts = [], [0] * n_gen
+        counts = [0] * n_gen
         for t in diams:
-            g = generation[t]
-            diameters[g] = t
-            counts[g] += 1
-            if g not in order:
-                order.append(g)
-        keys.setdefault((tuple(order + [-1] * (n_gen - len(order))), tuple(counts)), None)
-    return (
-        diameters,
-        np.array([order for order, _ in keys], dtype=np.int8),
-        np.array([counts for _, counts in keys], dtype=np.min_scalar_type(len(cloud.points))),
-    )
+            diameters[generation[t]] = t
+            counts[generation[t]] += 1
+        keys.add(tuple(counts))
+    return diameters, np.array(sorted(keys), dtype=np.min_scalar_type(len(cloud.points)))
 
 
 @st.composite
@@ -109,12 +101,11 @@ def small_clouds(draw):
 
 
 def rebuilt_coverings(keys):
-    """The covering behind each key: its diameters block by block, in the
-    key's order of first appearance."""
-    diameters, order, counts = keys
+    """A covering behind each key: its diameters generation by generation."""
+    diameters, counts = keys
     return [
-        DyadicCovering(tuple(float(diameters[g]) for g in row if g >= 0 for _ in range(counts[i, g])))
-        for i, row in enumerate(order.tolist())
+        DyadicCovering(tuple(float(diameters[g]) for g, c in enumerate(row) for _ in range(c)))
+        for row in counts.tolist()
     ]
 
 
@@ -159,6 +150,22 @@ class TestCoveringSum:
 
     def test_empty_covering(self):
         assert nh_covering_sum(DyadicCovering(()), CapacityParams(1.0, 1.0)) == 0.0
+
+    @settings(max_examples=200)
+    @given(
+        st.lists(
+            st.floats(2.0**-12, 1.0) | st.sampled_from([2.0**-g * math.sqrt(2) for g in range(1, 9)]),
+            min_size=1,
+            max_size=12,
+        ),
+        st.sampled_from((0.5, 1.0, 2.0, math.inf)),
+        st.data(),
+    )
+    def test_is_a_function_of_the_multiset(self, diameters, q, data):
+        # the blocks add coarse to fine, and each block its terms largest first
+        params = CapacityParams(0.5, q)
+        permuted = DyadicCovering(data.draw(st.permutations(diameters)))
+        assert nh_covering_sum(permuted, params) == nh_covering_sum(DyadicCovering(diameters), params)
 
 
 class TestValidation:
@@ -252,9 +259,8 @@ class TestCapacityExactness:
         "q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q3"), pytest.param(math.log1p, id="phi")]
     )
     def test_distinct_coverings_oracle_is_exact(self, q, oracle_cases):
-        # every key scores its own covering to the last bit, and the keys'
-        # sums are exactly the raw coverings' sums; a key with sorted
-        # diameters breaks this for finite q
+        # every key scores its coverings to the last bit, and the keys' sums
+        # are exactly the raw coverings' sums
         params = CapacityParams(0.5, 2.0, phi=q) if callable(q) else CapacityParams(0.5, q)
         for keys, rebuilt, raw in oracle_cases:
             assert len(rebuilt) == len({c.diameters for c in rebuilt}) < len(raw)
@@ -305,14 +311,6 @@ class TestPrune:
 
 
 class TestCoveringOracle:
-    def test_chunk_size_does_not_change_keys(self, monkeypatch):
-        whole = covering_keys(DP_CLOUDS[1], 0.5, 8)
-        monkeypatch.setattr(experiments, "_KEY_CHUNK", 7)
-        chunked = covering_keys(DP_CLOUDS[1], 0.5, 8)
-        assert np.array_equal(whole[0], chunked[0], equal_nan=True)
-        assert np.array_equal(whole[1], chunked[1])
-        assert np.array_equal(whole[2], chunked[2])
-
     def test_independent_of_the_dp(self, monkeypatch):
         cloud, params = DP_CLOUDS[1], CapacityParams(0.5, 0.5)
         dp = nh_capacity_delta(cloud, params, 0.5, 8)
@@ -325,10 +323,9 @@ class TestCoveringOracle:
         keys = covering_keys(cloud, 0.5, 8)
         assert covering_sums(keys, params).min() == dp
 
-    def test_memory_is_bounded_by_chunks(self):
-        # 34 438 keys of 109 600 coverings: blocks of _KEY_CHUNK rows peak at
-        # 3.7 MiB under tracemalloc, most of it the keys themselves; one block
-        # per key product peaks at 8.5 MiB, so the bound tells the two apart
+    def test_memory_is_bounded(self):
+        # 3 860 keys of 109 600 coverings, from products of at most 9 064
+        # unpruned rows of nine one-byte counts: a 0.2 MiB peak
         tracemalloc.start()
         try:
             covering_keys(DP_CLOUDS[0], 0.5, 8)
@@ -371,10 +368,11 @@ class TestCoveringOracle:
         with pytest.raises(ValueError, match=message):
             solve(PointCloud(points, 1), delta, depth)
 
-    def test_rejects_codes_that_overflow(self):
-        # 13 generations of 8 points need 105^13 > 2^63 codes
-        with pytest.raises(ValueError, match="overflow int64"):
-            covering_keys(DP_CLOUDS[0], 0.5, 12)
+    @pytest.mark.parametrize("seed", range(10))
+    def test_dp_is_exact_at_every_seed(self, seed):
+        # c10's three random clouds change with the seed; lab verify runs one
+        (check,) = capacity_dp_exactness(seed).checks
+        assert check.value == 0.0
 
 
 class TestPropertyChecks:

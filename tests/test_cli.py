@@ -251,6 +251,14 @@ class TestConstructCommand:
             texts.append(out.read_text())
         assert texts[0] == texts[1]
 
+    def test_node_budget_exits_3(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr("fflab.cantor._NODE_BUDGET", 27)
+        out = tmp_path / "m.json"
+        result = runner.invoke(main, ["construct", "--preset", "norm-growth", "--out", str(out)])
+        assert result.exit_code == 3, result.output
+        assert "resource limit: the tree would hold 28 nodes" in result.output
+        assert not out.exists()
+
     def test_negative_seed_exits_2(self, runner, tmp_path):
         out = tmp_path / "m.json"
         result = runner.invoke(main, ["construct", "--preset", "norm-growth", "--seed", "-1", "--out", str(out)])
