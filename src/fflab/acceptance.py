@@ -3,8 +3,9 @@
 Each criterion runs one seeded experiment at its canonical settings.  Its
 checks are ``CheckResult`` records, a measured value against its bound; the
 criterion passes when every check does and it stays within its runtime
-limit.  The JSON summary carries each check's value, bound, margin and
-verdict, and is byte-identical across reruns at one seed.
+limit, where a limit of 0 means none (c2, c11, c12).  The JSON summary
+carries each check's value, bound, margin and verdict, and is
+byte-identical across reruns at one seed.
 """
 
 from __future__ import annotations

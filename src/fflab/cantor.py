@@ -51,12 +51,7 @@ class SpacingViolation(ValueError):
 
 
 class SelectionBudgetError(RuntimeError):
-    """Rejection sampling ran out of draws; carries the best candidate seen."""
-
-    def __init__(self, message, best=None, certificate=None):
-        super().__init__(message)
-        self.best = best
-        self.certificate = certificate
+    """Rejection sampling ran out of draws."""
 
 
 @dataclass(frozen=True)
@@ -95,7 +90,7 @@ def _kid_side(d: int, p: float, beta: float, weight: Fraction, layer: int, m: in
     return m ** (-p / (2.0 * d)) * b ** (p / (2.0 * d * beta)) / (layer + 1)
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     index: int
     parent: Optional[int]
@@ -113,24 +108,22 @@ class CubeTree:
 
     params: ConstructionParams
     nodes: List[TreeNode]
-    steps: List[tuple]  # (expanded node index, M, kid side), one per step
     certificates: List[SelectionCertificate] = field(default_factory=list)
+
+    @property
+    def steps(self) -> List[tuple]:
+        """(expanded node index, M, kid side), one per step in step order."""
+        return [(node.index, len(node.kids), self.nodes[node.kids[0]].side) for node in self.nodes if node.kids]
 
     def layer_nodes(self, n: int) -> List[TreeNode]:
         return [node for node in self.nodes if node.layer == n]
-
-    def first_unexpanded(self, n: int) -> Optional[TreeNode]:
-        """First layer-n node with no kids, or None when the layer is expanded."""
-        for node in self.layer_nodes(n):
-            if not node.kids:
-                return node
-        return None
 
     def is_layer_complete(self, n: int) -> bool:
         """Layer n is complete when every layer n-1 node has been expanded."""
         if n == 0:
             return True
-        return bool(self.layer_nodes(n - 1)) and self.first_unexpanded(n - 1) is None
+        parents = self.layer_nodes(n - 1)
+        return bool(parents) and all(node.kids for node in parents)
 
     def max_complete_layer(self) -> int:
         n = 0
@@ -142,43 +135,45 @@ class CubeTree:
         return sum((node.weight for node in self.layer_nodes(n)), Fraction(0))
 
 
-def _least_branching(side, m: int, r_prev: float, step: int) -> int:
-    """Least branching count from m on whose kid side ``side(m)`` falls
-    below r_prev / 2; SpacingViolation past 10**6."""
-    while not side(m) < r_prev / 2:
-        m += 1
-        if m > 10**6:
-            raise SpacingViolation(step, r_prev, side(m - 1), m)
-    return m
-
-
-# Nodes of one tree, 1 + Sigma M_k, counted before any is made.  The largest
+# Nodes of one tree, counted before each step makes its kids.  The largest
 # shipped preset, layer-law at depth 4, has 6 270; a one-step d = 1 tree of
 # 60 004 nodes builds and realizes in 2.4 s at 201 MB peak RSS (2-core host).
 _NODE_BUDGET = 2**16
 
 
-def build_tree(params: ConstructionParams) -> CubeTree:
-    """Grow the tree by expanding node k at step k with M_k kids.
+def _least_branching(side, m: int, r_prev: float, step: int) -> int:
+    """Least branching count from m on whose kid side ``side(m)`` falls
+    below r_prev / 2; ResourceLimitError past _NODE_BUDGET, since no tree
+    could hold more kids."""
+    while not side(m) < r_prev / 2:
+        m += 1
+        if m > _NODE_BUDGET:
+            raise ResourceLimitError(f"step {step} needs over {_NODE_BUDGET} kids to halve its side, past the node budget")
+    return m
 
-    Weights are exact rationals; kid sides follow the size rule.  The kid
+
+def _grow(d: int, p: float, beta: float, branching) -> List[TreeNode]:
+    """Grow the tree by expanding node k at step k with M_k kids, where
+    M_k = ``branching(k, node, side, r_prev)`` and None ends the growth.
+
+    ``side(m)`` is the size rule's kid side for m kids of node k.  The kid
     sides over consecutive steps, starting from the root's side 1, must drop
     strictly below half the previous value, otherwise SpacingViolation
-    reports the minimal branching count that would restore it.  A tree of
-    more than ``_NODE_BUDGET`` nodes raises ResourceLimitError before any
-    node is made.
+    reports the minimal branching count that would restore it.  A step that
+    would take the tree past ``_NODE_BUDGET`` nodes raises
+    ResourceLimitError before it makes a kid.  Every M_k >= 2, so node k
+    exists at step k.
     """
-    n_nodes = 1 + sum(params.M)
-    if n_nodes > _NODE_BUDGET:
-        raise ResourceLimitError(f"the tree would hold {n_nodes} nodes, over the budget of {_NODE_BUDGET}")
     nodes = [TreeNode(0, None, 0, Fraction(1), 1.0)]
-    steps: List[tuple] = []
     r_prev = 1.0
-    for k, m in enumerate(params.M):
-        if k >= len(nodes):
-            raise ValueError(f"step {k} has no node to expand; branching list too long")
+    for k in itertools.count():
         node = nodes[k]
-        side = functools.partial(_kid_side, params.d, params.p, params.beta, node.weight, node.layer)
+        side = functools.partial(_kid_side, d, p, beta, node.weight, node.layer)
+        m = branching(k, node, side, r_prev)
+        if m is None:
+            return nodes
+        if len(nodes) + m > _NODE_BUDGET:
+            raise ResourceLimitError(f"the tree would hold {len(nodes) + m} nodes, over the budget of {_NODE_BUDGET}")
         r = side(m)
         if not r < r_prev / 2:
             raise SpacingViolation(k, r_prev, r, _least_branching(side, m, r_prev, k))
@@ -186,38 +181,36 @@ def build_tree(params: ConstructionParams) -> CubeTree:
         if kid_weight > Fraction(1, 2 ** (node.layer + 1)):
             raise RuntimeError(f"node {k}: kid weight {kid_weight} exceeds 2^-{node.layer + 1}")
         first = len(nodes)
-        for j in range(m):
-            nodes.append(TreeNode(first + j, k, node.layer + 1, kid_weight, r))
+        nodes.extend(TreeNode(first + j, k, node.layer + 1, kid_weight, r) for j in range(m))
         node.kids = tuple(range(first, first + m))
-        steps.append((k, m, r))
         r_prev = r
-    return CubeTree(params, nodes, steps)
+
+
+def build_tree(params: ConstructionParams) -> CubeTree:
+    """Grow the tree from the branching list: step k gives node k its M_k
+    kids.  Weights are exact rationals, kid sides follow the size rule, and
+    the spacing rule and node budget hold as in ``_grow``."""
+    M = params.M
+    return CubeTree(params, _grow(params.d, params.p, params.beta, lambda k, *_: M[k] if k < len(M) else None))
 
 
 def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tuple:
     """Branching counts chosen greedily: the minimal M_k >= 2 per step that
     keeps the kid sides strictly halving, from the root's side 1 on,
-    continued until ``layers`` full layers exist."""
-    nodes = [(0, Fraction(1))]  # (layer, weight)
-    ms: List[int] = []
-    r_prev = 1.0
-    for k in itertools.count():
-        layer, weight = nodes[k]
-        if layer >= layers:
-            return tuple(ms)
-        side = functools.partial(_kid_side, d, p, beta, weight, layer)
-        m = _least_branching(side, 2, r_prev, k)
-        ms.append(m)
-        nodes.extend([(layer + 1, weight / m)] * m)
-        r_prev = side(m)
+    continued until ``layers`` full layers exist.  The tree grows as in
+    build_tree, so a choice that would pass the node budget raises
+    ResourceLimitError at the step that makes it."""
+
+    def least(k, node, side, r_prev):
+        return None if node.layer >= layers else _least_branching(side, 2, r_prev, k)
+
+    return tuple(len(node.kids) for node in _grow(d, p, beta, least) if node.kids)
 
 
 def layer_covering(tree: CubeTree, n: int) -> DyadicCovering:
     """Diameters of all layer-n cubes, ready for the covering-sum evaluator."""
     if not tree.is_layer_complete(n):
-        stuck = tree.first_unexpanded(n - 1) if n > 0 else None
-        where = f"node {stuck.index}" if stuck is not None else f"layer {n - 1}"
-        raise ValueError(f"layer {n} incomplete: {where} is not expanded")
+        raise ValueError(f"layer {n} incomplete: the deepest complete layer is {tree.max_complete_layer()}")
     sqrt_d = math.sqrt(tree.params.d)
     diams = tuple(node.side * sqrt_d for node in tree.layer_nodes(n))
     return DyadicCovering(diams)
@@ -272,9 +265,8 @@ def select_nu(
     as that many sample_shifts calls, fix each threshold at 4x the median of
     their integral int |nu_hat - E mu_hat|^{p_i} over the truncated grid.
     Then up to ``budget`` fresh samples are drawn, and the first whose two
-    integrals both fall at or below their thresholds is returned;
-    otherwise SelectionBudgetError carries the sample with the smallest
-    worst ratio of integral to threshold.
+    integrals both fall at or below their thresholds is returned with its
+    certificate; otherwise SelectionBudgetError is raised.
     """
     if not p1 > p2 > 2:
         raise ValueError("need p1 > p2 > 2")
@@ -286,36 +278,25 @@ def select_nu(
     calib = moments(calib_shifts)
     thresholds = tuple(4.0 * np.sort(calib, axis=0)[_CALIBRATION_DRAWS // 2])
 
-    best, best_cert, best_score = None, None, math.inf
     for i in range(budget):
         s = sample_shifts(M, r, rng, d)
-        row = moments(s.shifts[None])[0]
-        integrals = tuple(row.tolist())
-        cert = SelectionCertificate(integrals, thresholds, exponents, i + 1, _CALIBRATION_DRAWS)
-        score = max(
-            ii / t if t > 0 else math.inf for ii, t in zip(integrals, thresholds)
-        )
-        if score < best_score:
-            best, best_cert, best_score = s, cert, score
+        integrals = tuple(moments(s.shifts[None])[0].tolist())
         if all(ii <= t for ii, t in zip(integrals, thresholds)):
-            return NuSelection(s, cert)
-    raise SelectionBudgetError(
-        f"no sample met both thresholds {thresholds} within budget {budget}",
-        best=best,
-        certificate=best_cert,
-    )
+            return NuSelection(s, SelectionCertificate(integrals, thresholds, exponents, i + 1, _CALIBRATION_DRAWS))
+    raise SelectionBudgetError(f"no sample met both thresholds {thresholds} within budget {budget}")
 
 
 def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
     """Place kid cubes by randomized shifts and emit every measure stage.
 
-    Step i must expand node i.  At step k the shifts are drawn, with the
-    moment exponents p1 = p + 2 and p2 = p1 / 2, for the relative side
-    r_k / side(Q_k), and mapped through the homothety onto Q_k.  Q_k is then
-    the first atom of the last stage, so the next stage is the last one
-    without it, followed by equal shares of its mass on its kids.  Returns
-    the tree with geometry and selection certificates, and the list of
-    measures from the initial uniform stage through the deepest stage.
+    The steps are read off the tree's nodes.  At step k the shifts are
+    drawn, with the moment exponents p1 = p + 2 and p2 = p1 / 2, for the
+    relative side r_k / side(Q_k), and mapped through the homothety onto
+    Q_k.  Q_k is then the first atom of the last stage, so the next stage is
+    the last one without it, followed by equal shares of its mass on its
+    kids.  Returns the tree with geometry and selection certificates, and
+    the list of measures from the initial uniform stage through the deepest
+    stage.
     """
     p1 = params.p + 2.0
     p2 = p1 / 2.0
@@ -324,12 +305,8 @@ def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
     tree.certificates = []
     measures = [CubeMeasure(d, ((tree.nodes[0].corner, 1.0, 1.0),), (Fraction(1),))]
 
-    for i, (k, m, r) in enumerate(tree.steps):
-        if k != i:
-            raise ValueError(f"step {i} expands node {k}; step i must expand node i")
+    for k, m, r in tree.steps:
         node = tree.nodes[k]
-        if node.corner is None:
-            raise RuntimeError(f"node {k} expanded before receiving geometry")
         rel_r = r / node.side
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(k,)))
         sel = select_nu(m, rel_r, p1, p2, budget, rng, d=d)
@@ -337,8 +314,6 @@ def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
         for kid_index, v in zip(node.kids, sel.sample.shifts.tolist()):
             kid = tree.nodes[kid_index]
             kid.corner = tuple(c + node.side * vc for c, vc in zip(node.corner, v))
-            if abs(kid.side - r) >= 1e-12:
-                raise RuntimeError(f"node {kid_index}: side {kid.side} differs from step side {r}")
         kids = [(tree.nodes[j].corner, tree.nodes[j].side) for j in node.kids]
         measures.append(measures[-1].split_first(kids))
     return tree, measures

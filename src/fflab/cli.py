@@ -83,14 +83,13 @@ def construct_cmd(preset_name, depth, seed, out):
     """Realize a construction preset and write the deepest measure stage."""
     try:
         params = preset(preset_name, depth=depth, seed=seed)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
         tree, measures = realize_tree(build_tree(params), params)
     except (ResourceLimitError, SelectionBudgetError) as exc:
         click.echo(f"resource limit: {exc}", err=True)
         sys.exit(EXIT_RESOURCE)
+    except ValueError as exc:
+        click.echo(f"config error: {exc}", err=True)
+        sys.exit(EXIT_CONFIG)
     Path(out).write_text(measures[-1].to_json())
     click.echo(f"wrote stage-{len(measures) - 1} measure ({len(measures[-1].atoms)} atoms) to {out}")
     sys.exit(EXIT_OK)

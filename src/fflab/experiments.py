@@ -130,7 +130,7 @@ def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[
     sorting cuts the padding from about 48 % of the cells to about 20 %.  A
     block is one gather from the draw, its padding read from a 0 just past
     it; both are views of ``work``, valid only until the next block."""
-    work = work or _Work(_LORNOR_ROWS * _LORNOR_MAX_LEN)
+    work = work or _Work()
     rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
     lengths = rng.integers(3, _LORNOR_MAX_LEN + 1, n_seq)
     for start in range(0, n_seq, _CORPUS_BLOCK):
@@ -301,7 +301,7 @@ def frostman_measure(seed: int) -> GridMeasure:
 def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
-    work = _Work(_LORNOR_ROWS * _LORNOR_MAX_LEN)  # one set for the whole run
+    work = _Work()  # one set for the whole run
     for alpha in alphas:
         for q in qs:
             q_key = repr(float(q))

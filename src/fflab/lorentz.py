@@ -113,19 +113,17 @@ def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
 
 class _Work:
     """Named flat scratch arrays: ``get`` gives a C-contiguous view of the first
-    cells of one, replaced only when a shape needs more cells or another dtype.
-    Each array is as large as the largest shape asked of its name, or
-    ``cells`` if more: a caller whose shapes grow over a run can allocate
-    each array once."""
+    cells of one, replaced only when a shape needs more cells or another dtype,
+    so each array is as large as the largest shape asked of its name."""
 
-    def __init__(self, cells: int = 0):
-        self.cells, self.arrays = cells, {}
+    def __init__(self):
+        self.arrays = {}
 
     def get(self, name: str, shape, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self.arrays.get(name)
         if flat is None or flat.dtype != dtype or flat.size < size:
-            flat = self.arrays[name] = np.empty(max(size, self.cells), dtype)
+            flat = self.arrays[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 
 
@@ -173,7 +171,7 @@ def _lorentz_norms(values: np.ndarray, masses, p: float, q: float, work: Optiona
         np.copyto(v, values)
         v.sort(axis=1)
         desc = v[:, ::-1]
-        w = np.full(n, masses, dtype=float)  # fresh: a LORNOR work set would floor it to 128 x 199 cells
+        w = np.full(n, masses, dtype=float)
         np.cumsum(w, out=w)
     else:
         sort = (np.arange(values.shape[0])[:, None], np.argsort(-values, axis=1))

@@ -12,7 +12,6 @@ import pytest
 from fflab import cantor
 from fflab.cantor import (
     ConstructionParams,
-    CubeTree,
     SelectionBudgetError,
     SpacingViolation,
     _default_selection_grid,
@@ -126,12 +125,35 @@ class TestGreedyBranching:
             build_tree(ConstructionParams(2, 4.0, 2.0, 2.0, (2, 2)))
         assert (exc.value.step, exc.value.suggested_m) == (0, 3)
 
+    def test_node_budget_bounds_the_greedy_tree(self):
+        # three d = 2 layers would take 1.37 M nodes; the growth stops at the
+        # step that would pass the budget, with only the nodes before it made
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="85968 nodes, over the budget of 65536"):
+                greedy_spacing_branching(2, 4.0, 2.0, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_least_branching_stops_at_the_node_budget(self, monkeypatch):
+        # no tree could hold a larger count, so the search ends there
+        monkeypatch.setattr(cantor, "_NODE_BUDGET", 100)
+        with pytest.raises(ResourceLimitError, match="step 3 needs over 100 kids"):
+            cantor._least_branching(lambda m: 1.0, 2, 1.0, 3)
+
 
 class TestLayerCovering:
     def test_incomplete_layer_rejected(self):
         tree = build_tree(preset("norm-growth"))
         with pytest.raises(ValueError, match="incomplete"):
             layer_covering(tree, 2)
+
+    def test_incomplete_layer_names_the_deepest_complete_one(self):
+        tree = build_tree(preset("norm-growth"))
+        with pytest.raises(ValueError, match="layer 3 incomplete: the deepest complete layer is 1"):
+            layer_covering(tree, 3)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_layer_sum_law(self, n):
@@ -166,10 +188,9 @@ class TestSampling:
         assert all(i <= t for i, t in zip(ints, thrs))
         assert sel.certificate.draws >= 1
 
-    def test_select_nu_budget_error_carries_best(self):
-        with pytest.raises(SelectionBudgetError) as exc:
+    def test_select_nu_budget_exhausted_raises(self):
+        with pytest.raises(SelectionBudgetError):
             select_nu(8, 0.1, 6.0, 3.0, budget=0, rng=np.random.default_rng(1))
-        assert exc.value.best is None
 
     def test_select_nu_exponent_order(self):
         with pytest.raises(ValueError):
@@ -344,16 +365,6 @@ class TestRealizeTree:
             assert cert.calibration_draws == 15
             assert 1 <= cert.draws <= 64
         assert build_tree(params).certificates == []
-
-    def test_rejects_steps_out_of_order(self):
-        # stages are built from the previous one, taking the expanded node
-        # as its first atom, which holds only when step i expands node i
-        params = preset("norm-growth", seed=7)
-        tree = build_tree(params)
-        first, second, third = tree.steps
-        swapped = CubeTree(params, tree.nodes, [first, third, second])
-        with pytest.raises(ValueError, match="step 1 expands node 2"):
-            realize_tree(swapped, params)
 
     def test_rejects_unknown_format(self):
         with pytest.raises(ValueError):

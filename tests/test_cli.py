@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and config handling."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -225,6 +226,13 @@ class TestRunCommand:
         assert result.exit_code == 3
         assert "resource limit" in result.output
 
+    def test_h_zero_past_the_node_budget_exits_3(self, runner, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nexperiment = H_ZERO\n[params]\nlayers = 5\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert "resource limit: the tree would hold 66314 nodes" in result.output
+
 
 class TestConstructCommand:
     def test_construct_writes_measure(self, runner, tmp_path):
@@ -257,6 +265,16 @@ class TestConstructCommand:
         result = runner.invoke(main, ["construct", "--preset", "norm-growth", "--out", str(out)])
         assert result.exit_code == 3, result.output
         assert "resource limit: the tree would hold 28 nodes" in result.output
+        assert not out.exists()
+
+    def test_deep_layer_law_exits_3_while_resolving_the_preset(self, runner, tmp_path):
+        # the greedy branching passes the node budget at step 36
+        out = tmp_path / "m.json"
+        started = time.perf_counter()
+        result = runner.invoke(main, ["construct", "--preset", "layer-law", "--depth", "5", "--out", str(out)])
+        assert time.perf_counter() - started < 1.0
+        assert result.exit_code == 3, result.output
+        assert "resource limit: the tree would hold 66314 nodes" in result.output
         assert not out.exists()
 
     def test_negative_seed_exits_2(self, runner, tmp_path):
