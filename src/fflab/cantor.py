@@ -141,15 +141,19 @@ class CubeTree:
 _NODE_BUDGET = 2**16
 
 
-def _least_branching(side, m: int, r_prev: float, step: int) -> int:
+def _least_branching(side, rate: float, m: int, r_prev: float, step: int) -> int:
     """Least branching count from m on whose kid side ``side(m)`` falls
     below r_prev / 2; ResourceLimitError past _NODE_BUDGET, since no tree
-    could hold more kids."""
-    while not side(m) < r_prev / 2:
-        m += 1
-        if m > _NODE_BUDGET:
-            raise ResourceLimitError(f"step {step} needs over {_NODE_BUDGET} kids to halve its side, past the node budget")
-    return m
+    could hold more kids.  As side(m) = side(1) * m**-rate, the search starts
+    one below the power where it falls, past any rounding, capped past the budget."""
+    half = r_prev / 2
+    log_m = math.log(side(1) / half) / rate if rate > 0 else math.inf  # a side that never shrinks
+    n = max(m, math.floor(math.exp(min(log_m, math.log(_NODE_BUDGET + 2)))) - 1)
+    while not side(n) < half and n <= _NODE_BUDGET:
+        n += 1
+    if n > _NODE_BUDGET:
+        raise ResourceLimitError(f"step {step} needs over {_NODE_BUDGET} kids to halve its side, past the node budget")
+    return n
 
 
 def _grow(d: int, p: float, beta: float, branching) -> List[TreeNode]:
@@ -176,7 +180,7 @@ def _grow(d: int, p: float, beta: float, branching) -> List[TreeNode]:
             raise ResourceLimitError(f"the tree would hold {len(nodes) + m} nodes, over the budget of {_NODE_BUDGET}")
         r = side(m)
         if not r < r_prev / 2:
-            raise SpacingViolation(k, r_prev, r, _least_branching(side, m, r_prev, k))
+            raise SpacingViolation(k, r_prev, r, _least_branching(side, p / (2.0 * d), m, r_prev, k))
         kid_weight = node.weight / m
         if kid_weight > Fraction(1, 2 ** (node.layer + 1)):
             raise RuntimeError(f"node {k}: kid weight {kid_weight} exceeds 2^-{node.layer + 1}")
@@ -202,7 +206,7 @@ def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tupl
     ResourceLimitError at the step that makes it."""
 
     def least(k, node, side, r_prev):
-        return None if node.layer >= layers else _least_branching(side, 2, r_prev, k)
+        return None if node.layer >= layers else _least_branching(side, p / (2.0 * d), 2, r_prev, k)
 
     return tuple(len(node.kids) for node in _grow(d, p, beta, least) if node.kids)
 

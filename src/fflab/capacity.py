@@ -5,8 +5,8 @@ coverings drawn from the dyadic-box lattice.  Because all boxes of one
 generation share a diameter, the covering cost depends only on the vector of
 per-generation box counts, so a Pareto-frontier dynamic program over the
 occupied dyadic tree is exact for every monotone block aggregator, including
-the concave regime q < 1.
-"""
+the concave regime q < 1.  The DP and criterion 10's exhaustive search share
+one count-vector scorer, ``covering_sums``, exact to the last bit."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "GaugeFunction",
     "PointCloud",
     "nh_covering_sum",
+    "covering_sums",
     "nh_capacity_delta",
     "enumerate_antichain_coverings",
     "HlpItem",
@@ -159,6 +160,27 @@ def nh_covering_sum(cov: DyadicCovering, params: CapacityParams) -> float:
     return sum(params.block_gauge(s) for s in block_sums.values())
 
 
+def covering_sums(keys: Tuple[np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
+    """``nh_covering_sum`` of the covering behind each count vector, to the
+    last bit.  ``keys`` is ``(diameters, counts)``: column g of ``counts``
+    counts the sets of diameter ``diameters[g]``; the diameters descend,
+    each in its own dyadic block as the generations 2^-g sqrt(d) do in
+    every d.  Each (column, count) pair is scored once by the left-to-right
+    addition of t**alpha and the block gauge of ``nh_covering_sum``, and
+    the scores are added coarse to fine (``_row_sums``; max for q = inf)."""
+    diameters, counts = keys
+    sup = params.q == math.inf
+    table = np.zeros((len(diameters), int(counts.max(initial=0)) + 1))
+    for g, t in enumerate(diameters.tolist()):
+        term, block = t**params.alpha, 0.0
+        for c in range(1, table.shape[1]):
+            block += term
+            table[g, c] = block if sup else params.block_gauge(block)
+    # gathered with one row per column, so _row_sums sums it in place
+    terms = table[np.arange(len(diameters))[:, None], counts.T]
+    return terms.max(axis=0) if sup else _row_sums(terms.T)
+
+
 # ---------------------------------------------------------------------------
 # capacity at scale delta: exact optimum over dyadic-box coverings
 
@@ -228,27 +250,6 @@ def _groups(points, g: int):
 _FRONTIER_BUDGET = 200_000
 
 
-def _frontier_cost(front: np.ndarray, g_min: int, d: int, params: CapacityParams) -> float:
-    """Least covering sum over the count rows of ``front``.
-
-    Column j counts the boxes of generation g_min + j, one generation per
-    dyadic block since sqrt(d) < 2 for d <= 3.  Each distinct count of a
-    column is scored once as the block gauge of count * diam**alpha, and
-    the columns are added left to right (``_row_sums``; max for q = inf); a
-    zero count adds 0.0.
-    """
-    sup = params.q == math.inf
-    costs = np.zeros(front.shape)
-    for j in range(front.shape[1]):
-        term = (2.0 ** (-(g_min + j)) * math.sqrt(d)) ** params.alpha
-        counts, at = np.unique(front[:, j], return_inverse=True)
-        scored = [c * term if sup or c == 0 else params.block_gauge(c * term) for c in counts.tolist()]
-        costs[:, j] = np.array(scored)[at]
-    if sup:
-        return float(costs.max(axis=1).min())
-    return float(_row_sums(costs).min())
-
-
 def _coarsest_generation(delta: float, depth: int) -> int:
     """ceil(log2(1/delta)), at least 0: the coarsest generation of boxes of
     diameter below delta.  Raises ValueError unless delta > 0 and depth
@@ -262,7 +263,7 @@ def _coarsest_generation(delta: float, depth: int) -> int:
 
 
 def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, depth: int) -> float:
-    """Exact infimum of nh_covering_sum over dyadic-box coverings.
+    """Exact infimum of nh_covering_sum over dyadic-box coverings, in every d.
 
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
     upper-bounds the unrestricted capacity.
@@ -270,7 +271,8 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     A frontier holds the Pareto-minimal per-generation box counts of the
     coverings of some points, one column per generation g_min..depth.  A
     box's frontier is its own row plus the pruned Minkowski sum of its
-    kids' frontiers; the cloud's is that sum over its boxes at g_min.
+    kids' frontiers; the cloud's is that sum over its boxes at g_min, its
+    rows scored by ``covering_sums``.
     """
     g_min = _coarsest_generation(delta, depth)
     if depth > 16:
@@ -298,7 +300,8 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
         fronts = (take if g == depth else np.vstack((frontier(box, g + 1), take)) for box in _groups(points, g))
         return functools.reduce(merge, fronts)
 
-    return _frontier_cost(frontier(cloud.points, g_min), g_min, cloud.d, params)
+    diameters = 2.0 ** -np.arange(g_min, depth + 1) * math.sqrt(cloud.d)
+    return float(covering_sums((diameters, frontier(cloud.points, g_min)), params).min())
 
 
 def enumerate_antichain_coverings(cloud: PointCloud, delta: float, depth: int):

@@ -108,6 +108,9 @@ def spectrum_cmd(measure_path, p, q, extent, samples, out):
         mu = CubeMeasure.from_json(Path(measure_path).read_text())
         grid = FreqGrid(mu.d, extent, samples)
         exponents = LorentzExponents(p, q)
+    except ResourceLimitError as exc:
+        click.echo(f"resource limit: {exc}", err=True)
+        sys.exit(EXIT_RESOURCE)
     except ValueError as exc:
         click.echo(f"config error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)

@@ -32,6 +32,7 @@ from .capacity import (
     _coarsest_generation,
     _groups,
     check_hlp_item,
+    covering_sums,
     frostman_ratio,
     nh_capacity_delta,
     nh_covering_sum,
@@ -45,7 +46,6 @@ from .lorentz import (
     _pad_rows,
     _pplus_rows,
     _quasi_triangle_rows,
-    _row_sums,
 )
 from .spectral import (
     BumpFamily,
@@ -618,13 +618,13 @@ def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarr
 
     Each generation fills one dyadic block, and ``nh_covering_sum`` adds the
     blocks coarse to fine, so a covering's counts fix its sum.  Returns
-    ``(diameters, counts)``: ``diameters[g]`` is the diameter of generation
-    g (nan if none occurs), and the rows of ``counts``, in ascending order,
-    are the keys.  A box's keys are its own (one set of its generation), then
-    the product of its kids' keys: the distinct rows of their Minkowski sum.
+    ``(diameters, counts)``, one column per generation g_min..depth; the
+    rows of ``counts``, in ascending order, are the keys.  A box's keys are
+    its own (one set of its generation), then the product of its kids' keys:
+    the distinct rows of their Minkowski sum.
     """
     g_min = _coarsest_generation(delta, depth)
-    gens = np.arange(depth + 1)
+    gens = np.arange(g_min, depth + 1)
     dtype = np.min_scalar_type(len(cloud.points))
 
     def product(a, b):
@@ -639,49 +639,28 @@ def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarr
 
     tops = (box_keys(points, g_min) for points in _groups(cloud.points, g_min))
     counts = functools.reduce(product, tops, np.zeros((1, len(gens)), dtype))
-    diameters = np.where((gens >= g_min) & bool(cloud.points), 2.0 ** -gens * math.sqrt(cloud.d), np.nan)
-    return diameters, counts
-
-
-def covering_sums(keys: Tuple[np.ndarray, np.ndarray], params: CapacityParams) -> np.ndarray:
-    """``nh_covering_sum`` of the coverings behind each key, to the last bit:
-    each (generation, count) pair is scored once by the same left-to-right
-    addition of t**alpha and block gauge, and the table gathered in
-    generation order is summed left to right (``_row_sums``; max for q = inf).
-    """
-    diameters, counts = keys
-    sup = params.q == math.inf
-    table = np.zeros((len(diameters), int(counts.max(initial=0)) + 1))
-    for g, t in enumerate(diameters.tolist()):
-        if math.isnan(t):
-            continue
-        term, block = t**params.alpha, 0.0
-        for c in range(1, table.shape[1]):
-            block += term
-            table[g, c] = block if sup else params.block_gauge(block)
-    # gathered with one row per generation, so _row_sums sums it in place
-    terms = table[np.arange(len(diameters))[:, None], counts.T]
-    return terms.max(axis=0) if sup else _row_sums(terms.T)
+    return 2.0 ** -gens * math.sqrt(cloud.d), counts
 
 
 def capacity_dp_exactness(seed: int) -> ExperimentResult:
-    """Pareto-frontier optimum vs exhaustive antichain enumeration, each
-    distinct covering key scored once."""
+    """Pareto-frontier optimum vs exhaustive antichain enumeration.  The DP
+    and the search share the scorer ``covering_sums``, so the brute value is
+    ``nh_covering_sum`` of the covering rebuilt from the least-scored key:
+    one check of the pruned search and of the scorer."""
     rng = _rng(seed, "dp")
     clouds = [
         PointCloud(tuple((x,) for x in (0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 0.9921875)), 1),
         PointCloud(tuple((x,) for x in (0.1, 0.12, 0.6, 0.61, 0.62, 0.9, 0.91, 0.99)), 1),
-    ]
-    for _ in range(3):
-        clouds.append(random_cloud(rng, 5))
+    ] + [random_cloud(rng, 5) for _ in range(3)]
     worst = 0.0
     for ci, cloud in enumerate(clouds):
         depth = 8 if ci < 2 else 7
-        keys = covering_keys(cloud, 0.5, depth)
+        diameters, counts = keys = covering_keys(cloud, 0.5, depth)
         for q in (0.5, 1.0, 2.0, math.inf):
             params = CapacityParams(0.5, q)
             dp = nh_capacity_delta(cloud, params, 0.5, depth)
-            brute = float(covering_sums(keys, params).min())
+            least = counts[covering_sums(keys, params).argmin()]
+            brute = nh_covering_sum(DyadicCovering(np.repeat(diameters, least).tolist()), params)
             worst = np.maximum(worst, abs(dp - brute))  # NaN propagates
     return ExperimentResult("CAPACITY_DP", [CheckResult("capacity_dp_exact", worst, 0)])
 

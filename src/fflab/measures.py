@@ -126,11 +126,13 @@ class CubeMeasure:
                 )
                 if "mass_exact" in rec:
                     fractions.append(Fraction(rec["mass_exact"]))
-            d = int(doc["d"])
+            d = doc["d"]
         except KeyError as exc:
             raise ValueError(f"measure file lacks the key {exc.args[0]!r}") from None
         except TypeError as exc:  # null, a list or an object where a number belongs
             raise ValueError(f"malformed measure file: {exc}") from None
+        if type(d) is not int:  # not isinstance: a JSON true is a bool, an int subclass
+            raise ValueError(f"the dimension d must be a JSON integer, not {d!r}")
         if fractions and len(fractions) != len(atoms):
             raise ValueError(f"mass_exact is given on {len(fractions)} of {len(atoms)} atoms")
         mf = tuple(fractions) if len(fractions) == len(atoms) else None

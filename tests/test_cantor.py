@@ -1,13 +1,17 @@
 """Tests for the nested-cube tree, spacing rule and randomized realization."""
 
+import functools
 import hashlib
 import json
+import math
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fflab import cantor
 from fflab.cantor import (
@@ -138,10 +142,38 @@ class TestGreedyBranching:
         assert peak < 12 * 2**20
 
     def test_least_branching_stops_at_the_node_budget(self, monkeypatch):
-        # no tree could hold a larger count, so the search ends there
+        # no tree could hold a larger count, so the search ends there, also
+        # for a side that never shrinks (rate 0) and one that grows
         monkeypatch.setattr(cantor, "_NODE_BUDGET", 100)
-        with pytest.raises(ResourceLimitError, match="step 3 needs over 100 kids"):
-            cantor._least_branching(lambda m: 1.0, 2, 1.0, 3)
+        for side, rate in ((lambda m: 1.0, 0.0), (lambda m: 1.0, 0.5), (lambda m: m**0.5, -0.5)):
+            with pytest.raises(ResourceLimitError, match="step 3 needs over 100 kids"):
+                cantor._least_branching(side, rate, 2, 1.0, 3)
+
+    @settings(max_examples=100)
+    @given(
+        st.sampled_from((1, 2)),
+        st.floats(2.1, 12.0),
+        st.floats(0.5, 6.0),
+        st.fractions(Fraction(1, 10**6), 1),
+        st.integers(0, 6),
+        st.integers(2, 50),
+        st.floats(1e-3, 1.0) | st.tuples(st.integers(2, 5000), st.sampled_from((-math.inf, 0.0, math.inf))),
+    )
+    def test_least_branching_is_the_least_halving_count(self, d, p, beta, weight, layer, m, r_prev):
+        # the one-power start finds what a search from m finds, one count at
+        # a time, also where r_prev / 2 is a kid side or one ulp off it
+        side = functools.partial(cantor._kid_side, d, p, beta, weight, layer)
+        if isinstance(r_prev, tuple):
+            k, towards = r_prev
+            r_prev = 2.0 * (side(k) if towards == 0 else math.nextafter(side(k), towards))
+        want = m
+        while not side(want) < r_prev / 2 and want <= cantor._NODE_BUDGET:
+            want += 1
+        if want > cantor._NODE_BUDGET:
+            with pytest.raises(ResourceLimitError):
+                cantor._least_branching(side, p / (2.0 * d), m, r_prev, 0)
+        else:
+            assert cantor._least_branching(side, p / (2.0 * d), m, r_prev, 0) == want
 
 
 class TestLayerCovering:

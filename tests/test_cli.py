@@ -233,6 +233,17 @@ class TestRunCommand:
         assert result.exit_code == 3, result.output
         assert "resource limit: the tree would hold 66314 nodes" in result.output
 
+    def test_spectrum_norm_past_the_grid_budget_exits_3(self, runner, tmp_path, monkeypatch):
+        def norms(*args):
+            raise AssertionError("transformed on an oversized grid")
+
+        monkeypatch.setattr("fflab.experiments._spectrum_norms", norms)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nexperiment = SPECTRUM_NORM\n[params]\nsamples = 1000000000000\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert "resource limit: a grid of 1000000000000^1 cells is over the budget of 1048576" in result.output
+
 
 class TestConstructCommand:
     def test_construct_writes_measure(self, runner, tmp_path):
@@ -345,8 +356,14 @@ class TestSpectrumCommand:
             ("[]", "must be a JSON object, not []"),  # the whole file
             (lambda doc: doc.update(atoms=[[0.0, 1.0, 1.0]]), "atoms must be a list of JSON objects"),
             (lambda doc: doc["atoms"][0].update(corner=0.0), "corner must be a list, not 0.0"),
+            (lambda doc: doc.update(d=1.9), "d must be a JSON integer, not 1.9"),
+            (lambda doc: doc.update(d=True), "d must be a JSON integer, not True"),
+            (lambda doc: doc.update(d="1"), "d must be a JSON integer, not '1'"),
         ],
-        ids=["version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner"],
+        ids=[
+            "version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner",
+            "float_d", "bool_d", "string_d",
+        ],
     )
     def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):
         doc = json.loads(CubeMeasure(1, (((0.0,), 0.5, 0.5), ((0.5,), 0.5, 0.5)), (0.5, 0.5)).to_json())
@@ -385,6 +402,21 @@ class TestSpectrumCommand:
         result = runner.invoke(main, ["spectrum", "--measure", str(measure), *sum(args.items(), ())])
         assert result.exit_code == 2, result.output
         assert result.output.startswith("config error: ") and message in result.output
+
+    def test_oversized_grid_exits_3_before_the_transform(self, runner, tmp_path, monkeypatch):
+        def transform(*args):
+            raise AssertionError("transformed a measure on an oversized grid")
+
+        monkeypatch.setattr(cli_mod, "cube_measure_transform", transform)
+        measure = tmp_path / "measure.json"
+        measure.write_text(CubeMeasure(1, (((0.0,), 1.0, 1.0),)).to_json())
+        result = runner.invoke(
+            main,
+            ["spectrum", "--measure", str(measure), "--p", "4", "--q", "2",
+             "--extent", "4", "--samples", "1000000000000"],
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith("resource limit: a grid of 1000000000000^1 cells")
 
 
 class TestVerifyCommand:

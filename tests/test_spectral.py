@@ -23,6 +23,7 @@ from scipy.special import j0, spherical_jn
 import fflab
 from fflab import experiments, spectral
 from fflab.cantor import _default_selection_grid, build_tree, realize_tree
+from fflab.capacity import ResourceLimitError
 from fflab.experiments import run_experiment
 from fflab.lorentz import LorentzExponents
 from fflab.measures import CubeMeasure, ShiftSample
@@ -91,6 +92,18 @@ class TestGrid:
     def test_other_dimensions_rejected(self):
         with pytest.raises(ValueError):
             FreqGrid(3, 4.0, 8)
+
+    @pytest.mark.parametrize("d, samples", [(1, 2**20 + 2), (2, 1026), (1, 10**12), (2, 10**12)])
+    def test_grid_past_the_cell_budget_rejected(self, d, samples):
+        # refused in the constructor, before any axis is made
+        with pytest.raises(ResourceLimitError, match=rf"a grid of {samples}\^{d} cells is over the budget"):
+            FreqGrid(d, 4.0, samples)
+
+    def test_cell_budget_admits_every_shipped_grid(self):
+        # criterion 9's refinement grid and select_nu's largest d = 2 grid
+        assert 2**18 < spectral._GRID_CELL_BUDGET and 256**2 < spectral._GRID_CELL_BUDGET
+        FreqGrid(1, 4.0, spectral._GRID_CELL_BUDGET)
+        FreqGrid(2, 4.0, 2**10)
 
     def test_field_shape_checked(self):
         with pytest.raises(ValueError):
@@ -761,4 +774,10 @@ class TestBinaryFormat:
         path = tmp_path / "bad.spec"
         path.write_bytes(raw)
         with pytest.raises(ValueError, match=message):
+            read_spectrum(path)
+
+    def test_grid_past_the_cell_budget_refused(self, tmp_path):
+        path = tmp_path / "huge.spec"
+        path.write_bytes(b"SPEC1" + struct.pack("<iid", 1, 2**30, 2.0))
+        with pytest.raises(ResourceLimitError, match="over the budget"):
             read_spectrum(path)
