@@ -204,6 +204,12 @@ def greedy_spacing_branching(d: int, p: float, beta: float, layers: int) -> tupl
     continued until ``layers`` full layers exist.  The tree grows as in
     build_tree, so a choice that would pass the node budget raises
     ResourceLimitError at the step that makes it."""
+    if d not in (1, 2):
+        raise ValueError("only d = 1 and d = 2 are supported at desk scale")
+    if not p > 2:
+        raise ValueError("p must exceed 2")
+    if not beta > 0:
+        raise ValueError("beta must be positive")
 
     def least(k, node, side, r_prev):
         return None if node.layer >= layers else _least_branching(side, p / (2.0 * d), 2, r_prev, k)

@@ -190,50 +190,45 @@ def _box_of(point, g: int):
     return tuple(min(int(c * scale), scale - 1) for c in point)
 
 
-# Rows per skyline block.  The kept rows are compared in chunks of the same
-# size, so every comparison temporary holds at most _PRUNE_BLOCK^2 bools.
+# Rows per AND of bitsets.  For n distinct rows of n_gen columns and largest
+# count c, _prune holds n_gen * (c + 1) * ceil(n/8) bytes of table plus
+# _PRUNE_BLOCK * ceil(n/8) bytes per AND.
 _PRUNE_BLOCK = 256
 
 
-def _below(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(len(b), len(a)) bools: row j of ``a`` <= row i of ``b`` in every
-    column, accumulated one column at a time."""
-    out = a[None, :, 0] <= b[:, None, 0]
-    for j in range(1, a.shape[1]):
-        out &= a[None, :, j] <= b[:, None, j]
-    return out
-
-
 def _prune(rows: np.ndarray) -> np.ndarray:
-    """Pareto-minimal rows of an (n, n_gen) int64 array, componentwise order.
+    """Pareto-minimal rows of an (n, n_gen) array of non-negative int64
+    counts, componentwise order, returned in (sum, columns) order.
 
-    A sorted block skyline (Kung, Luccio & Preparata 1975): the rows are
-    sorted by (sum, columns) and duplicates dropped, so a row can only be
-    dominated by a row of strictly smaller sum, that is by an earlier one.
-    Each block of rows is tested with ``<=`` against the rows kept so far
-    and against its own rows of smaller sum.  Domination is transitive, so
-    a dominated row always has a kept dominator in one of the two.  The
-    kept rows come back in (sum, columns) order.
+    The rows are sorted by (sum, columns) and duplicates dropped, so a row
+    can only be dominated by a row of strictly smaller sum, an earlier one.
+    For column j and count v, ``tables[j][v]`` is the bitset
+    (``np.packbits``, bit i for sorted row i) of the rows whose column j is
+    <= v.  The AND of the n_gen bitsets a row's counts select holds the
+    rows <= it: the row itself and its dominators.  So a row is dominated
+    iff the AND keeps a bit other than its own; by transitivity, being
+    dominated by any distinct row is the same as by a kept one.  Each block
+    of _PRUNE_BLOCK rows ANDs only the bytes up to the block's end, which
+    is exact: every later bit is a row sorted after the block, which
+    dominates none of it, or zero padding.  Each column's table comes from
+    one (c + 1, n) bool temporary; the rest is bounded at _PRUNE_BLOCK.
     """
     sums = rows.sum(axis=1)
-    order = np.lexsort((*rows.T[::-1], sums))
-    rows, sums = rows[order], sums[order]
-    fresh = np.ones(len(rows), dtype=bool)
-    fresh[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    rows, sums = rows[fresh], sums[fresh]
-    kept = np.empty_like(rows)
-    n_kept = 0
+    rows = rows[np.lexsort((*rows.T[::-1], sums))]
+    rows = rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
+    levels = np.arange(rows.max(initial=0) + 1)[:, None]
+    tables = [np.packbits(col <= levels, axis=1) for col in rows.T]
+    dominated = np.empty(len(rows), dtype=bool)
     for start in range(0, len(rows), _PRUNE_BLOCK):
         block = rows[start:start + _PRUNE_BLOCK]
-        block_sums = sums[start:start + _PRUNE_BLOCK]
-        smaller = block_sums[None, :] < block_sums[:, None]
-        dominated = (_below(block, block) & smaller).any(axis=1)
-        for lo in range(0, n_kept, _PRUNE_BLOCK):
-            dominated |= _below(kept[lo:min(lo + _PRUNE_BLOCK, n_kept)], block).any(axis=1)
-        survivors = block[~dominated]
-        kept[n_kept:n_kept + len(survivors)] = survivors
-        n_kept += len(survivors)
-    return kept[:n_kept]
+        width = (start + len(block) + 7) // 8
+        below = tables[0][block[:, 0], :width]
+        for table, values in zip(tables[1:], block.T[1:]):
+            below &= table[values, :width]
+        own = np.arange(start, start + len(block))
+        below[np.arange(len(block)), own >> 3] ^= (0x80 >> (own & 7)).astype(np.uint8)
+        dominated[start:start + len(block)] = below.any(axis=1)
+    return rows[~dominated]
 
 
 def _groups(points, g: int):

@@ -619,16 +619,20 @@ def covering_keys(cloud: PointCloud, delta: float, depth: int) -> Tuple[np.ndarr
     Each generation fills one dyadic block, and ``nh_covering_sum`` adds the
     blocks coarse to fine, so a covering's counts fix its sum.  Returns
     ``(diameters, counts)``, one column per generation g_min..depth; the
-    rows of ``counts``, in ascending order, are the keys.  A box's keys are
-    its own (one set of its generation), then the product of its kids' keys:
-    the distinct rows of their Minkowski sum.
+    rows of ``counts``, in ascending lexicographic order, are the keys.  A
+    box's keys are its own (one set of its generation), then the product of
+    its kids' keys: the distinct rows of their Minkowski sum, sorted by
+    ``np.lexsort`` on the columns (numeric order in any count dtype) and
+    kept where a row differs from the one before it.
     """
     g_min = _coarsest_generation(delta, depth)
     gens = np.arange(g_min, depth + 1)
     dtype = np.min_scalar_type(len(cloud.points))
 
     def product(a, b):
-        return np.unique((a[:, None, :] + b[None, :, :]).reshape(-1, len(gens)), axis=0)
+        rows = (a[:, None, :] + b[None, :, :]).reshape(-1, len(gens))
+        rows = rows[np.lexsort(rows.T[::-1])]
+        return rows[np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))]
 
     def box_keys(points, g):
         own = (gens == g).astype(dtype)[None]

@@ -119,11 +119,12 @@ class CubeMeasure:
             if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
                 raise ValueError("the atoms must be a list of JSON objects")
             for rec in recs:
-                if not isinstance(rec["corner"], list):
-                    raise ValueError(f"an atom's corner must be a list, not {rec['corner']!r}")
-                atoms.append(
-                    (tuple(float(c) for c in rec["corner"]), float(rec["side"]), float(rec["mass"]))
-                )
+                corner, side, mass = rec["corner"], rec["side"], rec["mass"]
+                if not isinstance(corner, list):
+                    raise ValueError(f"an atom's corner must be a list, not {corner!r}")
+                if bool in map(type, (side, mass, *corner)):  # float(True) would read 1.0
+                    raise ValueError(f"an atom's corner, side and mass must be numbers, not {rec!r:.80}")
+                atoms.append((tuple(float(c) for c in corner), float(side), float(mass)))
                 if "mass_exact" in rec:
                     fractions.append(Fraction(rec["mass_exact"]))
             d = doc["d"]

@@ -129,6 +129,25 @@ class TestGreedyBranching:
             build_tree(ConstructionParams(2, 4.0, 2.0, 2.0, (2, 2)))
         assert (exc.value.step, exc.value.suggested_m) == (0, 3)
 
+    @pytest.mark.parametrize(
+        "d,p,beta,message",
+        [
+            (0, 4.0, 1.0, "only d = 1 and d = 2"),
+            (3, 4.0, 1.0, "only d = 1 and d = 2"),
+            (1, 2.0, 1.0, "p must exceed 2"),
+            (1, 0.0, 1.0, "p must exceed 2"),
+            (1, -1.0, 1.0, "p must exceed 2"),
+            (1, math.nan, 1.0, "p must exceed 2"),
+            (1, 4.0, 0.0, "beta must be positive"),
+            (1, 4.0, -1.0, "beta must be positive"),
+            (1, 4.0, math.nan, "beta must be positive"),
+        ],
+        ids=["d_0", "d_3", "p_2", "p_0", "p_-1", "p_nan", "beta_0", "beta_-1", "beta_nan"],
+    )
+    def test_rejects_bad_parameters(self, d, p, beta, message):
+        with pytest.raises(ValueError, match=message):
+            greedy_spacing_branching(d, p, beta, 2)
+
     def test_node_budget_bounds_the_greedy_tree(self):
         # three d = 2 layers would take 1.37 M nodes; the growth stops at the
         # step that would pass the budget, with only the nodes before it made

@@ -64,15 +64,20 @@ def pareto_minimal(rows):
 
 @st.composite
 def count_rows(draw):
-    """(n, k) int64 rows with many duplicates and ties, n up to three skyline
-    blocks; half of them have near-constant row sums, so wide antichains."""
-    k = draw(st.integers(1, 8))
-    n = draw(st.integers(1, 3 * capacity._PRUNE_BLOCK))
+    """(n, k) int64 rows with many duplicates and ties: k up to 17 columns
+    (depth 16 from generation 0), n up to three blocks and a partial byte
+    past them; half of them have near-constant row sums, so wide
+    antichains, and half of them shift some columns by 254, so counts
+    cross 255."""
+    k = draw(st.integers(1, 17))
+    n = draw(st.integers(1, 3 * capacity._PRUNE_BLOCK + 7))
     top = draw(st.integers(0, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rows = rng.integers(0, top + 1, size=(n, k), dtype=np.int64)
     if draw(st.booleans()):
         rows[:, -1] = top * (k - 1) - rows[:, :-1].sum(axis=1) + rng.integers(0, 2, size=n)
+    if draw(st.booleans()):
+        rows += 254 * rng.integers(0, 2, size=k)
     return rows
 
 
@@ -201,18 +206,26 @@ class TestValidation:
         with pytest.raises(ResourceLimitError, match="would form 1306 Minkowski-sum rows.* 1305, at depth 8"):
             nh_capacity_delta(cloud, params, 0.5, 8)
 
-    @pytest.mark.parametrize("n", [14, 40])
-    def test_frontier_budget_bounds_every_sum(self, monkeypatch, n):
+    @pytest.mark.parametrize("n,peak_mib", [(14, 6.34), (40, 3.62)], ids=["14", "40"])
+    def test_frontier_budget_bounds_every_sum(self, monkeypatch, n, peak_mib):
         # clouds of 10 to 40 points drawn in turn from one generator; with no
         # budget, the 14- and 40-point ones form single sums of 1 034 816
-        # and 847 806 660 rows
+        # and 847 806 660 rows.  The bounds are the peaks of the earlier
+        # block-skyline prune (6.33 and 3.61 MiB): the bitset tables may cost
+        # no memory over it.  The bitset prune peaks at 6.06 and 3.46 MiB.
         rng = np.random.default_rng(1)
         clouds = {m: PointCloud(tuple(map(tuple, rng.random((m, 1)))), 1) for m in (10, 12, 14, 16, 20, 40)}
         pruned, prune = [], capacity._prune
         monkeypatch.setattr(capacity, "_prune", lambda rows: pruned.append(len(rows)) or prune(rows))
-        with pytest.raises(ResourceLimitError, match="over the budget of 200000, at depth 10"):
-            nh_capacity_delta(clouds[n], CapacityParams(0.5, 2.0), 0.5, 10)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="over the budget of 200000, at depth 10"):
+                nh_capacity_delta(clouds[n], CapacityParams(0.5, 2.0), 0.5, 10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert sum(pruned) <= capacity._FRONTIER_BUDGET
+        assert peak <= peak_mib * 2**20
 
 
 class TestCapacityExactness:
@@ -299,7 +312,7 @@ class TestPrune:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_wide_antichain_across_blocks(self, seed):
         # row sums within 3 of each other: most of the 900 distinct rows are
-        # minimal, so both the blocks and the kept chunks run past two
+        # minimal, and the blocks run past three
         rng = np.random.default_rng(seed)
         rows = rng.integers(0, 5, size=(900, 8), dtype=np.int64)
         rows[:, -1] = 28 - rows[:, :-1].sum(axis=1) + rng.integers(0, 4, size=900)
@@ -320,6 +333,11 @@ class TestCoveringOracle:
         monkeypatch.setattr(capacity, "_prune", refuse)
         keys = covering_keys(cloud, 0.5, 8)
         assert covering_sums(keys, params).min() == dp
+
+    @pytest.mark.parametrize("cloud", DP_CLOUDS, ids=["dp_cloud_0", "dp_cloud_1"])
+    def test_keys_are_distinct_and_ascending(self, cloud):
+        rows = covering_keys(cloud, 0.5, 8)[1].tolist()
+        assert all(a < b for a, b in zip(rows, rows[1:]))
 
     def test_memory_is_bounded(self):
         # 3 860 keys of 109 600 coverings, from products of at most 9 064

@@ -359,10 +359,13 @@ class TestSpectrumCommand:
             (lambda doc: doc.update(d=1.9), "d must be a JSON integer, not 1.9"),
             (lambda doc: doc.update(d=True), "d must be a JSON integer, not True"),
             (lambda doc: doc.update(d="1"), "d must be a JSON integer, not '1'"),
+            (lambda doc: doc["atoms"][0].update(side=True), "corner, side and mass must be numbers"),
+            (lambda doc: doc["atoms"][1].update(corner=[False]), "corner, side and mass must be numbers"),
+            (lambda doc: doc["atoms"][1].update(mass=True), "corner, side and mass must be numbers"),
         ],
         ids=[
             "version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner",
-            "float_d", "bool_d", "string_d",
+            "float_d", "bool_d", "string_d", "bool_side", "bool_corner", "bool_mass",
         ],
     )
     def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):
