@@ -50,7 +50,7 @@ class SpacingViolation(ValueError):
         self.suggested_m = suggested_m
 
 
-class SelectionBudgetError(RuntimeError):
+class SelectionBudgetError(ResourceLimitError):
     """Rejection sampling ran out of draws."""
 
 
@@ -286,7 +286,7 @@ def select_nu(
     calib_shifts = rng.random((_CALIBRATION_DRAWS, int(M), d)) * (1.0 - r)
     moments = _moment_integrals(r, grid, expected_vals, exponents)
     calib = moments(calib_shifts)
-    thresholds = tuple(4.0 * np.sort(calib, axis=0)[_CALIBRATION_DRAWS // 2])
+    thresholds = tuple((4.0 * np.sort(calib, axis=0)[_CALIBRATION_DRAWS // 2]).tolist())
 
     for i in range(budget):
         s = sample_shifts(M, r, rng, d)

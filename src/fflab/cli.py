@@ -2,7 +2,10 @@
 and spectrum utilities.
 
 Exit codes: 0 all checks passed, 1 a hard assertion failed, 2 configuration
-error, 3 resource limit hit.
+or I/O error, 3 resource limit hit.  The commands raise; ``Lab.invoke`` is
+the one place that maps ResourceLimitError to 3 and ValueError or OSError to
+2, each with one line on stderr.  Any other exception is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -14,8 +17,8 @@ import click
 
 from .acceptance import summary_json, verify_all
 from .capacity import ResourceLimitError
-from .cantor import SelectionBudgetError, build_tree, realize_tree
-from .config import ConfigError, load_config
+from .cantor import build_tree, realize_tree
+from .config import load_config
 from .config import run as run_config
 from .lorentz import LorentzExponents
 from .measures import CubeMeasure
@@ -28,7 +31,19 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-@click.group()
+class Lab(click.Group):
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except ResourceLimitError as exc:
+            click.echo(f"resource limit: {exc}", err=True)
+            sys.exit(EXIT_RESOURCE)
+        except (ValueError, OSError) as exc:
+            click.echo(f"config error: {exc}", err=True)
+            sys.exit(EXIT_CONFIG)
+
+
+@click.group(cls=Lab)
 def main():
     """Desk-scale lab for Lorentz quasi-norms, dyadic capacities and
     randomized nested-cube measures."""
@@ -38,19 +53,8 @@ def main():
 @click.argument("config_path", type=click.Path(exists=True, dir_okay=False))
 def run_cmd(config_path):
     """Run one experiment described by a config file (key=value or JSON)."""
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    try:
-        manifest = run_config(config)
-    except (ResourceLimitError, SelectionBudgetError) as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:  # a parameter value the experiment rejects
-        click.echo(f"config error: {config.experiment}: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    config = load_config(config_path)
+    manifest = run_config(config)
     for c in manifest.checks:
         click.echo(f"{'PASS' if c.passed else 'FAIL'} {c.name}")
     if config.output:
@@ -81,15 +85,8 @@ def verify_cmd(seed, as_json):
 @click.option("--out", type=click.Path(dir_okay=False), required=True)
 def construct_cmd(preset_name, depth, seed, out):
     """Realize a construction preset and write the deepest measure stage."""
-    try:
-        params = preset(preset_name, depth=depth, seed=seed)
-        tree, measures = realize_tree(build_tree(params), params)
-    except (ResourceLimitError, SelectionBudgetError) as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    params = preset(preset_name, depth=depth, seed=seed)
+    tree, measures = realize_tree(build_tree(params), params)
     Path(out).write_text(measures[-1].to_json())
     click.echo(f"wrote stage-{len(measures) - 1} measure ({len(measures[-1].atoms)} atoms) to {out}")
     sys.exit(EXIT_OK)
@@ -104,16 +101,9 @@ def construct_cmd(preset_name, depth, seed, out):
 @click.option("--out", type=click.Path(dir_okay=False), help="write the binary field here")
 def spectrum_cmd(measure_path, p, q, extent, samples, out):
     """Transform a stored measure and report its grid Lorentz norm."""
-    try:
-        mu = CubeMeasure.from_json(Path(measure_path).read_text())
-        grid = FreqGrid(mu.d, extent, samples)
-        exponents = LorentzExponents(p, q)
-    except ResourceLimitError as exc:
-        click.echo(f"resource limit: {exc}", err=True)
-        sys.exit(EXIT_RESOURCE)
-    except ValueError as exc:
-        click.echo(f"config error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
+    mu = CubeMeasure.from_json(Path(measure_path).read_text())
+    grid = FreqGrid(mu.d, extent, samples)
+    exponents = LorentzExponents(p, q)
     field = cube_measure_transform(mu, grid)
     norm = lorentz_spectrum_norm(field, exponents)
     click.echo(f"lorentz_norm p={p} q={q} extent={extent} samples={samples}: {norm!r}")

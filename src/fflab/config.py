@@ -2,8 +2,11 @@
 
 Two equivalent config formats are accepted: a line-oriented ``key = value``
 file with ``[run]`` and ``[params]`` sections, and a JSON document with the
-same keys.  Parsing is strict: unknown experiments, unknown run keys and
-unknown parameter keys are all rejected with a diagnostic.
+same keys.  Both end in one run document, ``{run keys..., "params": {...}}``,
+which is checked once.  Parsing is strict: unknown experiments, unknown run
+keys, unknown parameter keys and values of the wrong kind (an experiment
+that is not a name, params that are not a table, an output that is not a
+non-empty path) are all rejected with ConfigError.
 """
 
 from __future__ import annotations
@@ -36,6 +39,12 @@ class ExperimentConfig:
     output: Optional[str] = None
 
     def __post_init__(self):
+        if not isinstance(self.experiment, str):
+            raise ConfigError(f"experiment must be a name, got {self.experiment!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params must be a table, got {self.params!r}")
+        if self.output is not None and not (isinstance(self.output, str) and self.output):
+            raise ConfigError(f"output must be a non-empty path, got {self.output!r}")
         try:
             check_params(self.experiment, self.params)
         except ValueError as exc:
@@ -58,28 +67,10 @@ def _parse_value(raw: str):
     return raw
 
 
-def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
-        unknown = set(doc) - {"experiment", "seed", "output", "params"}
-        if unknown:
-            raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
-        if "experiment" not in doc:
-            raise ConfigError(f"{source}: missing 'experiment'")
-        return ExperimentConfig(
-            doc["experiment"],
-            dict(doc.get("params", {})),
-            doc.get("seed", 0),
-            doc.get("output"),
-        )
-
+def _parse_sections(text: str, source: str) -> dict:
+    """The ``key = value`` format as a run document."""
     section = "run"
-    run_kv: dict = {}
-    params: dict = {}
+    doc: dict = {"params": {}}
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -92,17 +83,29 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if section == "run":
-            if key not in _RUN_KEYS:
-                raise ConfigError(f"{source}:{lineno}: unknown run key {key!r}; allowed: {_RUN_KEYS}")
-            run_kv[key] = raw if key == "experiment" or key == "output" else _parse_value(raw)
+        if section == "params":
+            doc["params"][key] = _parse_value(raw)
+        elif key not in _RUN_KEYS:
+            raise ConfigError(f"{source}:{lineno}: unknown run key {key!r}; allowed: {_RUN_KEYS}")
         else:
-            params[key] = _parse_value(raw)
-    if "experiment" not in run_kv:
-        raise ConfigError(f"{source}: missing 'experiment' in [run]")
-    return ExperimentConfig(
-        run_kv["experiment"], params, run_kv.get("seed", 0), run_kv.get("output")
-    )
+            doc[key] = raw if key == "experiment" or key == "output" else _parse_value(raw)
+    return doc
+
+
+def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
+    if text.lstrip().startswith("{"):
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{source}: invalid JSON: {exc}") from exc
+    else:
+        doc = _parse_sections(text, source)
+    unknown = set(doc) - {*_RUN_KEYS, "params"}
+    if unknown:
+        raise ConfigError(f"{source}: unknown keys {sorted(unknown)}")
+    if "experiment" not in doc:
+        raise ConfigError(f"{source}: missing 'experiment'")
+    return ExperimentConfig(doc["experiment"], doc.get("params", {}), doc.get("seed", 0), doc.get("output"))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -133,13 +136,18 @@ class RunManifest:
 
 
 def run(config: ExperimentConfig) -> RunManifest:
-    """Execute one experiment, write artifacts and the manifest."""
-    started = time.perf_counter()
-    result = run_experiment(config.experiment, config.params, config.seed)
-    artifacts = []
-    outdir = config.output
+    """Make the output directory, execute one experiment, then write its
+    artifacts and the manifest.  A value the experiment rejects is raised as
+    ConfigError."""
+    outdir = None if config.output is None else Path(config.output)
     if outdir is not None:
-        artifacts = write_tables(result, outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
+    started = time.perf_counter()
+    try:
+        result = run_experiment(config.experiment, config.params, config.seed)
+    except ValueError as exc:
+        raise ConfigError(f"{config.experiment}: {exc}") from exc
+    artifacts = [] if outdir is None else write_tables(result, outdir)
     manifest = RunManifest(
         config={
             "experiment": config.experiment,
@@ -153,6 +161,5 @@ def run(config: ExperimentConfig) -> RunManifest:
         artifacts=artifacts,
     )
     if outdir is not None:
-        Path(outdir).mkdir(parents=True, exist_ok=True)
-        (Path(outdir) / "manifest.json").write_text(manifest.to_json())
+        (outdir / "manifest.json").write_text(manifest.to_json())
     return manifest

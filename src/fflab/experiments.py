@@ -89,7 +89,6 @@ def _rng(seed: int, *key) -> np.random.Generator:
 def write_tables(result: ExperimentResult, outdir) -> List[str]:
     paths = []
     outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, (header, rows) in sorted(result.tables.items()):
         path = outdir / f"{result.experiment.lower()}_{name}.csv"
         with open(path, "w", newline="") as fh:

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and config handling."""
 
 import json
+import re
 import time
 
 import numpy as np
@@ -233,6 +234,15 @@ class TestRunCommand:
         assert result.exit_code == 3, result.output
         assert "resource limit: the tree would hold 66314 nodes" in result.output
 
+    def test_selection_budget_exits_3(self, runner, tmp_path):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nexperiment = CONSTRUCT\n[params]\nbudget = 0\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert re.fullmatch(
+            r"resource limit: no sample met both thresholds \([0-9.e+-]+, [0-9.e+-]+\) within budget 0\n", result.output
+        )
+
     def test_spectrum_norm_past_the_grid_budget_exits_3(self, runner, tmp_path, monkeypatch):
         def norms(*args):
             raise AssertionError("transformed on an oversized grid")
@@ -243,6 +253,63 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(cfg)])
         assert result.exit_code == 3, result.output
         assert "resource limit: a grid of 1000000000000^1 cells is over the budget of 1048576" in result.output
+
+
+def _run(name, text):
+    def argv(tmp_path):
+        cfg = tmp_path / name
+        cfg.write_text(text.replace("{tmp}", str(tmp_path)))
+        return ["run", str(cfg)]
+
+    return argv
+
+
+def _construct_into_a_missing_directory(tmp_path):
+    return ["construct", "--preset", "norm-growth", "--depth", "1", "--out", str(tmp_path / "missing" / "m.json")]
+
+
+def _spectrum_into_a_missing_directory(tmp_path):
+    measure = tmp_path / "measure.json"
+    measure.write_text(CubeMeasure(1, (((0.0,), 1.0, 1.0),)).to_json())
+    return [
+        "spectrum", "--measure", str(measure), "--p", "4", "--q", "2", "--extent", "4", "--samples", "16",
+        "--out", str(tmp_path / "missing" / "field.spec"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "make_argv, message",
+    [
+        (_construct_into_a_missing_directory, "No such file or directory"),
+        (_spectrum_into_a_missing_directory, "No such file or directory"),
+        (_run("exp.cfg", "[run]\nexperiment = H_ZERO\noutput = {tmp}/exp.cfg/out\n"), "Not a directory"),
+        (_run("exp.json", '{"experiment": "H_ZERO", "params": 5}'), "params must be a table, got 5"),
+        (_run("exp.json", '{"experiment": ["H_ZERO"]}'), "experiment must be a name, got ['H_ZERO']"),
+        (_run("exp.json", '{"experiment": "H_ZERO", "output": 7}'), "output must be a non-empty path, got 7"),
+        (_run("exp.cfg", "[run]\nexperiment = H_ZERO\noutput =\n"), "output must be a non-empty path, got ''"),
+        (_run("exp.json", '{"experiment": "H_ZERO", "output": ""}'), "output must be a non-empty path, got ''"),
+    ],
+    ids=[
+        "construct_out", "spectrum_out", "unwritable_output", "json_params", "json_experiment", "json_output",
+        "empty_output", "json_empty_output",
+    ],
+)
+def test_bad_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, make_argv, message):
+    # a bad input is exit 2, never exit 1, the verdict of a failed check;
+    # lab run refuses before the experiment runs and writes nothing
+    def run_experiment(*args):
+        raise AssertionError("ran the experiment")
+
+    monkeypatch.setattr(config_mod, "run_experiment", run_experiment)
+    monkeypatch.chdir(tmp_path)
+    argv = make_argv(tmp_path)
+    before = sorted(tmp_path.iterdir())
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    assert result.stderr.startswith("config error: ") and message in result.stderr
+    assert result.stderr.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == before
 
 
 class TestConstructCommand:

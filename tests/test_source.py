@@ -5,7 +5,12 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fflab
 from fflab import acceptance, experiments
@@ -95,3 +100,39 @@ def test_every_check_is_a_value_against_a_bound():
     ]
     assert bad == []
     assert [f.name for f in dataclasses.fields(experiments.CheckResult)] == ["name", "value", "bound"]
+
+
+def test_cli_maps_errors_to_exit_codes_in_one_place():
+    # the group's invoke is the one try: a command that caught and exited
+    # on its own would fork the exit-code policy
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    tries = [node for node in ast.walk(tree) if isinstance(node, ast.Try)]
+    assert len(tries) == 1
+    (lab,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Lab"]
+    (invoke,) = [node for node in lab.body if isinstance(node, ast.FunctionDef) and node.name == "invoke"]
+    assert tries[0] in invoke.body
+
+
+_BLAS_PROBE = """
+import ctypes, os, pathlib
+import fflab, numpy
+libs = sorted(pathlib.Path(numpy.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+get = getattr(ctypes.CDLL(str(libs[0])), "scipy_openblas_get_num_threads64_", None) if libs else None
+print(os.environ.get("OPENBLAS_NUM_THREADS"), get() if get else "unknown")
+"""
+
+
+@pytest.mark.parametrize("value, expected", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_import_defaults_openblas_to_one_thread(value, expected):
+    # OpenBLAS reads the variable once, when numpy loads it; a caller's
+    # value stands, and OpenBLAS caps the count at the usable cores
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])
+    if value is not None:
+        env["OPENBLAS_NUM_THREADS"] = value
+    out = subprocess.run(
+        [sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env, check=True
+    ).stdout.split()
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    assert out[0] == expected
+    assert out[1] in (str(min(int(expected), cores)), "unknown")
