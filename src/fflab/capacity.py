@@ -232,11 +232,12 @@ def _prune(rows: np.ndarray) -> np.ndarray:
 
 
 def _groups(points, g: int):
-    """The points grouped by their box at generation g, in point order."""
+    """The points grouped by their box at generation g, in point order, one
+    tuple per box."""
     boxes: dict = {}
     for p in points:
         boxes.setdefault(_box_of(p, g), []).append(p)
-    return boxes.values()
+    return map(tuple, boxes.values())
 
 
 # Rows of every Minkowski sum one nh_capacity_delta call forms, counted
@@ -257,7 +258,9 @@ def _coarsest_generation(delta: float, depth: int) -> int:
     return g_min
 
 
-def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, depth: int) -> float:
+def nh_capacity_delta(
+    cloud: PointCloud, params: CapacityParams, delta: float, depth: int, memo: Optional[dict] = None
+) -> float:
     """Exact infimum of nh_covering_sum over dyadic-box coverings, in every d.
 
     Boxes are drawn from generations ceil(log2(1/delta))..depth.  The value
@@ -268,6 +271,16 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
     box's frontier is its own row plus the pruned Minkowski sum of its
     kids' frontiers; the cloud's is that sum over its boxes at g_min, its
     rows scored by ``covering_sums``.
+
+    A frontier depends on the points, g_min and depth, never on ``params``.
+    ``memo``, a dict the caller owns, keeps the frontier of the boxes of
+    generation g that hold a tuple of points under ``(points, g, g_min,
+    depth)``, read-only, with the Minkowski-sum rows its cold computation
+    formed.  A later call with the same dict, for any params, delta or
+    sub-cloud, reuses each frontier it finds there and counts its stored
+    rows against _FRONTIER_BUDGET, so a call raises ResourceLimitError
+    exactly when a call without the memo would.  The frontiers live as long
+    as the dict; without one, a call keeps none.
     """
     g_min = _coarsest_generation(delta, depth)
     if depth > 16:
@@ -276,24 +289,37 @@ def nh_capacity_delta(cloud: PointCloud, params: CapacityParams, delta: float, d
         return 0.0
     n_gen, formed = depth - g_min + 1, 0
 
-    def merge(acc: np.ndarray, front: np.ndarray) -> np.ndarray:
+    def count(rows: int) -> None:
         nonlocal formed
-        formed += len(acc) * len(front)
+        formed += rows
         if formed > _FRONTIER_BUDGET:
             raise ResourceLimitError(
                 f"covering search would form {formed} Minkowski-sum rows, over the budget "
                 f"of {_FRONTIER_BUDGET}, at depth {depth}; reduce depth"
             )
+
+    def merge(acc: np.ndarray, front: np.ndarray) -> np.ndarray:
+        count(len(acc) * len(front))
         return _prune((acc[:, None, :] + front[None, :, :]).reshape(-1, n_gen))
 
-    def frontier(points, g: int) -> np.ndarray:
+    def frontier(points: tuple, g: int) -> np.ndarray:
         """Frontier of the boxes of generation g that hold ``points``."""
+        key = (points, g, g_min, depth)
+        if memo is not None and key in memo:
+            front, rows = memo[key]
+            count(rows)
+            return front
+        before = formed
         take = np.zeros((1, n_gen), dtype=np.int64)
         take[0, g - g_min] = 1
         # every row of a kids' sum covers the box with deeper boxes only,
         # so taking the box itself is incomparable with all of them
         fronts = (take if g == depth else np.vstack((frontier(box, g + 1), take)) for box in _groups(points, g))
-        return functools.reduce(merge, fronts)
+        front = functools.reduce(merge, fronts)
+        if memo is not None:
+            front.flags.writeable = False
+            memo[key] = front, formed - before
+        return front
 
     diameters = 2.0 ** -np.arange(g_min, depth + 1) * math.sqrt(cloud.d)
     return float(covering_sums((diameters, frontier(cloud.points, g_min)), params).min())
@@ -384,10 +410,10 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> CheckResult:
     """
     name, chain_rtol = item.value, 1.0 + 1e-12
     if item is HlpItem.SUBADDITIVITY:
-        union = inst.cloud_a.union(inst.cloud_b)
-        lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth)
-        rhs = nh_capacity_delta(inst.cloud_a, inst.params, inst.delta, inst.depth) + nh_capacity_delta(
-            inst.cloud_b, inst.params, inst.delta, inst.depth
+        union, memo = inst.cloud_a.union(inst.cloud_b), {}  # the parts' one-sided boxes are the union's
+        lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth, memo)
+        rhs = nh_capacity_delta(inst.cloud_a, inst.params, inst.delta, inst.depth, memo) + nh_capacity_delta(
+            inst.cloud_b, inst.params, inst.delta, inst.depth, memo
         )
         # at a matched finite depth the convex regime only admits the
         # elementary merge factor: refining one covering out of the way,
@@ -400,10 +426,10 @@ def check_hlp_item(item: HlpItem, inst: HlpInstance) -> CheckResult:
         )
         if gap <= inst.delta:
             raise ValueError(f"clouds {gap} apart, not separated by more than delta = {inst.delta}")
-        union = inst.cloud_a.union(inst.cloud_b)
-        lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth)
+        union, memo = inst.cloud_a.union(inst.cloud_b), {}
+        lhs = nh_capacity_delta(union, inst.params, inst.delta, inst.depth, memo)
         parts = [
-            nh_capacity_delta(c, inst.params, inst.delta, inst.depth)
+            nh_capacity_delta(c, inst.params, inst.delta, inst.depth, memo)
             for c in (inst.cloud_a, inst.cloud_b)
         ]
         rhs = parts[0] + parts[1]
@@ -570,8 +596,9 @@ def frostman_ratio(
         [WeightedSample.from_sequence(r for _, r in fam) for fam in families],
         LorentzExponents(alpha, q),
     )
+    pairings = {c: bump_pairing(mu, *c) for c in candidates}
     for fam, radii_norm in zip(families, radii_norms.tolist()):
-        total = sum(bump_pairing(mu, center, r) for center, r in fam)
+        total = sum(pairings[c] for c in fam)
         denom = radii_norm ** (q * gamma)
         if denom > 0:
             hyp = max(hyp, abs(total) / denom)
@@ -581,13 +608,13 @@ def frostman_ratio(
     for g in range(0, _SET_DEPTH + 1):
         for p, w in zip(mu.points, mu.weights):
             boxes.setdefault((g, _box_of(p, g)), []).append((p, abs(w)))
-    conc = 0.0
+    conc, memo = 0.0, {}  # a box's cloud is made of its kid boxes' clouds
     for inside in boxes.values():
         mass = sum(w for _, w in inside)
         if mass == 0:
             continue
         cloud = PointCloud(tuple(p for p, _ in inside), mu.d)
-        cap = nh_capacity_delta(cloud, params, 0.5, _CAPACITY_DEPTH)
+        cap = nh_capacity_delta(cloud, params, 0.5, _CAPACITY_DEPTH, memo)
         if cap > 0:
             conc = max(conc, mass / cap**gamma)
     return FrostmanResult(hyp, conc, len(families), len(boxes))

@@ -4,8 +4,9 @@ and spectrum utilities.
 Exit codes: 0 all checks passed, 1 a hard assertion failed, 2 configuration
 or I/O error, 3 resource limit hit.  The commands raise; ``Lab.invoke`` is
 the one place that maps ResourceLimitError to 3 and ValueError or OSError to
-2, each with one line on stderr.  Any other exception is a bug and keeps its
-traceback.
+2, each with one line on stderr.  A closed standard output (BrokenPipeError)
+is left to click, which exits 1 without a message.  Any other exception is a
+bug and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ class Lab(click.Group):
         except ResourceLimitError as exc:
             click.echo(f"resource limit: {exc}", err=True)
             sys.exit(EXIT_RESOURCE)
+        except BrokenPipeError:
+            raise  # a reader that has gone is not a config error: click exits 1, silently
         except (ValueError, OSError) as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(EXIT_CONFIG)

@@ -138,15 +138,22 @@ class RunManifest:
 def run(config: ExperimentConfig) -> RunManifest:
     """Make the output directory, execute one experiment, then write its
     artifacts and the manifest.  A value the experiment rejects is raised as
-    ConfigError."""
+    ConfigError.  If the experiment raises, the directories that this call
+    made are removed again; one that was there before is left alone."""
     outdir = None if config.output is None else Path(config.output)
+    made = []
     if outdir is not None:
+        made = [d for d in (outdir, *outdir.parents) if not d.exists()]  # deepest first
         outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     try:
         result = run_experiment(config.experiment, config.params, config.seed)
-    except ValueError as exc:
-        raise ConfigError(f"{config.experiment}: {exc}") from exc
+    except BaseException as exc:
+        for d in made:
+            d.rmdir()
+        if isinstance(exc, ValueError):
+            raise ConfigError(f"{config.experiment}: {exc}") from exc
+        raise
     artifacts = [] if outdir is None else write_tables(result, outdir)
     manifest = RunManifest(
         config={

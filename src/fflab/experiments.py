@@ -29,6 +29,7 @@ from .capacity import (
     HlpInstance,
     HlpItem,
     PointCloud,
+    ResourceLimitError,
     _coarsest_generation,
     _groups,
     check_hlp_item,
@@ -118,6 +119,10 @@ _CORPUS_BLOCK = 512
 # of cache, work set or not: c5 took 1.2 s at 512 rows, 0.8 s at 64 to 256.
 _LORNOR_ROWS = 128
 _LORNOR_MAX_LEN = 199
+# Sequences per LORNOR cell, 100x the default, whose 20 cells c5 runs in
+# about 0.8 s.  A cell draws all its lengths at once and keeps one ratio
+# per sequence: 16 bytes each.
+_LORNOR_MAX_SEQ = 1_000_000
 
 
 def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[_Work] = None):
@@ -298,6 +303,10 @@ def frostman_measure(seed: int) -> GridMeasure:
 
 
 def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
+    if n_seq < 1:
+        raise ValueError(f"n_seq must be at least 1, got {n_seq}")
+    if n_seq > _LORNOR_MAX_SEQ:
+        raise ResourceLimitError(f"n_seq = {n_seq} sequences per cell, over the budget of {_LORNOR_MAX_SEQ}")
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
     work = _Work()  # one set for the whole run
@@ -586,9 +595,10 @@ def run_phi_general(seed: int) -> ExperimentResult:
         cloud = random_cloud(rng, int(rng.integers(1, 6)))
         alpha = 0.5
         q = float(rng.choice((0.5, 1.0, 2.0)))
-        power = nh_capacity_delta(cloud, CapacityParams(alpha, q), 0.5, 7)
+        memo: dict = {}  # both gauges score one frontier
+        power = nh_capacity_delta(cloud, CapacityParams(alpha, q), 0.5, 7, memo)
         explicit = nh_capacity_delta(
-            cloud, CapacityParams(alpha, q, phi=lambda t, q=q: t**q), 0.5, 7
+            cloud, CapacityParams(alpha, q, phi=lambda t, q=q: t**q), 0.5, 7, memo
         )
         deviation = np.maximum(deviation, abs(power - explicit) / max(1.0, power))  # NaN propagates
     alpha, eps_values = 0.5, (0.5, 0.25, 0.1, 0.0)
@@ -659,9 +669,10 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
     for ci, cloud in enumerate(clouds):
         depth = 8 if ci < 2 else 7
         diameters, counts = keys = covering_keys(cloud, 0.5, depth)
+        memo: dict = {}  # every gauge scores the cloud's one frontier
         for q in (0.5, 1.0, 2.0, math.inf):
             params = CapacityParams(0.5, q)
-            dp = nh_capacity_delta(cloud, params, 0.5, depth)
+            dp = nh_capacity_delta(cloud, params, 0.5, depth, memo)
             least = counts[covering_sums(keys, params).argmin()]
             brute = nh_covering_sum(DyadicCovering(np.repeat(diameters, least).tolist()), params)
             worst = np.maximum(worst, abs(dp - brute))  # NaN propagates

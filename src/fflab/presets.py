@@ -6,8 +6,6 @@ keep the strict side-halving property while staying desk-scale.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from .cantor import ConstructionParams, greedy_spacing_branching
 
 __all__ = ["preset", "PRESET_NAMES"]
@@ -15,7 +13,6 @@ __all__ = ["preset", "PRESET_NAMES"]
 PRESET_NAMES = ("layer-law", "norm-growth")
 
 
-@lru_cache(maxsize=None)
 def preset(name: str, depth: int = 0, seed: int = 7) -> ConstructionParams:
     """Resolve a named preset.
 

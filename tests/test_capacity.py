@@ -4,6 +4,7 @@ The exactness tests compare the Pareto-frontier optimum against a brute-force
 enumeration of every dyadic antichain covering.
 """
 
+import itertools
 import math
 import tracemalloc
 
@@ -206,6 +207,18 @@ class TestValidation:
         with pytest.raises(ResourceLimitError, match="would form 1306 Minkowski-sum rows.* 1305, at depth 8"):
             nh_capacity_delta(cloud, params, 0.5, 8)
 
+    @pytest.mark.parametrize("warm", [DP_CLOUDS[1].points, DP_CLOUDS[1].points[2:5]], ids=["same_cloud", "sub_cloud"])
+    def test_frontier_budget_counter_with_a_warm_memo(self, monkeypatch, warm):
+        # a memo warmed by the cloud, or by the three points of one of its
+        # generation-2 boxes, counts the rows its frontiers once formed
+        cloud, params, memo = DP_CLOUDS[1], CapacityParams(0.5, 1.0), {}
+        nh_capacity_delta(PointCloud(warm, 1), CapacityParams(0.5, 2.0), 0.5, 8, memo)
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 1306)
+        nh_capacity_delta(cloud, params, 0.5, 8, dict(memo))
+        monkeypatch.setattr(capacity, "_FRONTIER_BUDGET", 1305)
+        with pytest.raises(ResourceLimitError, match="would form 1306 Minkowski-sum rows.* 1305, at depth 8"):
+            nh_capacity_delta(cloud, params, 0.5, 8, dict(memo))
+
     @pytest.mark.parametrize("n,peak_mib", [(14, 6.34), (40, 3.62)], ids=["14", "40"])
     def test_frontier_budget_bounds_every_sum(self, monkeypatch, n, peak_mib):
         # clouds of 10 to 40 points drawn in turn from one generator; with no
@@ -301,6 +314,49 @@ class TestCapacityExactness:
         coarse = nh_capacity_delta(cloud, params, 1.0, 8)
         fine = nh_capacity_delta(cloud, params, 2.0**-3, 8)
         assert coarse <= fine * (1 + 1e-12)
+
+
+@st.composite
+def related_clouds(draw):
+    """(a, b, sub): two clouds of one to six points in d = 1 or 2, often
+    sharing boxes, and a sub-cloud of a in a's order."""
+    d = draw(st.sampled_from((1, 2)))
+    coords = st.floats(0.0, 1.0) | st.sampled_from((0.0, 0.1, 0.11, 0.5, 0.52, 0.9, 1.0))
+    a = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6))
+    b = draw(st.lists(st.tuples(*[coords] * d), min_size=1, max_size=6))
+    keep = draw(st.lists(st.booleans(), min_size=len(a), max_size=len(a)))
+    sub = [p for p, k in zip(a, keep) if k] or a[:1]
+    return PointCloud(tuple(a), d), PointCloud(tuple(b), d), PointCloud(tuple(sub), d)
+
+
+class TestFrontierMemo:
+    @settings(max_examples=60, deadline=None)
+    @given(related_clouds(), st.sampled_from((0.5, 1.0, 2.0, math.inf)))
+    def test_a_shared_memo_changes_no_value(self, clouds, q):
+        # one memo for a union, its parts, a sub-cloud, two deltas and two
+        # depths: a key without g, g_min or depth hands a call a frontier
+        # of other generations
+        a, b, sub = clouds
+        memo, params = {}, CapacityParams(0.5, q)
+        for cloud in (a.union(b), a, b, sub):
+            for delta, depth in itertools.product((0.5, 0.2), (4, 6)):
+                value = nh_capacity_delta(cloud, params, delta, depth, memo)
+                assert value == nh_capacity_delta(cloud, params, delta, depth)
+
+    def test_a_warm_memo_prunes_nothing(self, monkeypatch):
+        # the cloud's frontier serves every gauge, and the frontier of the
+        # four points in [15/16, 1) serves them as a cloud of their own
+        cloud, memo = DP_CLOUDS[0], {}
+        sub = PointCloud(cloud.points[4:], 1)
+        expected = [nh_capacity_delta(c, CapacityParams(0.5, 2.0), 0.5, 8) for c in (cloud, sub)]
+        nh_capacity_delta(cloud, CapacityParams(0.5, 0.5), 0.5, 8, memo)
+        assert all(not front.flags.writeable for front, _ in memo.values())
+
+        def refuse(rows):
+            raise AssertionError("pruned a frontier the memo holds")
+
+        monkeypatch.setattr(capacity, "_prune", refuse)
+        assert [nh_capacity_delta(c, CapacityParams(0.5, 2.0), 0.5, 8, memo) for c in (cloud, sub)] == expected
 
 
 class TestPrune:

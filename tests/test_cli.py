@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface and config handling."""
 
+import errno
 import json
 import re
 import time
@@ -162,6 +163,7 @@ class TestRunCommand:
             ("LORNOR", "alphas = 1.0", "parameter 'alphas' takes a list, got 1.0"),
             ("RESL_SERIES", "q = 2.0", "parameter 'q' takes a list, got 2.0"),
             ("FROSTMAN", "q = 1, 2", "parameter 'q' takes a number, got (1, 2)"),
+            ("LORNOR", "n_seq = 0", "n_seq must be at least 1, got 0"),
             ("LORNOR", "n_seq = 50\nalphas = 0.3,", "no recorded band at alpha = 0.3, q = 0.5; the bands cover"),
             ("LORNOR", "n_seq = 50\nqs = 3.0,", "no recorded band at alpha = 0.25, q = 3.0; the bands cover"),
             # JSON values that no key = value line can spell
@@ -226,6 +228,31 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(cfg)])
         assert result.exit_code == 3
         assert "resource limit" in result.output
+
+    def test_lornor_past_the_sequence_budget_exits_3_before_any_draw(self, runner, tmp_path, monkeypatch):
+        def rng(*args):
+            raise AssertionError("drew a corpus")
+
+        monkeypatch.setattr("fflab.experiments._rng", rng)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("[run]\nexperiment = LORNOR\n[params]\nn_seq = 1000001\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert result.output == "resource limit: n_seq = 1000001 sequences per cell, over the budget of 1000000\n"
+
+    @pytest.mark.parametrize("existing", ["", "kept", "kept/out"], ids=["none", "parent", "output"])
+    def test_rejected_run_removes_only_the_directories_it_made(self, runner, tmp_path, existing):
+        # RESL_SERIES checks its q only when it runs, after the output
+        # directory is made
+        if existing:
+            (tmp_path / existing).mkdir(parents=True)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[run]\nexperiment = RESL_SERIES\noutput = {tmp_path}/kept/out\n[params]\nq = 1,\n")
+        before = sorted(tmp_path.rglob("*"))
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 2, result.output
+        assert result.output == "config error: RESL_SERIES: every q must lie in (1, inf), got 1\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_h_zero_past_the_node_budget_exits_3(self, runner, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -310,6 +337,19 @@ def test_bad_input_exits_2_with_one_line(runner, tmp_path, monkeypatch, make_arg
     assert result.stderr.startswith("config error: ") and message in result.stderr
     assert result.stderr.count("\n") == 1
     assert sorted(tmp_path.iterdir()) == before
+
+
+def test_closed_stdout_is_left_to_click(runner, monkeypatch):
+    # a reader that has gone is no config error: click exits 1 and prints
+    # nothing, as it does for any command
+    def verify_all(seed):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(cli_mod, "verify_all", verify_all)
+    result = runner.invoke(main, ["verify", "--json"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ""
 
 
 class TestConstructCommand:

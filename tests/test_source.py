@@ -33,6 +33,23 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_keeps_no_process_wide_cache():
+    # a memo lives as long as the call or the run that owns it: a cache kept
+    # across runs would serve a later run the results of an earlier one,
+    # and a defect injected between them would go unseen
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "functools":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for name in names if name in ("cache", "lru_cache")]
+    assert found == []
+
+
 def test_every_exported_name_resolves():
     modules = [
         ".".join(path.relative_to(PACKAGE.parent).with_suffix("").parts).removesuffix(".__init__")
