@@ -43,7 +43,8 @@ from .checks import CheckResult
 from .lorentz import (
     LorentzExponents,
     _Work,
-    _lornor_ratios,
+    _block_norms,
+    _lorentz_norms,
     _pad_rows,
     _pplus_rows,
     _quasi_triangle_rows,
@@ -111,50 +112,77 @@ LORNOR_QS = (0.5, 1.0, 2.0, math.inf)
 
 # Sequences or instances drawn together: every corpus draws its values a
 # block at a time, a few array calls per block.  A LORNOR cell with its
-# work set peaks at 2.7 MiB under tracemalloc (3.5 MiB in chunks of 1024,
-# for padding 11 % instead of 20 %).  TR_PPLUS peaks at 1.9 MiB on blocks of
-# 512, and makes a quasi-triangle kernel call for about 57 rows.
+# work set peaks at 2.7 MiB under tracemalloc (2.8 MiB in chunks of 1024).
+# TR_PPLUS peaks at 1.9 MiB on blocks of 512, and makes a quasi-triangle
+# kernel call for about 57 rows.
 _CORPUS_BLOCK = 512
-# Rows per LORNOR kernel call.  Wider blocks of up to 199 columns fall out
-# of cache, work set or not: c5 took 1.2 s at 512 rows, 0.8 s at 64 to 256.
+# Sequences per LORNOR kernel call, in draw-order runs and in sorted blocks.
+# On a 2-core Xeon c5 took a median 0.84 s at 128 to 512, 1.0 s at 64, and 512
+# raised the peak RSS of a LORNOR process from 38.2 to 40.2 MB.
 _LORNOR_ROWS = 128
 _LORNOR_MAX_LEN = 199
 # Sequences per LORNOR cell, 100x the default, whose 20 cells c5 runs in
-# about 0.8 s.  A cell draws all its lengths at once and keeps one ratio
+# 0.6 to 0.85 s.  A cell draws all its lengths at once and keeps one ratio
 # per sequence: 16 bytes each.
 _LORNOR_MAX_SEQ = 1_000_000
+# The other runners' sizes, 100x their defaults.  NP_SWEEP's matters most:
+# ``np_moment_estimate`` draws one trials x M x d array.
+_TR_PPLUS_MAX_INSTANCES = 1_000_000
+_HLP_MAX_CLOUDS = 2_000
+_DD_MAX_FAMILIES = 5_000
+_NP_MAX_TRIALS = 4_000
+_RESL_MAX_TERMS = 20_000
+
+
+def _within_budget(name: str, value: int, budget: int, unit: str) -> None:
+    """Refuse a runner's size past its budget, before any draw."""
+    if value > budget:
+        raise ResourceLimitError(f"{name} = {value} {unit}, over the budget of {budget}")
 
 
 def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[_Work] = None):
-    """The seeded sequences, yielded as blocks of up to _LORNOR_ROWS rows
-    padded with 0.  The sequences are drawn in chunks of _CORPUS_BLOCK, one
-    uniform draw per chunk (the same values as one draw per sequence); each
-    chunk is put in stable length order and cut into blocks, so a block is
-    padded only to its own longest row.  Lengths are uniform on 3..199, so
-    sorting cuts the padding from about 48 % of the cells to about 20 %.  A
-    block is one gather from the draw, its padding read from a 0 just past
-    it; both are views of ``work``, valid only until the next block."""
+    """The seeded sequences, yielded a chunk of up to _CORPUS_BLOCK at a time
+    as (draw, lengths, order, blocks): the chunk's flat uniform draw (the same
+    values as one draw per sequence), its lengths in draw order, their stable
+    length order, and in that order the Lorentz blocks of up to _LORNOR_ROWS
+    rows, each padded with 0 only to its own longest row (20 % of the cells
+    are padding, 48 % in draw order).  A block is rows of the draw's window
+    view, its padding then zeroed; the draw, a view of ``work`` with
+    _LORNOR_MAX_LEN - 1 cells of slack, serves until the next chunk."""
     work = work or _Work()
     rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
     lengths = rng.integers(3, _LORNOR_MAX_LEN + 1, n_seq)
-    for start in range(0, n_seq, _CORPUS_BLOCK):
-        chunk = lengths[start : start + _CORPUS_BLOCK]
-        n = int(chunk.sum())
-        draw = work.get("draw", (_CORPUS_BLOCK * _LORNOR_MAX_LEN + 1,))[: n + 1]
-        rng.random(out=draw[:n])  # then as rng.uniform(log 2^-12, log 0.5), bit for bit
-        draw[:n] *= math.log(0.5) - math.log(2.0**-12)
-        draw[:n] += math.log(2.0**-12)
-        np.exp(draw[:n], out=draw[:n])
-        draw[n] = 0.0
-        order = np.argsort(chunk, kind="stable")
-        by_length = chunk[order]
-        offsets = (np.cumsum(chunk) - chunk)[order]  # each row's first value in the draw
+    buffer = work.get("draw", (_CORPUS_BLOCK * _LORNOR_MAX_LEN + _LORNOR_MAX_LEN - 1,))
+    windows = np.lib.stride_tricks.sliding_window_view(buffer, _LORNOR_MAX_LEN)  # window i starts at cell i
+
+    def blocks(chunk, order):
+        offsets, by_length = (np.cumsum(chunk) - chunk)[order], chunk[order]
         for row in range(0, len(chunk), _LORNOR_ROWS):
             block = by_length[row : row + _LORNOR_ROWS]
-            index = work.get("bins", (len(block), block[-1]), np.int64)  # free until _block_norms
-            np.add(offsets[row : row + len(block), None], np.arange(block[-1]), out=index)
-            index[np.arange(block[-1]) >= block[:, None]] = n
-            yield np.take(draw, index, out=work.get("rows", index.shape), mode="clip")  # "raise" buffers out
+            rows = windows[offsets[row : row + _LORNOR_ROWS], : block[-1]]
+            np.copyto(rows, 0.0, where=np.arange(block[-1]) >= block[:, None])
+            yield rows
+
+    for start in range(0, n_seq, _CORPUS_BLOCK):
+        chunk = lengths[start : start + _CORPUS_BLOCK]
+        draw = buffer[: chunk.sum()]
+        rng.random(out=draw)  # then as rng.uniform(log 2^-12, log 0.5), bit for bit
+        draw *= math.log(0.5) - math.log(2.0**-12)
+        draw += math.log(2.0**-12)
+        np.exp(draw, out=draw)
+        order = np.argsort(chunk, kind="stable")
+        yield draw, chunk, order, blocks(chunk, order)
+
+
+def _lornor_chunk(chunk, alpha: float, q: float, work: _Work) -> np.ndarray:
+    """The ratios of a ``lornor_corpus`` chunk in draw order: block norms of
+    draw-order runs of _LORNOR_ROWS sequences over their Lorentz norms."""
+    draw, lengths, order, blocks = chunk
+    ends = np.cumsum(lengths)[_LORNOR_ROWS - 1 : -1 : _LORNOR_ROWS]  # of every run but the last
+    runs = zip(np.split(draw, ends), np.split(lengths, range(_LORNOR_ROWS, len(lengths), _LORNOR_ROWS)))
+    ratios = np.concatenate([_block_norms(values, run, alpha, q, work) for values, run in runs])
+    ratios[order] /= np.concatenate([_lorentz_norms(rows, 1.0, alpha, alpha * q, work) for rows in blocks])
+    return ratios
 
 
 def _past(masses: np.ndarray) -> np.ndarray:
@@ -305,8 +333,7 @@ def frostman_measure(seed: int) -> GridMeasure:
 def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
     if n_seq < 1:
         raise ValueError(f"n_seq must be at least 1, got {n_seq}")
-    if n_seq > _LORNOR_MAX_SEQ:
-        raise ResourceLimitError(f"n_seq = {n_seq} sequences per cell, over the budget of {_LORNOR_MAX_SEQ}")
+    _within_budget("n_seq", n_seq, _LORNOR_MAX_SEQ, "sequences per cell")
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
     work = _Work()  # one set for the whole run
@@ -318,7 +345,7 @@ def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -
                 raise ValueError(f"no recorded band at alpha = {alpha}, q = {q}; "
                                  f"the bands cover alphas {LORNOR_ALPHAS} and qs {LORNOR_QS}")
             ratios = np.concatenate(
-                [_lornor_ratios(block, alpha, q, work) for block in lornor_corpus(alpha, q, seed, n_seq, work)]
+                [_lornor_chunk(chunk, alpha, q, work) for chunk in lornor_corpus(alpha, q, seed, n_seq, work)]
             )
             lo, hi = float(ratios.min()), float(ratios.max())
             checks.append(CheckResult(f"lornor_band_alpha={alpha}_q={q_key}", max(hi, 1.0 / lo), band))
@@ -346,6 +373,7 @@ def _worst(*named) -> List[CheckResult]:
 
 
 def run_tr_pplus(seed: int, *, n_instances=10_000) -> ExperimentResult:
+    _within_budget("n_instances", n_instances, _TR_PPLUS_MAX_INSTANCES, "instances")
     tr, pplus = [], []  # the worst instance of each kernel call
     for f, g, pq, eps in tr_corpus(seed, n_instances):
         for (p, q, e), mask in _by_key(np.column_stack((pq, eps))):
@@ -403,6 +431,7 @@ def run_construct(seed: int, *, preset="norm-growth", depth=0, budget=64) -> Exp
 
 
 def run_np_sweep(seed: int, *, M=(16, 64, 256), r=(0.125, 0.03125), trials=40) -> ExperimentResult:
+    _within_budget("trials", trials, _NP_MAX_TRIALS, "trials per (M, r) cell")
     rows, z_max = [], 0.0
     for i, (m, radius) in enumerate(itertools.product(M, r)):
         extent = 4.0 / radius
@@ -447,6 +476,7 @@ def run_ooo_sweep(seed: int, *, p=(3.0, 4.0, 6.0)) -> ExperimentResult:
 
 
 def run_dd_corpus(seed: int, *, n_families=50) -> ExperimentResult:
+    _within_budget("n_families", n_families, _DD_MAX_FAMILIES, "bump families")
     rec = recorded.DD_CORPUS_MAX
     rows, max_l2, max_sob = [], 0.0, 0.0
     for i, fam in enumerate(dd_corpus(seed, n_families)):
@@ -504,6 +534,7 @@ def run_spectrum_norm(
 
 
 def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max=200) -> ExperimentResult:
+    _within_budget("n_max", n_max, _RESL_MAX_TERMS, "terms per series")
     del seed
     rows, unwitnessed = [], 0
     for qv in q:
@@ -525,6 +556,7 @@ def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max=200) -> ExperimentRes
 
 
 def run_hlp(seed: int, *, n_clouds=20) -> ExperimentResult:
+    _within_budget("n_clouds", n_clouds, _HLP_MAX_CLOUDS, "clouds per item")
     rng = _rng(seed, "hlp")
     sub, sep, jump, gauge = [], [], [], []  # the records of each item
     for _ in range(n_clouds):

@@ -5,10 +5,11 @@ to a closed form and nothing here carries quadrature error.  Each object has
 one kernel over row batches: the Lorentz norm (``_lorentz_norms``), the
 dyadic-block sequence norm (``_block_norms``), the positional sum of two
 samples (``_overlay_rows``), and the quasi-triangle and asymptotic-addition
-checks (``_quasi_triangle_rows``, ``_pplus_rows``).  Ragged rows are padded
-with the plateau (0, 0), which changes neither a norm nor a sum.  The
-per-sample functions call the kernels with a batch of one.  The LORNOR
-kernels write their block-sized temporaries into a reusable ``_Work`` set.
+checks (``_quasi_triangle_rows``, ``_pplus_rows``).  The block norm takes
+ragged rows flat, with their lengths; the others pad them with the plateau
+(0, 0), which changes neither a norm nor a sum.  The per-sample functions
+call the kernels with a batch of one.  The LORNOR kernels write their
+block-sized temporaries into a reusable ``_Work`` set.
 """
 
 from __future__ import annotations
@@ -231,28 +232,26 @@ def dyadic_block_index(v: float) -> int:
     return -exp
 
 
-def _block_norms(values: np.ndarray, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
-    """Block-aggregated norms of nonnegative sequences, one per row: the
-    alpha-th powers are summed per dyadic range [2^{-k-1}, 2^{-k}) with one
-    bincount on row * nb + k, and the block sums aggregated in l_q (max for
-    q = inf), all raised to 1/(q*alpha) (1/alpha).  k is the frexp exponent
-    of every cell, and the bins span the block's exponents and 0, a padding
-    0's: padding and empty blocks add an exact +0.0 to rows summed left to
-    right (``_row_sums``)."""
+def _block_norms(values: np.ndarray, lengths, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
+    """Block-aggregated norms of nonnegative sequences, ``values`` their
+    concatenation and ``lengths`` their sizes: the alpha-th powers are summed
+    per dyadic range [2^{-k-1}, 2^{-k}) with one bincount, in sequence order,
+    and the block sums aggregated in l_q (max for q = inf), all raised to
+    1/(q*alpha) (1/alpha).  A sequence's bins span the batch's frexp exponents
+    and 0, and a value's bin is its sequence's base minus its exponent; empty
+    blocks add an exact +0.0 to rows summed left to right (``_row_sums``)."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     work = work or _Work()
     powers = work.get("powers", values.shape)
-    exps = work.get("exps", values.shape, np.int32)
-    np.frexp(values, out=(powers, exps))  # the mantissas are not used
-    lo, hi = exps.min(initial=0), exps.max(initial=0)
-    nb = int(hi - lo) + 1
     bins = work.get("bins", values.shape, np.int64)
-    np.subtract(hi, exps, out=bins)  # k - k_min
-    bins += np.arange(0, len(values) * nb, nb)[:, None]
+    np.frexp(values, out=(powers, bins))  # the mantissas are not used
+    lo, hi = bins.min(initial=0), bins.max(initial=0)
+    nb = int(hi - lo) + 1
+    np.subtract(np.repeat(hi + nb * np.arange(len(lengths)), lengths), bins, out=bins)
     np.copyto(powers, values)
     powers **= alpha  # the operator keeps numpy's scalar-power fast paths (sqrt, square)
-    sums = np.bincount(bins.ravel(), powers.ravel(), len(values) * nb).reshape(len(values), nb)
+    sums = np.bincount(bins, powers, len(lengths) * nb).reshape(len(lengths), nb)
     if q == math.inf:
         return np.max(sums, axis=1) ** (1.0 / alpha)
     sums **= q
@@ -260,7 +259,7 @@ def _block_norms(values: np.ndarray, alpha: float, q: float, work: Optional[_Wor
 
 
 def _block_row(a: Sequence[float]) -> np.ndarray:
-    row = np.abs(np.asarray(list(a), dtype=float)).reshape(1, -1)
+    row = np.abs(np.asarray(list(a), dtype=float)).reshape(-1)
     if np.any(row == 0):
         raise ValueError("zero entries rejected: no dyadic block contains 0")
     return row
@@ -268,12 +267,8 @@ def _block_row(a: Sequence[float]) -> np.ndarray:
 
 def dyadic_block_norm(a: Sequence[float], alpha: float, q: float) -> float:
     """Block-aggregated sequence norm of |a| (see ``_block_norms``)."""
-    return float(_block_norms(_block_row(a), alpha, q)[0])
-
-
-def _lornor_ratios(rows: np.ndarray, alpha: float, q: float, work: Optional[_Work] = None) -> np.ndarray:
-    """Per row, the dyadic-block norm over the l_{alpha, alpha*q} sequence norm."""
-    return _block_norms(rows, alpha, q, work) / _lorentz_norms(rows, 1.0, alpha, alpha * q, work)
+    row = _block_row(a)
+    return float(_block_norms(row, [row.size], alpha, q)[0])
 
 
 def check_lornor_equivalence(a: Sequence[float], alpha: float, q: float) -> float:
@@ -281,7 +276,7 @@ def check_lornor_equivalence(a: Sequence[float], alpha: float, q: float) -> floa
     row = _block_row(a)
     if row.size == 0:
         raise ValueError("empty sequence")
-    return float(_lornor_ratios(row, alpha, q)[0])
+    return float(_block_norms(row, [row.size], alpha, q)[0] / _lorentz_norms(row[None], 1.0, alpha, alpha * q)[0])
 
 
 def elementary_power_constant(r: float, alpha: float) -> float:

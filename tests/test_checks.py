@@ -86,7 +86,7 @@ class TestExperimentChecks:
 
     def test_lornor_band_is_two_sided(self, monkeypatch):
         # a ratio below 1/C fails the band as one above C does
-        monkeypatch.setattr(experiments, "_lornor_ratios", lambda block, alpha, q, work: np.array([0.5, 1.0]))
+        monkeypatch.setattr(experiments, "_lornor_chunk", lambda chunk, alpha, q, work: np.array([0.5, 1.0]))
         (check,) = run_experiment("LORNOR", {"n_seq": 5, "alphas": (1.0,), "qs": (1.0,)}, 0).checks
         assert (check.value, check.bound, check.passed) == (2.0, 1.05, False)
 

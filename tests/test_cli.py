@@ -240,6 +240,31 @@ class TestRunCommand:
         assert result.exit_code == 3, result.output
         assert result.output == "resource limit: n_seq = 1000001 sequences per cell, over the budget of 1000000\n"
 
+    @pytest.mark.parametrize(
+        "experiment, param, value, message, work",
+        [
+            ("TR_PPLUS", "n_instances", 1_000_001, "1000001 instances, over the budget of 1000000", "_rng"),
+            ("HLP", "n_clouds", 2001, "2001 clouds per item, over the budget of 2000", "_rng"),
+            ("DD_CORPUS", "n_families", 5001, "5001 bump families, over the budget of 5000", "_rng"),
+            ("NP_SWEEP", "trials", 4001, "4001 trials per (M, r) cell, over the budget of 4000", "_rng"),
+            # RESL_SERIES draws nothing: its work is the series
+            ("RESL_SERIES", "n_max", 20_001, "20001 terms per series, over the budget of 20000", "resl_series"),
+        ],
+        ids=["TR_PPLUS", "HLP", "DD_CORPUS", "NP_SWEEP", "RESL_SERIES"],
+    )
+    def test_runner_past_its_budget_exits_3_before_any_work(
+        self, runner, tmp_path, monkeypatch, experiment, param, value, message, work
+    ):
+        def started(*args):
+            raise AssertionError("started the work")
+
+        monkeypatch.setattr(f"fflab.experiments.{work}", started)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"[run]\nexperiment = {experiment}\n[params]\n{param} = {value}\n")
+        result = runner.invoke(main, ["run", str(cfg)])
+        assert result.exit_code == 3, result.output
+        assert result.output == f"resource limit: {param} = {message}\n"
+
     @pytest.mark.parametrize("existing", ["", "kept", "kept/out"], ids=["none", "parent", "output"])
     def test_rejected_run_removes_only_the_directories_it_made(self, runner, tmp_path, existing):
         # RESL_SERIES checks its q only when it runs, after the output

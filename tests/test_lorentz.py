@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from fflab import experiments, recorded
 from fflab.experiments import (
     TR_EXPONENTS,
+    LORNOR_ALPHAS,
+    LORNOR_QS,
     _by_key,
     _rng,
     _take,
@@ -29,9 +31,7 @@ from fflab.lorentz import (
     _Work,
     _block_norms,
     _lorentz_norms,
-    _lornor_ratios,
     _overlay_rows,
-    _pad_rows,
     _pplus_rows,
     _quasi_triangle_rows,
     _row_sums,
@@ -117,6 +117,60 @@ def samples(max_plateaus=5):
     return st.lists(entry, min_size=1, max_size=max_plateaus).map(
         lambda ent: WeightedSample(tuple(ent))
     )
+
+
+def block_oracle(a, alpha, q):
+    """The block-aggregated norm of one sequence, a Python loop over its values."""
+    blocks = {}
+    for v in a:
+        k = dyadic_block_index(v)
+        blocks[k] = blocks.get(k, 0.0) + v**alpha
+    sums = [blocks[k] for k in sorted(blocks)]
+    if q == math.inf:
+        return max(sums) ** (1.0 / alpha)
+    return sum(s**q for s in sums) ** (1.0 / (q * alpha))
+
+
+def fixed_sequences():
+    rng = np.random.default_rng(12)
+    return [np.exp(rng.uniform(math.log(2.0**-30), math.log(8.0), n)).tolist() for n in (1, 50, 3, 199, 12)] + [
+        [5e-324, 3 * 2.0**-1074, 1e-310, 2.0**-1022, 0.3],  # subnormals
+        [2.0**-1, 1.0, 2.0**-12, 2.0**-13, 0.75, 2.0**-12],  # block edges
+        [3.0, 1e3, 2.0**40, 1.0],  # above 1
+        [2.0**-12],
+        [1e-320],
+    ]
+
+
+block_values = st.one_of(
+    st.floats(min_value=2.0**-30, max_value=8.0),
+    st.floats(min_value=5e-324, max_value=2.0**-1022, exclude_max=True),  # subnormals
+    st.integers(-3, 40).map(lambda k: 2.0**-k),  # block edges
+    st.floats(min_value=1.0, max_value=2.0**40),
+)
+
+
+def lornor_sequences(alpha, q, seed, n_seq):
+    """The LORNOR corpus drawn one sequence at a time, in draw order."""
+    rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
+    for n in rng.integers(3, 200, n_seq):
+        yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
+
+
+def lornor_blocks(alpha, q, seed, n_seq):
+    """Every Lorentz block of the corpus, chunk by chunk in length order."""
+    return [rows for *_, blocks in lornor_corpus(alpha, q, seed, n_seq) for rows in blocks]
+
+
+@pytest.fixture(scope="module")
+def per_sequence_ratios():
+    # every cell at n_seq = 600, one full chunk of 512 and one of 88: each
+    # ratio from the per-sample API on the sequence drawn alone
+    return {
+        (alpha, q): [check_lornor_equivalence(a, alpha, q) for a in lornor_sequences(alpha, q, 0, 600)]
+        for alpha in LORNOR_ALPHAS
+        for q in LORNOR_QS
+    }
 
 
 class TestDistributionFunction:
@@ -226,31 +280,18 @@ class TestRowKernels:
         assert batch.tolist() == single
         assert batch[0] == pytest.approx(merged_norm(samples[0], *pq), rel=1e-13)
 
-    @pytest.mark.parametrize("q", [0.5, 2.0, pytest.param(math.inf, id="q2")])
-    def test_block_batch_matches_batch_of_one(self, q):
-        rng = np.random.default_rng(12)
-        lengths = [1, 50, 3, 199, 12]
-        seqs = [np.exp(rng.uniform(math.log(2.0**-30), math.log(8.0), n)) for n in lengths]
-        seqs += [
-            np.array([5e-324, 3 * 2.0**-1074, 1e-310, 2.0**-1022, 0.3]),  # subnormals
-            np.array([2.0**-1, 1.0, 2.0**-12, 2.0**-13, 0.75, 2.0**-12]),  # block edges
-            np.array([3.0, 1e3, 2.0**40, 1.0]),  # above 1
-            np.array([2.0**-12]),
-            np.array([1e-320]),
-        ]
-        lengths = [len(a) for a in seqs]
-        # the bins span the exponents of the batch, 0 (the padding's) among them
-        batch = _block_norms(_pad_rows(np.concatenate(seqs), lengths), 0.5, q)
-        single = [dyadic_block_norm(a, 0.5, q) for a in seqs]
+    @pytest.mark.parametrize("q", [0.5, 1.0, 2.0, pytest.param(math.inf, id="q2")])
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.lists(block_values, min_size=1, max_size=199), min_size=1, max_size=6), st.sampled_from(LORNOR_ALPHAS))
+    @example(fixed_sequences(), 0.5)
+    def test_block_batch_matches_batch_of_one(self, q, seqs, alpha):
+        # the bins span the exponents of the batch, 0 among them; each
+        # sequence's norm is that of the batch of one, and that of the loop
+        batch = _block_norms(np.array([v for a in seqs for v in a]), [len(a) for a in seqs], alpha, q)
+        single = [dyadic_block_norm(a, alpha, q) for a in seqs]
         assert batch.tolist() == single
         for a, got in zip(seqs, single):
-            blocks = {}
-            for v in a.tolist():
-                k = dyadic_block_index(v)
-                blocks[k] = blocks.get(k, 0.0) + v**0.5
-            sums = [blocks[k] for k in sorted(blocks)]
-            want = max(sums) ** 2 if q == math.inf else sum(s**q for s in sums) ** (2 / q)
-            assert got == pytest.approx(want, rel=1e-13)
+            assert got == pytest.approx(block_oracle(a, alpha, q), rel=1e-13)
 
     @pytest.mark.parametrize("shape", [(1, 300), (2, 9), (3, 1), (128, 199)])
     def test_row_sums_add_left_to_right(self, shape):
@@ -276,26 +317,25 @@ class TestRowKernels:
             assert lorentz_norm(f, e) == pytest.approx(merged_norm(f, 1.5, q), rel=1e-13)
 
     def test_corpus_blocks_match_per_sequence_draws(self):
-        def per_sequence(alpha, q, seed, n_seq):
-            rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
-            for n in rng.integers(3, 200, n_seq):
-                yield np.exp(rng.uniform(math.log(2.0**-12), math.log(0.5), n))
-
         for alpha, q in ((0.5, 2.0), (4.0, math.inf)):
-            # each block is a view of the corpus's work set: copy it before the next
-            blocks = list(b.copy() for b in lornor_corpus(alpha, q, 0, 1100))
-            # chunks of 512, 512 and 76 sequences, cut into blocks of 128 rows
-            assert [len(b) for b in blocks] == [128] * 8 + [76]
-            old = list(per_sequence(alpha, q, 0, 1100))
+            old = list(lornor_sequences(alpha, q, 0, 1100))
             index = {a.tobytes(): i for i, a in enumerate(old)}
-            seen = []
-            for block in blocks:
-                lengths = np.count_nonzero(block, axis=1)  # every drawn value is >= 2^-12
-                assert block.shape[1] == lengths.max()
-                for row, n in zip(block, lengths):
-                    assert not row[n:].any()
-                    i = index[row[:n].tobytes()]  # a KeyError unless bit-equal to a draw
-                    seen.append((i // 512, n, i))
+            seen, widths = [], []
+            for c, (draw, lengths, order, blocks) in enumerate(lornor_corpus(alpha, q, 0, 1100)):
+                # one draw per chunk of 512: the per-sequence draws, end to end
+                first = 512 * c
+                assert draw.tobytes() == np.concatenate(old[first : first + len(lengths)]).tobytes()
+                assert lengths.tolist() == [len(a) for a in old[first : first + len(lengths)]]
+                assert order.tolist() == np.argsort(lengths, kind="stable").tolist()
+                for block in blocks:  # cut into blocks of 128 rows
+                    widths.append(len(block))
+                    filled = np.count_nonzero(block, axis=1)  # every drawn value is >= 2^-12
+                    assert block.shape[1] == filled.max()
+                    for row, n in zip(block, filled):
+                        assert not row[n:].any()
+                        i = index[row[:n].tobytes()]  # a KeyError unless bit-equal to a draw
+                        seen.append((i // 512, n, i))
+            assert widths == [128] * 8 + [76]
             assert sorted(i for *_, i in seen) == list(range(1100))
             # each chunk in stable length order: by length, ties by draw order
             assert seen == sorted(seen)
@@ -303,27 +343,30 @@ class TestRowKernels:
     def test_corpus_padding_share(self):
         # one length-sorted chunk pads about 20 % of the cells; blocks in
         # draw order padded 48 %
-        blocks = list(b.copy() for b in lornor_corpus(1.0, 2.0, 0, 10_000))
+        blocks = lornor_blocks(1.0, 2.0, 0, 10_000)
         assert sum(len(b) for b in blocks) == 10_000
         cells = sum(b.size for b in blocks)
         padding = cells - sum(np.count_nonzero(b) for b in blocks)
         assert padding <= 0.25 * cells
 
-    @pytest.mark.parametrize(
-        "alpha, q", [(0.25, 0.5), pytest.param(0.5, math.inf, id="0.5-q1"), (1.0, 2.0), (2.0, 1.0)]
-    )
-    def test_block_ratios_match_unpadded_sequences(self, alpha, q):
-        # rows are summed left to right, so neither the block width nor the
-        # rows beside a sequence move its ratio
-        for block in lornor_corpus(alpha, q, 0, 1100):
-            got = _lornor_ratios(block, alpha, q)
-            want = [check_lornor_equivalence(row[row > 0], alpha, q) for row in block]
-            assert got.tolist() == want
+    def test_block_ratios_match_unpadded_sequences(self, monkeypatch, per_sequence_ratios):
+        # the run's own chunk path, every cell: each sequence's ratio, in draw
+        # order, is that of the sequence alone, whatever its run, block or width
+        chunk_ratios, got = experiments._lornor_chunk, {}
+
+        def recording(chunk, alpha, q, work):
+            ratios = chunk_ratios(chunk, alpha, q, work)
+            got.setdefault((alpha, q), []).extend(ratios.tolist())
+            return ratios
+
+        monkeypatch.setattr(experiments, "_lornor_chunk", recording)
+        assert run_experiment("LORNOR", {"n_seq": 600}, 0).passed
+        assert got == per_sequence_ratios
 
     @pytest.mark.parametrize("q", [0.5, 2.0, pytest.param(math.inf, id="q2")])
     def test_unit_masses_match_explicit_ones(self, q):
         # rounding to multiples of 1/64 makes ties, and zeros beside the padding
-        for block in lornor_corpus(0.5, 2.0, 0, 300):
+        for block in lornor_blocks(0.5, 2.0, 0, 300):
             for rows in (block, np.round(block * 64.0) / 64.0):
                 got = _lorentz_norms(rows, 1.0, 0.5, q)
                 want = _lorentz_norms(rows, np.ones_like(rows), 0.5, q)
@@ -351,32 +394,49 @@ class TestRowKernels:
             "y": (15, np.dtype(np.int32)),
         }
 
-    def test_work_set_leaks_nothing_between_blocks(self, monkeypatch):
-        # one work set serves the run; poisoning all of it but the draw after
-        # every block shows any cell that the corpus or a kernel reads without
+    def test_work_set_leaks_nothing_between_blocks(self, monkeypatch, per_sequence_ratios):
+        # one work set serves the run; poisoning all of it but the chunk's
+        # draw after every kernel call, and the draw's slack before every
+        # chunk, shows any cell that the corpus or a kernel reads without
         # rewriting, padding included
-        seen = []
+        def poison(flat):
+            flat.fill(np.nan if flat.dtype.kind == "f" else -1)
 
-        def poisoning(block, alpha, q, work):
-            ratios = _lornor_ratios(block, alpha, q, work)
-            seen.append((block.copy(), alpha, q, ratios))
-            for name, flat in work.arrays.items():
-                if name != "draw":
-                    flat.fill(np.nan if flat.dtype.kind == "f" else -1)
+        def poisoning(kernel):
+            def run(*args):
+                out = kernel(*args)
+                for name, flat in args[-1].arrays.items():
+                    if name != "draw":
+                        poison(flat)
+                return out
+
+            return run
+
+        chunk_ratios, widths, got = experiments._lornor_chunk, [], {}
+
+        def poisoned_slack(chunk, alpha, q, work):
+            poison(work.arrays["draw"][len(chunk[0]) :])
+            ratios = chunk_ratios(chunk, alpha, q, work)
+            got.setdefault((alpha, q), []).extend(ratios.tolist())
             return ratios
 
-        monkeypatch.setattr(experiments, "_lornor_ratios", poisoning)
-        run_experiment("LORNOR", {"n_seq": 600, "alphas": (0.25,), "qs": (math.inf, 0.5)}, 0)
-        widths = [block.shape[1] for block, *_ in seen]
-        # chunks of 512 and 88 rows per cell: the second cell starts narrow
-        assert len(seen) == 10 and widths[5] < widths[4] / 3, widths
-        for block, alpha, q, ratios in seen:
-            want = [check_lornor_equivalence(row[row > 0], alpha, q) for row in block]
-            assert ratios.tolist() == want
+        lorentz_norms = poisoning(experiments._lorentz_norms)
+
+        def lorentz_widths(rows, *args):
+            widths.append(rows.shape[1])
+            return lorentz_norms(rows, *args)
+
+        monkeypatch.setattr(experiments, "_block_norms", poisoning(experiments._block_norms))
+        monkeypatch.setattr(experiments, "_lorentz_norms", lorentz_widths)
+        monkeypatch.setattr(experiments, "_lornor_chunk", poisoned_slack)
+        run_experiment("LORNOR", {"n_seq": 600}, 0)
+        # blocks of 128, 128, 128, 128 and 88 rows per cell: the second cell starts narrow
+        assert len(widths) == 100 and widths[5] < widths[4] / 3, widths
+        assert got == per_sequence_ratios
 
     def test_lornor_memory_is_bounded_by_blocks(self):
         # one 10k-row batch would peak at about 100 MiB; chunks of 512
-        # sequences in blocks of 128 rows, with the run's work set, near 2.7 MiB
+        # sequences in runs and blocks of 128, with the run's work set, at 2.7 MiB
         tracemalloc.start()
         try:
             result = run_experiment("LORNOR", {"alphas": (1.0,), "qs": (2.0,)}, 0)
