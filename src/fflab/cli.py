@@ -67,13 +67,13 @@ def run_cmd(config_path):
 
 @main.command("verify")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
-@click.option("--json", "as_json", is_flag=True, help="emit the machine-readable summary")
+@click.option("--json", "as_json", is_flag=True, help="emit the machine-readable summary (progress on stderr)")
 def verify_cmd(seed, as_json):
     """Run the full twelve-point acceptance suite."""
     results = verify_all(seed)
     for r in results:
         status = "PASS" if r.passed else "FAIL"
-        click.echo(f"{status} criterion {r.number:2d} {r.name} ({r.wall_time:.2f}s)")
+        click.echo(f"{status} criterion {r.number:2d} {r.name} ({r.wall_time:.2f}s)", err=as_json)
         if not r.passed:
             click.echo(f"     {r.detail}", err=True)
     if as_json:

@@ -16,7 +16,7 @@ import math
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NewType, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,25 +121,6 @@ _CORPUS_BLOCK = 512
 # raised the peak RSS of a LORNOR process from 38.2 to 40.2 MB.
 _LORNOR_ROWS = 128
 _LORNOR_MAX_LEN = 199
-# Sequences per LORNOR cell, 100x the default, whose 20 cells c5 runs in
-# 0.6 to 0.85 s.  A cell draws all its lengths at once and keeps one ratio
-# per sequence: 16 bytes each.
-_LORNOR_MAX_SEQ = 1_000_000
-# The other runners' sizes, 100x their defaults.  NP_SWEEP's matters most:
-# ``np_moment_estimate`` draws one trials x M x d array.
-_TR_PPLUS_MAX_INSTANCES = 1_000_000
-_HLP_MAX_CLOUDS = 2_000
-_DD_MAX_FAMILIES = 5_000
-_NP_MAX_TRIALS = 4_000
-_RESL_MAX_TERMS = 20_000
-
-
-def _within_budget(name: str, value: int, budget: int, unit: str) -> None:
-    """Refuse a runner's size past its budget, before any draw."""
-    if value > budget:
-        raise ResourceLimitError(f"{name} = {value} {unit}, over the budget of {budget}")
-
-
 def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[_Work] = None):
     """The seeded sequences, yielded a chunk of up to _CORPUS_BLOCK at a time
     as (draw, lengths, order, blocks): the chunk's flat uniform draw (the same
@@ -330,10 +311,14 @@ def frostman_measure(seed: int) -> GridMeasure:
 # experiments
 
 
-def run_lornor(seed: int, *, n_seq=10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
-    if n_seq < 1:
-        raise ValueError(f"n_seq must be at least 1, got {n_seq}")
-    _within_budget("n_seq", n_seq, _LORNOR_MAX_SEQ, "sequences per cell")
+# A runner parameter marked Size counts the draws, instances or terms that
+# its work grows with; check_params takes it from 1 to 100 times its default.
+# Each item of a Sizes list is bounded by 100 times the largest default item.
+Size = NewType("Size", int)
+Sizes = Tuple[Size, ...]
+
+
+def run_lornor(seed: int, *, n_seq: Size = 10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
     bands = recorded.LORNOR_BANDS
     checks, rows = [], []
     work = _Work()  # one set for the whole run
@@ -372,8 +357,7 @@ def _worst(*named) -> List[CheckResult]:
     return [CheckResult.worst(name, [r.value for r in rs], [r.bound for r in rs]) for name, rs in named]
 
 
-def run_tr_pplus(seed: int, *, n_instances=10_000) -> ExperimentResult:
-    _within_budget("n_instances", n_instances, _TR_PPLUS_MAX_INSTANCES, "instances")
+def run_tr_pplus(seed: int, *, n_instances: Size = 10_000) -> ExperimentResult:
     tr, pplus = [], []  # the worst instance of each kernel call
     for f, g, pq, eps in tr_corpus(seed, n_instances):
         for (p, q, e), mask in _by_key(np.column_stack((pq, eps))):
@@ -388,7 +372,7 @@ def run_tr_pplus(seed: int, *, n_instances=10_000) -> ExperimentResult:
     return ExperimentResult("TR_PPLUS", checks)
 
 
-def run_h_zero(seed: int, *, layers=4) -> ExperimentResult:
+def run_h_zero(seed: int, *, layers: Size = 4) -> ExperimentResult:
     cp = presets.preset("layer-law", depth=layers, seed=seed)
     tree = build_tree(cp)
     cap_params = CapacityParams(2.0 * cp.d / cp.p, cp.beta)
@@ -430,8 +414,7 @@ def run_construct(seed: int, *, preset="norm-growth", depth=0, budget=64) -> Exp
     return ExperimentResult("CONSTRUCT", checks, tables)
 
 
-def run_np_sweep(seed: int, *, M=(16, 64, 256), r=(0.125, 0.03125), trials=40) -> ExperimentResult:
-    _within_budget("trials", trials, _NP_MAX_TRIALS, "trials per (M, r) cell")
+def run_np_sweep(seed: int, *, M: Sizes = (16, 64, 256), r=(0.125, 0.03125), trials: Size = 40) -> ExperimentResult:
     rows, z_max = [], 0.0
     for i, (m, radius) in enumerate(itertools.product(M, r)):
         extent = 4.0 / radius
@@ -475,8 +458,7 @@ def run_ooo_sweep(seed: int, *, p=(3.0, 4.0, 6.0)) -> ExperimentResult:
     return ExperimentResult("OOO_SWEEP", checks, tables)
 
 
-def run_dd_corpus(seed: int, *, n_families=50) -> ExperimentResult:
-    _within_budget("n_families", n_families, _DD_MAX_FAMILIES, "bump families")
+def run_dd_corpus(seed: int, *, n_families: Size = 50) -> ExperimentResult:
     rec = recorded.DD_CORPUS_MAX
     rows, max_l2, max_sob = [], 0.0, 0.0
     for i, fam in enumerate(dd_corpus(seed, n_families)):
@@ -533,8 +515,7 @@ def run_spectrum_norm(
     return ExperimentResult("SPECTRUM_NORM", checks, tables)
 
 
-def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max=200) -> ExperimentResult:
-    _within_budget("n_max", n_max, _RESL_MAX_TERMS, "terms per series")
+def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max: Size = 200) -> ExperimentResult:
     del seed
     rows, unwitnessed = [], 0
     for qv in q:
@@ -555,8 +536,7 @@ def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max=200) -> ExperimentRes
     return ExperimentResult("RESL_SERIES", checks, tables)
 
 
-def run_hlp(seed: int, *, n_clouds=20) -> ExperimentResult:
-    _within_budget("n_clouds", n_clouds, _HLP_MAX_CLOUDS, "clouds per item")
+def run_hlp(seed: int, *, n_clouds: Size = 20) -> ExperimentResult:
     rng = _rng(seed, "hlp")
     sub, sep, jump, gauge = [], [], [], []  # the records of each item
     for _ in range(n_clouds):
@@ -712,7 +692,8 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
 
 
 # Each runner takes the seed and then its parameters, keyword-only with
-# their defaults: the signature is the parameters' one schema.
+# their defaults, a size annotated Size: the signature is the parameters'
+# one schema.
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
     "LORNOR": run_lornor,
     "HLP": run_hlp,
@@ -744,25 +725,39 @@ def _kind(default) -> Tuple[str, tuple]:
 
 
 def check_params(experiment: str, params: dict) -> None:
-    """Raise ValueError for an unknown experiment or parameter key, or for a
-    value of the wrong kind."""
+    """Raise ValueError for an unknown experiment or parameter key, a value
+    of the wrong kind, an empty list or a size below 1, and
+    ResourceLimitError for a size past 100 times its default: all before
+    the runner draws anything."""
     if experiment not in EXPERIMENTS:
         raise ValueError(f"unknown experiment {experiment!r}; choose from {sorted(EXPERIMENTS)}")
     allowed = {
-        name: p.default
-        for name, p in inspect.signature(EXPERIMENTS[experiment]).parameters.items()
+        name: p
+        for name, p in inspect.signature(EXPERIMENTS[experiment], eval_str=True).parameters.items()
         if p.kind is p.KEYWORD_ONLY
     }
     for key, value in params.items():
         if key not in allowed:
             raise ValueError(f"unknown parameter {key!r} for {experiment}; allowed: {tuple(allowed)}")
-        kind, types = _kind(allowed[key])
+        default = allowed[key].default
+        kind, types = _kind(default)
         if not isinstance(value, types) or isinstance(value, bool):
             raise ValueError(f"{experiment}: parameter {key!r} takes a {kind}, got {value!r}")
-        if kind == "list" and allowed[key]:
-            kind, types = _kind(allowed[key][0])
+        if kind == "list":
+            if not value:
+                raise ValueError(f"{experiment}: parameter {key!r} takes a non-empty list, got {value!r}")
+            kind, types = _kind(default[0])
             if any(not isinstance(item, types) or isinstance(item, bool) for item in value):
                 raise ValueError(f"{experiment}: parameter {key!r} takes a list of {kind}s, got {value!r}")
+        if allowed[key].annotation in (Size, Sizes):
+            sizes, defaults = (value, default) if isinstance(default, tuple) else ((value,), (default,))
+            bound = 100 * max(defaults)
+            message = (f"{experiment}: parameter {key!r} takes sizes from 1 to {bound}, "
+                       f"100 times its default, got {value!r}")
+            if min(sizes) < 1:
+                raise ValueError(message)
+            if max(sizes) > bound:
+                raise ResourceLimitError(message)
 
 
 def run_experiment(experiment: str, params: dict, seed: int) -> ExperimentResult:

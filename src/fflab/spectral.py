@@ -336,9 +336,9 @@ def np_moment_estimate(
             f"window {grid.half_extent} below 1/r = {1 / r}; tail bounds {tails}",
             TruncationWarning,
         )
-    expected = expected_transform(r, grid).values
-    shifts = rng.random((trials, M, grid.d)) * (1.0 - r)
-    sums = centred_moments(shifts, r, grid, expected, exponents)
+    integrals = _moment_integrals(r, grid, expected_transform(r, grid).values, exponents)
+    # one trial's shifts at a time: the same stream as one (trials, M, d) draw
+    sums = np.concatenate([integrals(rng.random((1, M, grid.d)) * (1.0 - r)) for _ in range(trials)])
     return tuple(
         (float(np.mean(col)), float(np.std(col, ddof=1) / math.sqrt(trials))) for col in sums.T
     )

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and config handling."""
 
 import errno
+import inspect
 import json
 import re
 import time
@@ -11,11 +12,12 @@ from click.testing import CliRunner
 
 import fflab.cli as cli_mod
 import fflab.config as config_mod
+import fflab.experiments as experiments
 from fflab.capacity import ResourceLimitError
 from fflab.checks import CheckResult
 from fflab.cli import main
 from fflab.config import ConfigError, parse_config_text
-from fflab.experiments import ExperimentResult, run_experiment
+from fflab.experiments import EXPERIMENTS, ExperimentResult, Size, Sizes, run_experiment
 from fflab.measures import CubeMeasure
 from fflab.spectral import read_spectrum
 
@@ -163,7 +165,6 @@ class TestRunCommand:
             ("LORNOR", "alphas = 1.0", "parameter 'alphas' takes a list, got 1.0"),
             ("RESL_SERIES", "q = 2.0", "parameter 'q' takes a list, got 2.0"),
             ("FROSTMAN", "q = 1, 2", "parameter 'q' takes a number, got (1, 2)"),
-            ("LORNOR", "n_seq = 0", "n_seq must be at least 1, got 0"),
             ("LORNOR", "n_seq = 50\nalphas = 0.3,", "no recorded band at alpha = 0.3, q = 0.5; the bands cover"),
             ("LORNOR", "n_seq = 50\nqs = 3.0,", "no recorded band at alpha = 0.25, q = 3.0; the bands cover"),
             # JSON values that no key = value line can spell
@@ -228,42 +229,6 @@ class TestRunCommand:
         result = runner.invoke(main, ["run", str(cfg)])
         assert result.exit_code == 3
         assert "resource limit" in result.output
-
-    def test_lornor_past_the_sequence_budget_exits_3_before_any_draw(self, runner, tmp_path, monkeypatch):
-        def rng(*args):
-            raise AssertionError("drew a corpus")
-
-        monkeypatch.setattr("fflab.experiments._rng", rng)
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text("[run]\nexperiment = LORNOR\n[params]\nn_seq = 1000001\n")
-        result = runner.invoke(main, ["run", str(cfg)])
-        assert result.exit_code == 3, result.output
-        assert result.output == "resource limit: n_seq = 1000001 sequences per cell, over the budget of 1000000\n"
-
-    @pytest.mark.parametrize(
-        "experiment, param, value, message, work",
-        [
-            ("TR_PPLUS", "n_instances", 1_000_001, "1000001 instances, over the budget of 1000000", "_rng"),
-            ("HLP", "n_clouds", 2001, "2001 clouds per item, over the budget of 2000", "_rng"),
-            ("DD_CORPUS", "n_families", 5001, "5001 bump families, over the budget of 5000", "_rng"),
-            ("NP_SWEEP", "trials", 4001, "4001 trials per (M, r) cell, over the budget of 4000", "_rng"),
-            # RESL_SERIES draws nothing: its work is the series
-            ("RESL_SERIES", "n_max", 20_001, "20001 terms per series, over the budget of 20000", "resl_series"),
-        ],
-        ids=["TR_PPLUS", "HLP", "DD_CORPUS", "NP_SWEEP", "RESL_SERIES"],
-    )
-    def test_runner_past_its_budget_exits_3_before_any_work(
-        self, runner, tmp_path, monkeypatch, experiment, param, value, message, work
-    ):
-        def started(*args):
-            raise AssertionError("started the work")
-
-        monkeypatch.setattr(f"fflab.experiments.{work}", started)
-        cfg = tmp_path / "exp.cfg"
-        cfg.write_text(f"[run]\nexperiment = {experiment}\n[params]\n{param} = {value}\n")
-        result = runner.invoke(main, ["run", str(cfg)])
-        assert result.exit_code == 3, result.output
-        assert result.output == f"resource limit: {param} = {message}\n"
 
     @pytest.mark.parametrize("existing", ["", "kept", "kept/out"], ids=["none", "parent", "output"])
     def test_rejected_run_removes_only_the_directories_it_made(self, runner, tmp_path, existing):
@@ -375,6 +340,71 @@ def test_closed_stdout_is_left_to_click(runner, monkeypatch):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output == ""
+
+
+# Each runner's signature is the one parameter schema: its list parameters
+# and its sizes (annotated Size, or Sizes for a list of them) are read here.
+_PARAMS = [
+    (name, p)
+    for name, runner in EXPERIMENTS.items()
+    for p in inspect.signature(runner, eval_str=True).parameters.values()
+    if p.kind is p.KEYWORD_ONLY
+]
+_LISTS = [(name, p.name) for name, p in _PARAMS if isinstance(p.default, tuple)]
+_SIZES = [(name, p.name, p.default) for name, p in _PARAMS if p.annotation in (Size, Sizes)]
+
+
+def test_the_sizes_are_the_corpus_counts():
+    # their defaults fix the bounds, 100 times each
+    assert _SIZES == [
+        ("LORNOR", "n_seq", 10_000),
+        ("HLP", "n_clouds", 20),
+        ("H_ZERO", "layers", 4),
+        ("NP_SWEEP", "M", (16, 64, 256)),
+        ("NP_SWEEP", "trials", 40),
+        ("DD_CORPUS", "n_families", 50),
+        ("RESL_SERIES", "n_max", 200),
+        ("TR_PPLUS", "n_instances", 10_000),
+    ]
+
+
+def _refused_run(runner, tmp_path, monkeypatch, experiment, params):
+    """``lab run`` of a config with an output directory, where every corpus
+    draw and every series fails the test: the run must refuse first, and
+    make no directory."""
+    def started(*args):
+        raise AssertionError("started the work")
+
+    monkeypatch.setattr(experiments, "_rng", started)
+    monkeypatch.setattr(experiments, "resl_series", started)  # RESL_SERIES draws nothing
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({"experiment": experiment, "output": str(tmp_path / "out"), "params": params}))
+    result = runner.invoke(main, ["run", str(cfg)])
+    assert not (tmp_path / "out").exists()
+    return result
+
+
+@pytest.mark.parametrize("experiment, key", _LISTS, ids=[f"{e}.{k}" for e, k in _LISTS])
+def test_empty_list_exits_2(runner, tmp_path, monkeypatch, experiment, key):
+    result = _refused_run(runner, tmp_path, monkeypatch, experiment, {key: []})
+    assert result.exit_code == 2, result.output
+    assert result.output == f"config error: {experiment}: parameter {key!r} takes a non-empty list, got []\n"
+
+
+@pytest.mark.parametrize("past", [False, True], ids=["zero", "past_100x"])
+@pytest.mark.parametrize("experiment, key, default", _SIZES, ids=[f"{e}.{k}" for e, k, _ in _SIZES])
+def test_size_out_of_range_exits_before_any_work(runner, tmp_path, monkeypatch, experiment, key, default, past):
+    # 0 is a config error (exit 2), 100 times the default + 1 a resource
+    # limit (exit 3); a list of sizes is bounded by its largest default item
+    many = isinstance(default, tuple)
+    bound = 100 * (max(default) if many else default)
+    size = bound + 1 if past else 0
+    value = [size] if many else size
+    result = _refused_run(runner, tmp_path, monkeypatch, experiment, {key: value})
+    assert result.exit_code == (3 if past else 2), result.output
+    prefix = "resource limit" if past else "config error"
+    message = f"parameter {key!r} takes sizes from 1 to {bound}, 100 times its default, got {value!r}"
+    assert result.output == f"{prefix}: {experiment}: {message}\n"
 
 
 class TestConstructCommand:
@@ -570,6 +600,18 @@ class TestVerifyCommand:
         result = runner.invoke(main, ["verify", "--seed", "-1"])
         assert result.exit_code == 2, result.output
         assert "-1 is not in the range x>=0" in result.output
+
+    def test_json_stdout_is_one_document(self, runner, monkeypatch):
+        # under --json the progress lines go to stderr, so stdout parses
+        from fflab.acceptance import run_criterion, summary_json
+
+        results = [run_criterion(n) for n in (1, 4)]
+        monkeypatch.setattr(cli_mod, "verify_all", lambda seed: results)
+        result = runner.invoke(main, ["verify", "--json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.stdout) == json.loads(summary_json(results))
+        lines = r"PASS criterion  1 layer_sum_law \(\d+\.\d\ds\)\nPASS criterion  4 ooo_scaling \(\d+\.\d\ds\)\n"
+        assert re.fullmatch(lines, result.stderr)
 
     def test_summary_json_shape(self):
         from fflab.acceptance import CriterionResult, summary_json

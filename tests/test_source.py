@@ -82,13 +82,23 @@ def test_benchmark_traced_names_resolve():
 
 def test_runners_take_the_seed_then_keyword_parameters():
     # check_params reads each key's kind from its default, so a default of
-    # any other type would be schema-checked as a number
+    # any other type would be schema-checked as a number; a list's item kind
+    # from its first item, so no list default is empty; and a count of
+    # sequences, instances or trials unmarked as a Size would escape the
+    # size rule (1 to 100 times its default)
     for name, runner in experiments.EXPERIMENTS.items():
-        seed, *params = inspect.signature(runner).parameters.values()
+        seed, *params = inspect.signature(runner, eval_str=True).parameters.values()
         assert seed.name == "seed" and seed.kind is seed.POSITIONAL_OR_KEYWORD, name
         for p in params:
             assert p.kind is p.KEYWORD_ONLY, (name, p.name)
             assert p.default is None or type(p.default) in (tuple, str, int, float), (name, p.name)
+            assert p.default != (), (name, p.name)
+            if type(p.default) is int and (p.name.startswith("n_") or p.name == "trials"):
+                assert p.annotation is experiments.Size, (name, p.name)
+            if p.annotation is experiments.Size:
+                assert type(p.default) is int and p.default >= 1, (name, p.name)
+            if p.annotation == experiments.Sizes:
+                assert all(type(item) is int and item >= 1 for item in p.default), (name, p.name)
 
 
 def test_every_check_is_a_value_against_a_bound():
