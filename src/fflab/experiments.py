@@ -1,4 +1,6 @@
-"""Seeded corpora and the experiment runner binding the core modules.
+"""The twelve experiments, which check the core modules' claims on the
+seeded corpora of ``fflab.corpora``; the brute-force oracle of the capacity
+DP; and ``check_params``, which every run passes before it draws anything.
 
 Every experiment is a pure function of (seed, keyword parameters); RNG
 streams are derived per sub-task from the seed, so no result depends on the
@@ -13,19 +15,16 @@ import functools
 import inspect
 import itertools
 import math
-import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, NewType, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NewType, Sequence, Tuple
 
 import numpy as np
 
-from . import presets, recorded
+from . import corpora, presets, recorded
 from .capacity import (
     CapacityParams,
     DyadicCovering,
-    GaugeFunction,
-    GridMeasure,
     HlpInstance,
     HlpItem,
     PointCloud,
@@ -45,7 +44,6 @@ from .lorentz import (
     _Work,
     _block_norms,
     _lorentz_norms,
-    _pad_rows,
     _pplus_rows,
     _quasi_triangle_rows,
 )
@@ -80,14 +78,6 @@ class ExperimentResult:
         return all(c.passed for c in self.checks)
 
 
-def _rng(seed: int, *key) -> np.random.Generator:
-    """Deterministic per-task stream: the key words are folded to integers."""
-    spawn = tuple(
-        k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in key
-    )
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
-
-
 def write_tables(result: ExperimentResult, outdir) -> List[str]:
     paths = []
     outdir = Path(outdir)
@@ -102,220 +92,26 @@ def write_tables(result: ExperimentResult, outdir) -> List[str]:
     return paths
 
 
-# ---------------------------------------------------------------------------
-# corpora
+# A runner parameter marked Size counts the draws, instances or terms that
+# its work grows with; check_params takes it from 1 to 100 times its default.
+# Each item of a Sizes list is bounded by 100 times the largest default item.
+Size = NewType("Size", int)
+Sizes = Tuple[Size, ...]
 
 
 LORNOR_ALPHAS = (0.25, 0.5, 1.0, 2.0, 4.0)
 LORNOR_QS = (0.5, 1.0, 2.0, math.inf)
 
 
-# Sequences or instances drawn together: every corpus draws its values a
-# block at a time, a few array calls per block.  A LORNOR cell with its
-# work set peaks at 2.7 MiB under tracemalloc (2.8 MiB in chunks of 1024).
-# TR_PPLUS peaks at 1.9 MiB on blocks of 512, and makes a quasi-triangle
-# kernel call for about 57 rows.
-_CORPUS_BLOCK = 512
-# Sequences per LORNOR kernel call, in draw-order runs and in sorted blocks.
-# On a 2-core Xeon c5 took a median 0.84 s at 128 to 512, 1.0 s at 64, and 512
-# raised the peak RSS of a LORNOR process from 38.2 to 40.2 MB.
-_LORNOR_ROWS = 128
-_LORNOR_MAX_LEN = 199
-def lornor_corpus(alpha: float, q: float, seed: int, n_seq: int, work: Optional[_Work] = None):
-    """The seeded sequences, yielded a chunk of up to _CORPUS_BLOCK at a time
-    as (draw, lengths, order, blocks): the chunk's flat uniform draw (the same
-    values as one draw per sequence), its lengths in draw order, their stable
-    length order, and in that order the Lorentz blocks of up to _LORNOR_ROWS
-    rows, each padded with 0 only to its own longest row (20 % of the cells
-    are padding, 48 % in draw order).  A block is rows of the draw's window
-    view, its padding then zeroed; the draw, a view of ``work`` with
-    _LORNOR_MAX_LEN - 1 cells of slack, serves until the next chunk."""
-    work = work or _Work()
-    rng = _rng(seed, "lornor", repr(alpha), repr(float(q)))
-    lengths = rng.integers(3, _LORNOR_MAX_LEN + 1, n_seq)
-    buffer = work.get("draw", (_CORPUS_BLOCK * _LORNOR_MAX_LEN + _LORNOR_MAX_LEN - 1,))
-    windows = np.lib.stride_tricks.sliding_window_view(buffer, _LORNOR_MAX_LEN)  # window i starts at cell i
-
-    def blocks(chunk, order):
-        offsets, by_length = (np.cumsum(chunk) - chunk)[order], chunk[order]
-        for row in range(0, len(chunk), _LORNOR_ROWS):
-            block = by_length[row : row + _LORNOR_ROWS]
-            rows = windows[offsets[row : row + _LORNOR_ROWS], : block[-1]]
-            np.copyto(rows, 0.0, where=np.arange(block[-1]) >= block[:, None])
-            yield rows
-
-    for start in range(0, n_seq, _CORPUS_BLOCK):
-        chunk = lengths[start : start + _CORPUS_BLOCK]
-        draw = buffer[: chunk.sum()]
-        rng.random(out=draw)  # then as rng.uniform(log 2^-12, log 0.5), bit for bit
-        draw *= math.log(0.5) - math.log(2.0**-12)
-        draw += math.log(2.0**-12)
-        np.exp(draw, out=draw)
-        order = np.argsort(chunk, kind="stable")
-        yield draw, chunk, order, blocks(chunk, order)
-
-
 def _lornor_chunk(chunk, alpha: float, q: float, work: _Work) -> np.ndarray:
     """The ratios of a ``lornor_corpus`` chunk in draw order: block norms of
     draw-order runs of _LORNOR_ROWS sequences over their Lorentz norms."""
-    draw, lengths, order, blocks = chunk
-    ends = np.cumsum(lengths)[_LORNOR_ROWS - 1 : -1 : _LORNOR_ROWS]  # of every run but the last
-    runs = zip(np.split(draw, ends), np.split(lengths, range(_LORNOR_ROWS, len(lengths), _LORNOR_ROWS)))
+    (draw, lengths, order, blocks), step = chunk, corpora._LORNOR_ROWS
+    ends = np.cumsum(lengths)[step - 1 : -1 : step]  # of every run but the last
+    runs = zip(np.split(draw, ends), np.split(lengths, range(step, len(lengths), step)))
     ratios = np.concatenate([_block_norms(values, run, alpha, q, work) for values, run in runs])
     ratios[order] /= np.concatenate([_lorentz_norms(rows, 1.0, alpha, alpha * q, work) for rows in blocks])
     return ratios
-
-
-def _past(masses: np.ndarray) -> np.ndarray:
-    """The origin just past each row's plateaus laid out from 0: the total
-    mass, summed in order as ``WeightedSample.total_mass`` does, plus 1."""
-    return np.cumsum(masses, axis=1)[:, -1] + 1.0
-
-
-TR_EXPONENTS = ((4.0, 2.0), (3.0, 1.0), (2.5, 0.7))
-
-
-def _block_exponents(start: int, stop: int) -> np.ndarray:
-    """(p, q) of instances start..stop-1, which cycle through TR_EXPONENTS."""
-    return np.array(TR_EXPONENTS)[np.arange(start, stop) % len(TR_EXPONENTS)]
-
-
-def _lognormal_rows(rng: np.random.Generator, counts: np.ndarray) -> np.ndarray:
-    """exp of one normal(0, 1.5) draw for all the plateaus of a block, as
-    rows of the given lengths padded with 0."""
-    return _pad_rows(np.exp(rng.normal(0.0, 1.5, int(counts.sum()))), counts)
-
-
-def tr_corpus(seed: int, n_pairs: int):
-    """The seeded quasi-triangle pairs, yielded as blocks of up to
-    _CORPUS_BLOCK instances (f, g, pq, eps): f and g are (values, masses,
-    origins) rows padded with (0, 0), pq the (rows, 2) exponents and eps
-    the rows' epsilons.  Half the g start just past f, the rest at 0.  A
-    block of m instances is drawn array by array: integers(1, 7, m) for the
-    f plateau counts, then for the g counts; integers(0, 2, m) for the
-    sides (1: g starts past f); integers(0, 3, m) for the epsilon indices;
-    then one normal(0, 1.5) draw each for the log f values, log f masses,
-    log g values and log g masses, every row's plateaus in turn.  A row has
-    at most six plateaus, so a block of 512 stays small, and its nine
-    (p, q, eps) groups give the kernels about 57 rows a call."""
-    rng = _rng(seed, "tr")
-    eps_menu = np.array((0.1, 0.5, 1.0))
-    for start in range(0, n_pairs, _CORPUS_BLOCK):
-        stop = min(start + _CORPUS_BLOCK, n_pairs)
-        m = stop - start
-        f_counts, g_counts = rng.integers(1, 7, m), rng.integers(1, 7, m)
-        disjoint = rng.integers(0, 2, m).astype(bool)
-        eps = eps_menu[rng.integers(0, len(eps_menu), m)]
-        f_vals, f_masses, g_vals, g_masses = [
-            _lognormal_rows(rng, counts) for counts in (f_counts, f_counts, g_counts, g_counts)
-        ]
-        f = (f_vals, f_masses, np.zeros(m))
-        g = (g_vals, g_masses, np.where(disjoint, _past(f_masses), 0.0))
-        yield f, g, _block_exponents(start, stop), eps
-
-
-# Length of each P+ instance's sequence g_1, g_2, ...
-_PPLUS_SEQ_LEN = 16
-
-
-def pplus_corpus(seed: int, n_instances: int):
-    """The seeded asymptotic-addition instances, yielded as blocks of up to
-    _CORPUS_BLOCK instances (f, gs, pq, a_limits): f as in ``tr_corpus``,
-    gs the sequences g_1..g_L, L = _PPLUS_SEQ_LEN, of one plateau each as
-    (rows, L, 1) values and masses and (rows, L) origins, all just past f, pq
-    the exponents and a_limits the limits A.  A block of m instances is
-    drawn array by array: integers(1, 7, m) for the f plateau counts, one
-    normal(0, 1.5) draw each for the log f values and log f masses, then
-    normal(0, 0.7, m) for the log A.  Blocks of 512 give each of the three
-    exponent groups about 170 rows a call."""
-    rng = _rng(seed, "pplus")
-    # single plateaus of constant Lorentz norm and vanishing higher norm
-    masses = [2.0 ** (4 * j) for j in range(1, _PPLUS_SEQ_LEN + 1)]
-    shrink = {p: np.array([mass ** (-1.0 / p) for mass in masses]) for p, _ in TR_EXPONENTS}
-    for start in range(0, n_instances, _CORPUS_BLOCK):
-        stop = min(start + _CORPUS_BLOCK, n_instances)
-        m = stop - start
-        counts = rng.integers(1, 7, m)
-        f_vals, f_masses = _lognormal_rows(rng, counts), _lognormal_rows(rng, counts)
-        a_limits = np.exp(rng.normal(0.0, 0.7, m))
-        pq = _block_exponents(start, stop)
-        g_vals = a_limits[:, None] * np.array([shrink[p] for p in pq[:, 0].tolist()])
-        g_masses = np.tile(masses, (m, 1))
-        origins = np.repeat(_past(f_masses)[:, None], _PPLUS_SEQ_LEN, axis=1)
-        gs = (g_vals[..., None], g_masses[..., None], origins)
-        yield (f_vals, f_masses, np.zeros(m)), gs, pq, a_limits
-
-
-def gauge_gallery(alpha: float):
-    def log_gauge(t):
-        return t**alpha * math.log(1.0 / t) if t > 0 else 0.0
-
-    def sqrt_log_gauge(t):
-        return t**alpha * math.sqrt(math.log(1.0 / t)) if t > 0 else 0.0
-
-    return (
-        GaugeFunction(lambda t: t**alpha),
-        GaugeFunction(log_gauge),
-        GaugeFunction(sqrt_log_gauge),
-    )
-
-
-def profile_gallery(seed: int):
-    """20 per-generation count profiles of 8 generations each: every fourth
-    doubles, the others are seeded draws."""
-    rng = _rng(seed, "profiles")
-    profiles = []
-    for i in range(20):
-        if i % 4 == 0:
-            base = 2 ** np.arange(1, 9)
-        else:
-            base = rng.integers(1, 2 ** (i % 10 + 2), 8) + 1
-        profiles.append(tuple(int(m) for m in base))
-    return profiles
-
-
-def random_cloud(rng: np.random.Generator, n_points: int) -> PointCloud:
-    """n_points uniform points of [0, 1]."""
-    return PointCloud(tuple(map(tuple, rng.random((n_points, 1)))), 1)
-
-
-def dd_corpus(seed: int, n_families: int):
-    rng = _rng(seed, "dd")
-    for _ in range(n_families):
-        n = int(rng.integers(1, 6))
-        radii = np.exp(rng.uniform(math.log(2.0**-6), math.log(0.5), n))
-        centers = []
-        pos = 0.0
-        for i, r in enumerate(radii):
-            gap = float(rng.uniform(0.01, 0.5))
-            pos += (radii[i - 1] if i else 0.0) + r + gap
-            centers.append((pos,))
-        yield BumpFamily(tuple(zip(centers, radii)), 1)
-
-
-def frostman_measure(seed: int) -> GridMeasure:
-    """Depth-2 stage of the norm-growth construction, read as point masses
-    at the atom cube centers."""
-    params = presets.preset("norm-growth", depth=2, seed=seed)
-    tree = build_tree(params)
-    _, mus = realize_tree(tree, params, budget=64)
-    mu = mus[-1]
-    points = tuple(
-        tuple(c + side / 2.0 for c in corner) for corner, side, _ in mu.atoms
-    )
-    weights = tuple(mass for _, _, mass in mu.atoms)
-    return GridMeasure(params.d, points, weights)
-
-
-# ---------------------------------------------------------------------------
-# experiments
-
-
-# A runner parameter marked Size counts the draws, instances or terms that
-# its work grows with; check_params takes it from 1 to 100 times its default.
-# Each item of a Sizes list is bounded by 100 times the largest default item.
-Size = NewType("Size", int)
-Sizes = Tuple[Size, ...]
 
 
 def run_lornor(seed: int, *, n_seq: Size = 10_000, alphas=LORNOR_ALPHAS, qs=LORNOR_QS) -> ExperimentResult:
@@ -330,7 +126,7 @@ def run_lornor(seed: int, *, n_seq: Size = 10_000, alphas=LORNOR_ALPHAS, qs=LORN
                 raise ValueError(f"no recorded band at alpha = {alpha}, q = {q}; "
                                  f"the bands cover alphas {LORNOR_ALPHAS} and qs {LORNOR_QS}")
             ratios = np.concatenate(
-                [_lornor_chunk(chunk, alpha, q, work) for chunk in lornor_corpus(alpha, q, seed, n_seq, work)]
+                [_lornor_chunk(chunk, alpha, q, work) for chunk in corpora.lornor_corpus(alpha, q, seed, n_seq, work)]
             )
             lo, hi = float(ratios.min()), float(ratios.max())
             checks.append(CheckResult(f"lornor_band_alpha={alpha}_q={q_key}", max(hi, 1.0 / lo), band))
@@ -359,11 +155,11 @@ def _worst(*named) -> List[CheckResult]:
 
 def run_tr_pplus(seed: int, *, n_instances: Size = 10_000) -> ExperimentResult:
     tr, pplus = [], []  # the worst instance of each kernel call
-    for f, g, pq, eps in tr_corpus(seed, n_instances):
+    for f, g, pq, eps in corpora.tr_corpus(seed, n_instances):
         for (p, q, e), mask in _by_key(np.column_stack((pq, eps))):
             values, bounds = _quasi_triangle_rows(_take(f, mask), _take(g, mask), LorentzExponents(p, q), e)
             tr.append(CheckResult.worst("quasi_triangle", values, bounds))
-    for f, gs, pq, a_limits in pplus_corpus(seed, n_instances):
+    for f, gs, pq, a_limits in corpora.pplus_corpus(seed, n_instances):
         for (p, q), mask in _by_key(pq):
             f_rows, g_rows = _take(f, mask), _take(gs, mask)
             values, bounds = _pplus_rows(f_rows, g_rows, a_limits[mask], LorentzExponents(p, q), p + 1.0)
@@ -415,11 +211,19 @@ def run_construct(seed: int, *, preset="norm-growth", depth=0, budget=64) -> Exp
 
 
 def run_np_sweep(seed: int, *, M: Sizes = (16, 64, 256), r=(0.125, 0.03125), trials: Size = 40) -> ExperimentResult:
+    """Moment estimates over the (M, r) cells.  The p = 4 slope is fitted in
+    M and r, so M takes two distinct sizes at least.  variance_oracle_3sigma
+    reads each cell's z over ``trials`` draws: at seed 0 with M = 16, 25600 the
+    (25600, 0.125) cell reads z = -3.46 at 40 trials and fails, and z from
+    -0.92 to +1.63 at 200 trials and seeds 0-7, so such a failure is the tail
+    of one 40-trial stream, not a bias at large M."""
+    if len(set(M)) < 2:
+        raise ValueError(f"parameter 'M' takes two distinct sizes at least, to fit the M^-2 scaling, got {M!r}")
     rows, z_max = [], 0.0
     for i, (m, radius) in enumerate(itertools.product(M, r)):
         extent = 4.0 / radius
         grid = FreqGrid(1, extent, int(16 * extent))
-        (e2, se2), (e4, se4) = np_moment_estimate(m, radius, (2.0, 4.0), grid, trials, _rng(seed, "np", i))
+        (e2, se2), (e4, se4) = np_moment_estimate(m, radius, (2.0, 4.0), grid, trials, corpora._rng(seed, "np", i))
         oracle = np_variance_oracle(m, radius, grid)
         z_max = np.maximum(z_max, abs(e2 - oracle) / se2)  # NaN propagates
         rows.append((m, radius, e2, se2, oracle, e4, se4, m**-2.0 * radius**-1.0))
@@ -461,7 +265,7 @@ def run_ooo_sweep(seed: int, *, p=(3.0, 4.0, 6.0)) -> ExperimentResult:
 def run_dd_corpus(seed: int, *, n_families: Size = 50) -> ExperimentResult:
     rec = recorded.DD_CORPUS_MAX
     rows, max_l2, max_sob = [], 0.0, 0.0
-    for i, fam in enumerate(dd_corpus(seed, n_families)):
+    for i, fam in enumerate(corpora.dd_corpus(seed, n_families)):
         min_r = min(r for _, r in fam.bumps)
         extent = 16.0 / min_r
         n = int(max(4096, 8 * math.ceil(extent)))
@@ -537,11 +341,11 @@ def run_resl_series(seed: int, *, q=(1.5, 2.0, 3.0), n_max: Size = 200) -> Exper
 
 
 def run_hlp(seed: int, *, n_clouds: Size = 20) -> ExperimentResult:
-    rng = _rng(seed, "hlp")
+    rng = corpora._rng(seed, "hlp")
     sub, sep, jump, gauge = [], [], [], []  # the records of each item
     for _ in range(n_clouds):
-        a = random_cloud(rng, int(rng.integers(1, 7)))
-        b = random_cloud(rng, int(rng.integers(1, 7)))
+        a = corpora.random_cloud(rng, int(rng.integers(1, 7)))
+        b = corpora.random_cloud(rng, int(rng.integers(1, 7)))
         alpha = float(rng.choice((0.3, 0.5, 1.0)))
         q = (0.5, 1.0, 2.0, math.inf)[int(rng.integers(0, 4))]
         inst = HlpInstance(cloud_a=a, cloud_b=b, params=CapacityParams(alpha, q), delta=0.5, depth=7)
@@ -555,12 +359,12 @@ def run_hlp(seed: int, *, n_clouds: Size = 20) -> ExperimentResult:
             cloud_a=a, cloud_b=b, params=CapacityParams(0.5, q), delta=0.25, depth=7
         )
         sep.append(check_hlp_item(HlpItem.SEPARATED_ADDITIVITY, inst))
-    profiles = profile_gallery(seed)
+    profiles = corpora.profile_gallery(seed)
     for profile in profiles:
         jump.append(check_hlp_item(HlpItem.Q_MONOTONE, HlpInstance(profile=profile, alpha=0.5, q=1.0, q2=2.0)))
         jump.append(check_hlp_item(HlpItem.ALPHA_JUMP, HlpInstance(profile=profile, alpha=0.5, alpha2=0.8)))
     chains = ((HlpItem.GAUGE_LOWER, (0.25, 0.5, 0.75)), (HlpItem.GAUGE_UPPER, (1.5, 2.0, 4.0, math.inf)))
-    for profile, phi, (item, qs) in itertools.product(profiles, gauge_gallery(0.5), chains):
+    for profile, phi, (item, qs) in itertools.product(profiles, corpora.gauge_gallery(0.5), chains):
         for qv in qs:
             gauge.append(check_hlp_item(item, HlpInstance(profile=profile, gauge=phi, alpha=0.5, q=qv)))
     checks = _worst(("subadditivity", sub), ("separated_additivity", sep), ("q_monotone_alpha_jump", jump),
@@ -570,8 +374,8 @@ def run_hlp(seed: int, *, n_clouds: Size = 20) -> ExperimentResult:
 
 def run_frostman(seed: int, *, alpha=0.5, q=1.0, gamma=1.0, preset_seed=7) -> ExperimentResult:
     rec = recorded.FROSTMAN
-    mu = frostman_measure(seed=preset_seed)
-    res = frostman_ratio(mu, alpha, q, gamma, rng=_rng(seed, "frostman"))
+    mu = corpora.frostman_measure(seed=preset_seed)
+    res = frostman_ratio(mu, alpha, q, gamma, rng=corpora._rng(seed, "frostman"))
     checks = [CheckResult("frostman_transfer", res.conclusion_constant, rec["K"] * res.hypothesis_constant)]
     rows = [
         (res.hypothesis_constant, res.conclusion_constant, rec["K"], res.families_tried, res.sets_tried)
@@ -601,10 +405,10 @@ def run_phi_general(seed: int) -> ExperimentResult:
     that adds 2^-2 (block sum 0.5) is tabulated as a second row, unchecked:
     there the sums fall as eps falls.
     """
-    rng = _rng(seed, "phi")
+    rng = corpora._rng(seed, "phi")
     rows, deviation = [], 0.0
     for _ in range(10):
-        cloud = random_cloud(rng, int(rng.integers(1, 6)))
+        cloud = corpora.random_cloud(rng, int(rng.integers(1, 6)))
         alpha = 0.5
         q = float(rng.choice((0.5, 1.0, 2.0)))
         memo: dict = {}  # both gauges score one frontier
@@ -672,11 +476,11 @@ def capacity_dp_exactness(seed: int) -> ExperimentResult:
     and the search share the scorer ``covering_sums``, so the brute value is
     ``nh_covering_sum`` of the covering rebuilt from the least-scored key:
     one check of the pruned search and of the scorer."""
-    rng = _rng(seed, "dp")
+    rng = corpora._rng(seed, "dp")
     clouds = [
         PointCloud(tuple((x,) for x in (0.0, 0.5, 0.75, 0.875, 0.9375, 0.96875, 0.984375, 0.9921875)), 1),
         PointCloud(tuple((x,) for x in (0.1, 0.12, 0.6, 0.61, 0.62, 0.9, 0.91, 0.99)), 1),
-    ] + [random_cloud(rng, 5) for _ in range(3)]
+    ] + [corpora.random_cloud(rng, 5) for _ in range(3)]
     worst = 0.0
     for ci, cloud in enumerate(clouds):
         depth = 8 if ci < 2 else 7

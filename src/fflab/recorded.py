@@ -1,7 +1,7 @@
 """Frozen empirical constants for regression checks.
 
-Every value here was measured once on the seeded corpora defined in the
-experiments module and frozen with a small headroom factor.  They are
+Every value here was measured once on the seeded corpora defined in
+``fflab.corpora`` and frozen with a small headroom factor.  They are
 regression bounds, not sharp constants.  They pin the seed-0 corpora of
 LORNOR, DD_CORPUS, SPECTRUM_NORM, OOO_SWEEP and FROSTMAN, and
 ``tests/test_acceptance.py::test_recorded_pins_reproduce_from_seed_0``

@@ -37,7 +37,6 @@ __all__ = [
     "cube_measure_transform",
     "expected_transform",
     "random_transform",
-    "centred_moments",
     "np_moment_estimate",
     "np_variance_oracle",
     "sinc_tail_bound",
@@ -278,8 +277,9 @@ def sinc_tail_bound(r: float, p_exp: float, half_extent: float, d: int) -> float
 
 
 def _moment_integrals(r: float, grid: FreqGrid, expected: np.ndarray, exponents):
-    """centred_moments as a function of the (T, M, d) shift draws alone: the
-    side-r envelope is computed once, and every per-draw temporary (the
+    """Riemann sums over the grid of |nu_hat - E mu_hat|^p as a function of
+    the (T, M, d) shift draws alone: (T, P), a row per draw of M side-r cube
+    shifts.  The envelope is computed once, and every per-draw temporary (the
     phase factors, w lo, the GEMM, the deviation and its powers) is written
     into one work set that all draws of all calls reuse."""
     envelope = _cube_envelope(grid, r)
@@ -301,18 +301,6 @@ def _moment_integrals(r: float, grid: FreqGrid, expected: np.ndarray, exponents)
         return out
 
     return integrals
-
-
-def centred_moments(
-    shifts: np.ndarray, r: float, grid: FreqGrid, expected: np.ndarray, exponents
-) -> np.ndarray:
-    """Riemann sums over the grid of |nu_hat - E mu_hat|^p for a batch of
-    shift draws: ``shifts`` is (T, M, d), one draw of M side-r cube shifts
-    per row, and ``expected`` holds E mu_hat.  Returns a (T, P) array, one
-    column per exponent.  The cube envelope is computed once per call; the
-    draws are transformed one at a time, so one N^d field is alive at once,
-    and their temporaries share one work set (_moment_integrals)."""
-    return _moment_integrals(r, grid, expected, exponents)(shifts)
 
 
 def np_moment_estimate(

@@ -31,7 +31,7 @@ from fflab.measures import CubeMeasure
 from fflab.presets import preset
 from fflab.spectral import (
     FreqGrid,
-    centred_moments,
+    _moment_integrals,
     cube_measure_transform,
     expected_transform,
     random_transform,
@@ -274,9 +274,9 @@ class TestBatchedSelection:
         expected = expected_transform(r, grid).values
         shifts = np.random.default_rng(3).random((6, M, d)) * (1.0 - r)
         exps = (6.0, 3.0)
-        batch = centred_moments(shifts, r, grid, expected, exps)
+        batch = _moment_integrals(r, grid, expected, exps)(shifts)
         assert batch.shape == (6, 2)
-        one_by_one = np.vstack([centred_moments(sh[None], r, grid, expected, exps) for sh in shifts])
+        one_by_one = np.vstack([_moment_integrals(r, grid, expected, exps)(sh[None]) for sh in shifts])
         assert np.array_equal(batch, one_by_one)
 
     # at seed 29 the first case rejects three draws before it accepts

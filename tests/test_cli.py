@@ -4,6 +4,7 @@ import errno
 import inspect
 import json
 import re
+import sys
 import time
 
 import numpy as np
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 
 import fflab.cli as cli_mod
 import fflab.config as config_mod
+import fflab.corpora as corpora
 import fflab.experiments as experiments
 from fflab.capacity import ResourceLimitError
 from fflab.checks import CheckResult
@@ -375,7 +377,9 @@ def _refused_run(runner, tmp_path, monkeypatch, experiment, params):
     def started(*args):
         raise AssertionError("started the work")
 
-    monkeypatch.setattr(experiments, "_rng", started)
+    for module in [m for name, m in sys.modules.items() if name.startswith("fflab")]:
+        for attr in [attr for attr, value in vars(module).items() if value is corpora._rng]:
+            monkeypatch.setattr(module, attr, started)  # every binding of the corpus stream
     monkeypatch.setattr(experiments, "resl_series", started)  # RESL_SERIES draws nothing
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({"experiment": experiment, "output": str(tmp_path / "out"), "params": params}))
@@ -405,6 +409,15 @@ def test_size_out_of_range_exits_before_any_work(runner, tmp_path, monkeypatch, 
     prefix = "resource limit" if past else "config error"
     message = f"parameter {key!r} takes sizes from 1 to {bound}, 100 times its default, got {value!r}"
     assert result.output == f"{prefix}: {experiment}: {message}\n"
+
+
+@pytest.mark.parametrize("M", [[4096], [4096, 4096]], ids=["one", "repeated"])
+def test_np_sweep_with_one_distinct_size_exits_2_before_any_draw(runner, tmp_path, monkeypatch, M):
+    # a single M leaves p4_scaling_slope a fit over r alone
+    result = _refused_run(runner, tmp_path, monkeypatch, "NP_SWEEP", {"M": M})
+    assert result.exit_code == 2, result.output
+    message = f"parameter 'M' takes two distinct sizes at least, to fit the M^-2 scaling, got {M!r}"
+    assert result.output == f"config error: NP_SWEEP: {message}\n"
 
 
 class TestConstructCommand:

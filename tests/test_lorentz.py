@@ -13,18 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fflab import experiments, recorded
-from fflab.experiments import (
-    TR_EXPONENTS,
-    LORNOR_ALPHAS,
-    LORNOR_QS,
-    _by_key,
-    _rng,
-    _take,
-    lornor_corpus,
-    pplus_corpus,
-    run_experiment,
-    tr_corpus,
-)
+from fflab.corpora import TR_EXPONENTS, _rng, lornor_corpus, pplus_corpus, tr_corpus
+from fflab.experiments import LORNOR_ALPHAS, LORNOR_QS, _by_key, _take, run_experiment
 from fflab.lorentz import (
     LorentzExponents,
     WeightedSample,

@@ -163,3 +163,12 @@ def test_import_defaults_openblas_to_one_thread(value, expected):
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     assert out[0] == expected
     assert out[1] in (str(min(int(expected), cores)), "unknown")
+
+
+def test_importing_the_corpora_loads_no_random_generator():
+    # fflab.corpora holds definitions only: an annotation evaluated at import
+    # would load numpy.random, about 5 MB, into every process that imports it
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, fflab.experiments; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False"]

@@ -41,7 +41,6 @@ from fflab.spectral import (
     _spectrum_norms,
     _split_phases,
     bump_sum_norms,
-    centred_moments,
     cube_measure_transform,
     expected_transform,
     lorentz_spectrum_norm,
@@ -218,7 +217,7 @@ class TestRandomAndExpected:
         wide = FreqGrid(d, 8.0 * half_extent, 8 * samples)
         shifts = np.random.default_rng(1).random((20, 1, d)) * (1.0 - r)
         moments = [
-            centred_moments(shifts, r, g, expected_transform(r, g).values, (p_exp,))[:, 0]
+            _moment_integrals(r, g, expected_transform(r, g).values, (p_exp,))(shifts)[:, 0]
             for g in (window, wide)
         ]
         tail = moments[1] - moments[0]
