@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -36,6 +37,12 @@ __all__ = [
     "select_nu",
     "realize_tree",
 ]
+
+
+def _rng(seed: int, *key) -> np.random.Generator:
+    """Deterministic per-task stream: the key words are folded to integers."""
+    spawn = tuple(k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in key)
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
 
 
 class SpacingViolation(ValueError):
@@ -300,13 +307,13 @@ def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
     """Place kid cubes by randomized shifts and emit every measure stage.
 
     The steps are read off the tree's nodes.  At step k the shifts are
-    drawn, with the moment exponents p1 = p + 2 and p2 = p1 / 2, for the
-    relative side r_k / side(Q_k), and mapped through the homothety onto
-    Q_k.  Q_k is then the first atom of the last stage, so the next stage is
-    the last one without it, followed by equal shares of its mass on its
-    kids.  Returns the tree with geometry and selection certificates, and
-    the list of measures from the initial uniform stage through the deepest
-    stage.
+    drawn from the stream _rng(seed, k), with the moment exponents
+    p1 = p + 2 and p2 = p1 / 2, for the relative side r_k / side(Q_k), and
+    mapped through the homothety onto Q_k.  Q_k is then the first atom of
+    the last stage, so the next stage is the last one without it, followed
+    by equal shares of its mass on its kids.  Returns the tree with geometry
+    and selection certificates, and the list of measures from the initial
+    uniform stage through the deepest stage.
     """
     p1 = params.p + 2.0
     p2 = p1 / 2.0
@@ -318,8 +325,7 @@ def realize_tree(tree: CubeTree, params: ConstructionParams, budget: int = 64):
     for k, m, r in tree.steps:
         node = tree.nodes[k]
         rel_r = r / node.side
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(k,)))
-        sel = select_nu(m, rel_r, p1, p2, budget, rng, d=d)
+        sel = select_nu(m, rel_r, p1, p2, budget, _rng(params.seed, k), d=d)
         tree.certificates.append(sel.certificate)
         for kid_index, v in zip(node.kids, sel.sample.shifts.tolist()):
             kid = tree.nodes[kid_index]

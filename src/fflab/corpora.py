@@ -6,24 +6,15 @@ drawn, and a value lies in its range up to rounding."""
 from __future__ import annotations  # an annotation would import numpy.random
 
 import math
-import zlib
 from typing import Optional
 
 import numpy as np
 
 from . import presets
 from .capacity import GaugeFunction, GridMeasure, PointCloud
-from .cantor import build_tree, realize_tree
+from .cantor import _rng, build_tree, realize_tree
 from .lorentz import _pad_rows, _Work
 from .spectral import BumpFamily
-
-
-def _rng(seed: int, *key) -> np.random.Generator:
-    """Deterministic per-task stream: the key words are folded to integers."""
-    spawn = tuple(
-        k if isinstance(k, int) else zlib.crc32(str(k).encode()) for k in key
-    )
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=spawn))
 
 
 # Sequences or instances drawn together: every corpus draws its values a

@@ -106,14 +106,15 @@ class CubeMeasure:
     def from_json(cls, text: str) -> "CubeMeasure":
         """The measure ``to_json`` wrote.  Raises ValueError on text that is
         not JSON or not of that shape (another format version, a missing key,
-        a value of the wrong kind) and on exact masses on some atoms only."""
+        a value of the wrong kind), on exact masses on some atoms only and on
+        one whose float is not the atom's positive mass."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"the top level of a measure file must be a JSON object, not {doc!r:.40}")
         if doc.get("version") != _FORMAT_VERSION:
             raise ValueError(f"unsupported measure format {doc.get('version')!r}")
-        atoms = []
-        fractions = []
+        atoms, fractions = [], []
+        parsed = {}  # mass_exact text -> (Fraction, float): the atoms share a few masses
         try:
             recs = doc["atoms"]
             if not isinstance(recs, list) or not all(isinstance(rec, dict) for rec in recs):
@@ -126,11 +127,17 @@ class CubeMeasure:
                     raise ValueError(f"an atom's corner, side and mass must be numbers, not {rec!r:.80}")
                 atoms.append((tuple(float(c) for c in corner), float(side), float(mass)))
                 if "mass_exact" in rec:
-                    fractions.append(Fraction(rec["mass_exact"]))
+                    raw = rec["mass_exact"]
+                    if raw not in parsed:
+                        frac = Fraction(raw)
+                        parsed[raw] = frac, float(frac)
+                    if parsed[raw][1] != atoms[-1][2]:  # a mass that is not positive is refused below
+                        raise ValueError(f"mass_exact {raw!r} is not the atom's mass {mass!r}")
+                    fractions.append(parsed[raw][0])
             d = doc["d"]
         except KeyError as exc:
             raise ValueError(f"measure file lacks the key {exc.args[0]!r}") from None
-        except TypeError as exc:  # null, a list or an object where a number belongs
+        except (TypeError, ZeroDivisionError, OverflowError) as exc:  # a non-number; a mass_exact 1/0 or 1e400
             raise ValueError(f"malformed measure file: {exc}") from None
         if type(d) is not int:  # not isinstance: a JSON true is a bool, an int subclass
             raise ValueError(f"the dimension d must be a JSON integer, not {d!r}")

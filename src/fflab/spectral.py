@@ -5,8 +5,8 @@ modulated sinc factors, so there is no aliasing anywhere; domain truncation
 is the only approximation and it carries an explicit sinc-decay tail bound.
 The sums of phases over shifts or cube corners are exact split-index GEMMs,
 in O(M sqrt(N)) memory in d = 1 and O(M N) in d = 2 (see _split_phases);
-each shift's phases are products of four factors of about N^(1/4) entries
-each, and every phase is one cos/sin pair rather than a complex exponential.
+each shift costs one cos/sin pair per axis level, and its other phases are
+powers of that one, filled in by doubling with complex products alone.
 The smooth bump profile's transform is closed-form too, a Bessel quotient;
 in d = 1 it is elementary, so scipy.special is imported only for d = 2.
 Callers that repeat a transform on one grid (the draws of a moment batch,
@@ -144,20 +144,32 @@ def _cube_envelope(grid: FreqGrid, side: float) -> np.ndarray:
 
 
 def _centred_phases(s: np.ndarray, step: float, count: int, centre: int, work: _Work, name: str) -> np.ndarray:
-    """(K, count) phases exp(-2 pi i s_k step (j - centre)), j < count, as the
-    outer product of two factors over j = u*m + v with m = isqrt(count): one
-    of ceil(count/m) coarse and one of m fine phases per shift.  Both factors
-    are centred at centre = cu*m + cv, so each is exactly 1 at j = centre.
-    The factors are ``work``'s "coarse" and "fine", the product its ``name``."""
-    m = math.isqrt(count)
-    cu, cv = divmod(centre, m)
-    u, k = -(-count // m), len(s)
-    angles = np.outer(s, (-2.0 * math.pi * step) * (m * (np.arange(u) - cu)), out=work.get("theta", (k, u)))
-    coarse = _cis(angles, work.get("coarse", (k, u), complex))
-    angles = np.outer(s, (-2.0 * math.pi * step) * (np.arange(m) - cv), out=work.get("theta", (k, m)))
-    fine = _cis(angles, work.get("fine", (k, m), complex))
-    product = np.multiply(coarse[:, :, None], fine[:, None, :], out=work.get(name, (k, u, m), complex))
-    return product.reshape(k, -1)[:, :count]
+    """(count, K) phases exp(-2 pi i s_k step (j - centre)), j < count, as
+    powers of z = exp(-i theta), theta = 2 pi s_k step, one cos/sin pair per
+    shift: row centre is exactly 1, rows centre + [n, 2n) are rows
+    centre + [0, n) times z^n, squared once per doubling, and the rows below
+    centre the same with conj(z) on a reversed view; in ``work``'s ``name``.
+
+    Rounding, u = 2^-53: z = exp(-i theta)(1 + d_0), |d_0| <= 3.01u|theta| +
+    sqrt(2)u (math.pi and two products round theta; cos and sin are within
+    u).  A complex product adds at most sqrt(5)u (Brent, Percival &
+    Zimmermann, Math. Comp. 76, 2007), so after b squarings
+    |d_b| <= 2^b (|d_0| + sqrt(5)u) - sqrt(5)u, and row centre +- j, a product
+    per bit 2^b of j, is within j (|d_0| + sqrt(5)u) <= j (4|theta| + 4)u:
+    the slack covers the second-order terms of errors below 4e-11, as here.
+    """
+    k = len(s)
+    out = work.get(name, (count, k), complex)
+    out[centre] = 1
+    z = _cis(np.multiply(s, -2.0 * math.pi * step, out=work.get("theta", (k,))), work.get("z", (k,), complex))
+    power = work.get("power", (k,), complex)
+    for rows in (out[centre:], out[centre::-1]):
+        np.copyto(power, z)
+        for n in (2**b for b in range((len(rows) - 1).bit_length())):  # the powers of 2 below len(rows)
+            np.multiply(rows[: min(n, len(rows) - n)], power, out=rows[n : 2 * n])
+            power *= power
+        np.conjugate(z, out=z)
+    return out
 
 
 def _split_phases(s: np.ndarray, grid: FreqGrid, work: Optional[_Work] = None) -> Tuple[np.ndarray, np.ndarray]:
@@ -165,20 +177,19 @@ def _split_phases(s: np.ndarray, grid: FreqGrid, work: Optional[_Work] = None) -
 
     With j = a*B + b, B = isqrt(N), A = ceil(N/B), h = 2X/N, c = N/2 (where
     xi = 0) and c = a0*B + b0: xi_j = h*B*(a - a0) + h*(b - b0), so the
-    phase is hi[a, k] * lo[k, b] with hi (A, K) and lo (K, B).  Each of hi
-    and lo is in turn the product of two split-index factors
-    (_centred_phases), so a shift needs about 4 N^(1/4) cos/sin pairs (32
-    at N = 4096) and K*(A + B) complex multiplies, instead of the K*N
-    exponentials of the direct sum.  Every factor is exactly 1 at xi = 0.
-    Both are views of ``work``'s "hi" and "lo".
+    phase is hi[a, k] * lo[k, b] with hi (A, K) and lo (K, B), tables of
+    powers of one phase per shift and level (_centred_phases): two cos/sin
+    pairs and about A + B complex products per shift, in K*(A + B) cells,
+    instead of N exponentials.  Both are exactly 1 at xi = 0.  hi is
+    ``work``'s "hi", lo the transposed view of its "lo".
     """
     work = work or _Work()
     n = grid.samples
     a, bs = _gemm_shape(n)
     a0, b0 = divmod(n // 2, bs)
     h = 2.0 * grid.half_extent / n
-    lo = _centred_phases(s, h, bs, b0, work, "lo")
-    hi = _centred_phases(s, h * bs, a, a0, work, "hi").T
+    lo = _centred_phases(s, h, bs, b0, work, "lo").T
+    hi = _centred_phases(s, h * bs, a, a0, work, "hi")
     return hi, lo
 
 

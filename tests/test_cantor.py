@@ -39,6 +39,38 @@ from fflab.spectral import (
 
 MEASURE_REFS = Path(__file__).resolve().parents[1] / "bench" / "refs" / "measure_sha256.json"
 
+# SHA-256 of to_json at every stage, the unit cube first: the norm-growth
+# depth-3 realization (criterion 9's measure) at seeds 0-2, and at seed 0 the
+# d = 2 two-layer tree of greedy_spacing_branching(2, 4.0, 2.0, 2), branching
+# (3, 2, 5, 11), whose draws run _phase_sum's d = 2 branch
+STAGE_DIGESTS = {
+    "norm-growth/0": (
+        "0a814db3cb3b4a72ef31a1317e5ef86a645f5f71934ae5ae543e110344da1bde",
+        "862c962bf02ee44cd93ff25a84b8aa486746d7ce821e07918547c215930bdaea",
+        "e47eaf90748375acde20c98c3e9d9e90179c7042b23acc7bd5149a199e815b22",
+        "711fe2deaccc443e67ebb73242d0bd10d6c1d4d54c46393e7f4f3f8de9fd79f8",
+    ),
+    "norm-growth/1": (
+        "0a814db3cb3b4a72ef31a1317e5ef86a645f5f71934ae5ae543e110344da1bde",
+        "889de5b941365a994c1b6a863f9639c1ea9473ebeba710a9cd86f35e0db809a2",
+        "cad225c47a7ec3ce71113091a4593b9ee0ddd99658d2abe4c0c7bdb34b1b26b8",
+        "2a87b878c4dce012a56f4f2ac5c221f09f6799890a2d17e03c82ea33422537dd",
+    ),
+    "norm-growth/2": (
+        "0a814db3cb3b4a72ef31a1317e5ef86a645f5f71934ae5ae543e110344da1bde",
+        "5a15622bb1c1eced92efab859e2aba4262c5a323e25c0ae2a6396f440f826922",
+        "f8505a7ed74f7cbec82fc17ada723db1717c3a20decf26093203e8a0f9bb753f",
+        "68271dd100f7046f09c592809756771993af8a52c8a5ad09a589ec7963881b61",
+    ),
+    "d2/0": (
+        "63889ef484ed4bf88cc1694c88891ac6423163e25dc641757f16f78c604d5592",
+        "909a56db395be86f402ff819eee066596707e996657a9dcfd09b1e89726dab3f",
+        "196bdfcbde52d57eb6088a47ffa42a0c0636a1bc29827a86d15a73abd4414a75",
+        "ff8440df7bc2f8d2cca3b95227e55895208e7a5922e0f384247a3b4a039e68f2",
+        "e6be5106b1ab8ba52cfc2e63030a72c466ee9cce21df33c4abe99dcc6e1882e1",
+    ),
+}
+
 
 class TestParams:
     def test_rejects_small_p(self):
@@ -299,11 +331,21 @@ class TestBatchedSelection:
         _, measures = realize_tree(build_tree(params), params)
         assert hashlib.sha256(measures[-1].to_json().encode()).hexdigest() == ref
 
+    @pytest.mark.parametrize("key", sorted(STAGE_DIGESTS))
+    def test_every_stage_matches_its_pinned_digest(self, key):
+        name, seed = key.split("/")
+        if name == "d2":
+            params = ConstructionParams(2, 4.0, 2.0, 2.0, greedy_spacing_branching(2, 4.0, 2.0, 2), seed=int(seed))
+        else:
+            params = preset(name, seed=int(seed))
+        _, measures = realize_tree(build_tree(params), params)
+        got = tuple(hashlib.sha256(mu.to_json().encode()).hexdigest() for mu in measures)
+        assert got == STAGE_DIGESTS[key]
 
     def test_layer_law_realization_memory_is_bounded(self):
         # the moment work set of a step holds the phase factors of its M
         # shifts (M up to 1746 at depth 4) and one grid of deviations:
-        # 7.4 MiB under tracemalloc; fresh temporaries per draw peaked at 8.3
+        # 6.5 MiB under tracemalloc; fresh temporaries per draw peaked at 8.3
         small = preset("layer-law", depth=1, seed=0)
         realize_tree(build_tree(small), small)  # first-use allocations outside the trace
         params = preset("layer-law", depth=4, seed=0)

@@ -537,10 +537,17 @@ class TestSpectrumCommand:
             (lambda doc: doc["atoms"][0].update(side=True), "corner, side and mass must be numbers"),
             (lambda doc: doc["atoms"][1].update(corner=[False]), "corner, side and mass must be numbers"),
             (lambda doc: doc["atoms"][1].update(mass=True), "corner, side and mass must be numbers"),
+            (lambda doc: doc["atoms"][0].update(mass_exact="1/0"), "malformed measure file: Fraction(1, 0)"),
+            (
+                lambda doc: doc["atoms"][0].update(mass="1.0", mass_exact="-1/2"),
+                "mass_exact '-1/2' is not the atom's mass '1.0'",
+            ),
+            (lambda doc: doc["atoms"][1].update(mass_exact="1/3"), "mass_exact '1/3' is not the atom's mass '0.5'"),
         ],
         ids=[
             "version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner",
-            "float_d", "bool_d", "string_d", "bool_side", "bool_corner", "bool_mass",
+            "float_d", "bool_d", "string_d", "bool_side", "bool_corner", "bool_mass", "zero_denominator",
+            "negative_exact", "exact_not_mass",
         ],
     )
     def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):

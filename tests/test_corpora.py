@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from fflab import corpora
+from fflab import cantor, corpora
 from fflab.experiments import EXPERIMENTS, LORNOR_ALPHAS, LORNOR_QS
 
 SEEDS = range(10)
@@ -118,3 +118,11 @@ def test_every_instance_lies_in_its_declared_domain():
     ts = (1e-6, 0.01, 0.1, 0.3, 0.6)
     outside += [("gauges", None, i) for i, phi in enumerate(gauges) if phi(0.0) != 0 or min(map(phi, ts)) <= 0]
     assert outside == []
+
+
+def test_the_construction_draws_from_the_corpus_streams():
+    # one stream scheme: realize_tree's step k stream is _rng(seed, k), an
+    # int key being its own spawn key
+    assert corpora._rng is cantor._rng
+    want = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(5,))).random(4)
+    assert np.array_equal(cantor._rng(3, 5).random(4), want)

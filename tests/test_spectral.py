@@ -423,6 +423,32 @@ class TestPhaseFactors:
         direct = np.exp(-2j * math.pi * np.outer(s, grid.axis()))
         assert np.max(np.abs(full - direct)) <= 1e-13
 
+    # select_nu's grids, r from 1/4 (N = 256, X = 16) to 1e-5 (N = 4096, X = 512),
+    # and criterion 9's two grids at X = 4 / (least side) of the norm-growth measure
+    LEAST_SIDE = min(node.side for node in build_tree(preset("norm-growth")).nodes)
+    RECURRENCE_GRIDS = [_default_selection_grid(1, r) for r in (0.25, 0.1, 0.05, 0.02, 0.008, 1e-5)] + [
+        FreqGrid(1, 4.0 / LEAST_SIDE, 2**17),
+        FreqGrid(1, 8.0 / LEAST_SIDE, 2**18),
+    ]
+
+    @pytest.mark.parametrize("grid", RECURRENCE_GRIDS, ids=lambda g: f"N{g.samples}_X{g.half_extent:g}")
+    def test_powers_are_within_the_recurrence_bound(self, grid):
+        # _centred_phases' bound |j - c| (4 |theta| + 4) 2^-53 against a
+        # long-double reference, itself within |j - c| |theta| 2^-60 + 2^-62
+        assert np.finfo(np.longdouble).nmant >= 63
+        s = np.concatenate([np.random.default_rng(grid.samples).random(61), [0.0, 0.5, 1.0 - 2.0**-53]])
+        hi, lo = _split_phases(s, grid)
+        bs, _, (a0, b0) = self._shape(grid.samples)
+        h = 2.0 * grid.half_extent / grid.samples
+        two_pi = 8 * np.arctan(np.longdouble(1))
+        for phases, step, centre in ((hi, h * bs, a0), (lo.T, h, b0)):
+            j = np.abs(np.arange(len(phases)) - centre)[:, None]
+            theta = two_pi * s.astype(np.longdouble) * np.longdouble(step)
+            angle = np.outer(np.arange(len(phases)) - centre, theta)
+            error = np.hypot(phases.real - np.cos(angle), phases.imag + np.sin(angle))
+            bound = j * ((4 * theta + 4) * 2.0**-53 + theta * 2.0**-60) + 2.0**-62
+            assert np.all(error <= bound)
+
     @pytest.mark.parametrize("N", [250, 640, 3200, 4096, 2**17])
     def test_factors_are_one_at_zero(self, N):
         s = np.random.default_rng(N).random(7)
