@@ -203,8 +203,8 @@ def dd_corpus(seed: int, n_families: int):
         for i, r in enumerate(radii):
             gap = float(rng.uniform(*DD_GAPS))
             pos += (radii[i - 1] if i else 0.0) + r + gap
-            centers.append((pos,))
-        yield BumpFamily(tuple(zip(centers, radii)), 1)
+            centers.append(pos)
+        yield BumpFamily(tuple(zip(centers, radii)))
 
 
 def frostman_measure(seed: int) -> GridMeasure:

@@ -277,8 +277,8 @@ def run_dd_corpus(seed: int, *, n_families: Size = 50) -> ExperimentResult:
         max_sob = max(max_sob, sob / sobb)
     r0 = 0.25
     grid = FreqGrid(1, 16.0 / r0, 4096)
-    one = bump_sum_norms(BumpFamily((((0.0,), r0),), 1), grid)
-    two = bump_sum_norms(BumpFamily((((0.0,), r0), ((10.0,), r0)), 1), grid)
+    one = bump_sum_norms(BumpFamily(((0.0, r0),)), grid)
+    two = bump_sum_norms(BumpFamily(((0.0, r0), (10.0, r0))), grid)
     ortho = abs(two[0] - math.sqrt(2.0) * one[0])
     checks = [
         CheckResult("dd_l2_ratio_regression", max_l2, rec["l2"]),

@@ -114,8 +114,10 @@ def _check_rows(values: np.ndarray, masses: np.ndarray) -> None:
 
 class _Work:
     """Named flat scratch arrays: ``get`` gives a C-contiguous view of the first
-    cells of one, replaced only when a shape needs more cells or another dtype,
-    so each array is as large as the largest shape asked of its name."""
+    cells of one, replaced only when a shape needs more cells, so each array
+    is as large as the largest shape asked of its name.  A name has one
+    dtype: asking for it in another is a TypeError, not a silent swap that
+    two callers sharing the name would repeat on every call."""
 
     def __init__(self):
         self.arrays = {}
@@ -123,7 +125,9 @@ class _Work:
     def get(self, name: str, shape, dtype=float) -> np.ndarray:
         size = math.prod(shape)
         flat = self.arrays.get(name)
-        if flat is None or flat.dtype != dtype or flat.size < size:
+        if flat is not None and flat.dtype != dtype:
+            raise TypeError(f"work array {name!r} is {flat.dtype}, asked for as {np.dtype(dtype)}")
+        if flat is None or flat.size < size:
             flat = self.arrays[name] = np.empty(size, dtype)
         return flat[:size].reshape(shape)
 

@@ -106,8 +106,9 @@ class CubeMeasure:
     def from_json(cls, text: str) -> "CubeMeasure":
         """The measure ``to_json`` wrote.  Raises ValueError on text that is
         not JSON or not of that shape (another format version, a missing key,
-        a value of the wrong kind), on exact masses on some atoms only and on
-        one whose float is not the atom's positive mass."""
+        a value of the wrong kind), on exact masses on some atoms only, on
+        one that is not a fraction string and on one whose float is not the
+        atom's positive mass."""
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise ValueError(f"the top level of a measure file must be a JSON object, not {doc!r:.40}")
@@ -128,6 +129,8 @@ class CubeMeasure:
                 atoms.append((tuple(float(c) for c in corner), float(side), float(mass)))
                 if "mass_exact" in rec:
                     raw = rec["mass_exact"]
+                    if not isinstance(raw, str):  # Fraction(True) is 1, Fraction(0.1) a binary float
+                        raise ValueError(f"an atom's mass_exact must be a fraction string, not {raw!r}")
                     if raw not in parsed:
                         frac = Fraction(raw)
                         parsed[raw] = frac, float(frac)

@@ -7,8 +7,8 @@ The sums of phases over shifts or cube corners are exact split-index GEMMs,
 in O(M sqrt(N)) memory in d = 1 and O(M N) in d = 2 (see _split_phases);
 each shift costs one cos/sin pair per axis level, and its other phases are
 powers of that one, filled in by doubling with complex products alone.
-The smooth bump profile's transform is closed-form too, a Bessel quotient;
-in d = 1 it is elementary, so scipy.special is imported only for d = 2.
+Smooth bumps live on the line, where the profile's transform is an
+elementary closed form, a spherical Bessel quotient.
 Callers that repeat a transform on one grid (the draws of a moment batch,
 the stages of criterion 9) write its temporaries into one reusable
 ``lorentz._Work`` set, so they map no new memory per draw or stage.
@@ -162,7 +162,7 @@ def _centred_phases(s: np.ndarray, step: float, count: int, centre: int, work: _
     out = work.get(name, (count, k), complex)
     out[centre] = 1
     z = _cis(np.multiply(s, -2.0 * math.pi * step, out=work.get("theta", (k,))), work.get("z", (k,), complex))
-    power = work.get("power", (k,), complex)
+    power = work.get("z_power", (k,), complex)
     for rows in (out[centre:], out[centre::-1]):
         np.copyto(power, z)
         for n in (2**b for b in range((len(rows) - 1).bit_length())):  # the powers of 2 below len(rows)
@@ -379,7 +379,8 @@ def ooo_deviation(r: float, p_exp: float) -> float:
 
 
 def smooth_bump_profile(t):
-    """The fixed smooth radial profile (1 - (t/3)^2)^3 on [0, 3], else 0."""
+    """The fixed smooth profile (1 - (t/3)^2)^3 on [0, 3], else 0: a bump of
+    radius r at c is the profile of |x - c|/r."""
     t = np.asarray(t, dtype=float)
     inside = np.clip(1.0 - (t / 3.0) ** 2, 0.0, None)
     return inside**3
@@ -387,25 +388,22 @@ def smooth_bump_profile(t):
 
 @dataclass(frozen=True)
 class BumpFamily:
-    """Disjoint balls (center, radius) each carrying the scaled smooth bump
-    supported on three times the ball."""
+    """Disjoint intervals (center, radius) of the line, each carrying the
+    scaled smooth bump supported on three times the interval."""
 
-    bumps: tuple  # of (center tuple, radius)
-    d: int
+    bumps: tuple  # of (center, radius) floats
 
     def __post_init__(self):
-        norm = tuple((tuple(float(c) for c in x), float(r)) for x, r in self.bumps)
+        norm = tuple((float(x), float(r)) for x, r in self.bumps)
         object.__setattr__(self, "bumps", norm)
-        for x, r in norm:
-            if len(x) != self.d:
-                raise ValueError("center dimension mismatch")
+        for _, r in norm:
             if not 0 < r < 1:
                 raise ValueError(f"radius must lie in (0, 1), got {r}")
         for i in range(len(norm)):
             for k in range(i + 1, len(norm)):
                 (xi, ri), (xk, rk) = norm[i], norm[k]
-                if math.dist(xi, xk) <= ri + rk:
-                    raise ValueError(f"balls {i} and {k} overlap")
+                if abs(xi - xk) <= ri + rk:
+                    raise ValueError(f"intervals {i} and {k} overlap")
 
 
 # j_3(k)/k^3 = sum_n (-k^2/2)^n / (n! (2n+7)!!); below k = 2 the first term left out
@@ -429,73 +427,53 @@ def _j3_quotient(k: np.ndarray) -> np.ndarray:
     return np.where(small, series, j3 / kk**3)
 
 
-def smooth_bump_transform(s, d: int) -> np.ndarray:
-    """Fourier transform of the profile, as a radial function on R^d, at
-    frequencies of modulus |s|.
+def smooth_bump_transform(s) -> np.ndarray:
+    """Fourier transform of the profile on the line at frequencies s.
 
-    With k = 6 pi |s| it is 288 j_3(k)/k^3 in d = 1 and 864 pi J_4(k)/k^4 in
-    d = 2 (Stein & Weiss, Fourier Analysis on Euclidean Spaces, ch. IV;
-    Grafakos, Classical Fourier Analysis, App. B.5).  In d = 1 j_3 is
-    elementary (_j3_quotient): the closed form from k = 2 on and 14 terms of
-    its power series below, where the closed form cancels (a switch at k = 1
-    leaves 4e-13 relative error, at k = 0.5 4e-11).  In d = 2 J_4 comes from
-    scipy.special, imported only there, and below k = 1e-2 the Taylor
-    series through k^4 replaces the quotient.
+    With k = 6 pi |s| it is 288 j_3(k)/k^3 (Stein & Weiss, Fourier Analysis
+    on Euclidean Spaces, ch. IV; Grafakos, Classical Fourier Analysis,
+    App. B.5), and j_3 is elementary (_j3_quotient): the closed form from
+    k = 2 on and 14 terms of its power series below, where the closed form
+    cancels (a switch at k = 1 leaves 4e-13 relative error, at k = 0.5
+    4e-11).
     """
-    if d not in (1, 2):
-        raise ValueError(f"the bump transform has a closed form for d = 1, 2, not d = {d}")
-    k = 6.0 * math.pi * np.abs(np.asarray(s, dtype=float))
-    if d == 1:
-        return 288.0 * _j3_quotient(k)
-    from scipy.special import jv
-
-    k2 = k * k
-    small = k < 1e-2
-    kk = np.where(small, 1.0, k)
-    series = 864.0 * math.pi * (1.0 / 384.0 - k2 / 7680.0 + k2 * k2 / 368640.0)
-    return np.where(small, series, 864.0 * math.pi * jv(4, kk) / kk**4)
+    return 288.0 * _j3_quotient(6.0 * math.pi * np.abs(np.asarray(s, dtype=float)))
 
 
 def bump_sum_norms(fam: BumpFamily, grid: FreqGrid) -> Tuple[float, float, float, float]:
-    """(l2_norm, sobolev_norm, l2_bound, sobolev_bound) of the bump sum.
+    """(l2_norm, sobolev_norm, l2_bound, sobolev_bound) of the bump sum on
+    the line; a grid of other than d = 1 is a ValueError.
 
-    The L2 norm is a physical-space quadrature at resolution tied to the
-    smallest radius; the order-d Sobolev norm is the spectral integral of
-    (1 + |2 pi xi|^2)^{d/2} against the transform on the truncated grid,
-    where the bumps of each radius r contribute one r^d-weighted phase sum
+    The L2 norm is a quadrature on points spaced 1/32 of the smallest
+    radius; the order-1 Sobolev norm is the spectral integral of
+    (1 + |2 pi xi|^2)^{1/2} against the transform on the truncated grid,
+    where the bumps of each radius r contribute one r-weighted phase sum
     (_phase_sum) of their centers times the closed form
-    smooth_bump_transform.  The reference bounds are (Sigma r^d)^{1/2} and
-    (Sigma r^{-d})^{1/2}.
+    smooth_bump_transform.  The reference bounds are (Sigma r)^{1/2} and
+    (Sigma 1/r)^{1/2}.
     """
-    d = fam.d
-    radii = np.array([r for _, r in fam.bumps])
-    centers = np.array([x for x, _ in fam.bumps])
-    l2_bound = float(np.sqrt(np.sum(radii**d)))
-    sob_bound = float(np.sqrt(np.sum(radii ** (-d))))
+    if grid.d != 1:
+        raise ValueError(f"bump families live on the line: the grid has d = {grid.d}")
+    centers, radii = (np.array(col) for col in zip(*fam.bumps))
+    l2_bound = float(np.sqrt(np.sum(radii)))
+    sob_bound = float(np.sqrt(np.sum(1.0 / radii)))
 
-    # physical quadrature on a box containing all supports
+    # physical quadrature on an interval containing all supports
     h = radii.min() / 32.0
-    lo = (centers - 3.0 * radii[:, None]).min(axis=0)
-    hi = (centers + 3.0 * radii[:, None]).max(axis=0)
-    axes = [np.arange(lo[a], hi[a] + h, h) for a in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    total = np.zeros(mesh[0].shape)
-    for (x, r) in fam.bumps:
-        dist2 = np.zeros(mesh[0].shape)
-        for a in range(d):
-            dist2 = dist2 + (mesh[a] - x[a]) ** 2
-        total += smooth_bump_profile(np.sqrt(dist2) / r)
-    l2 = float(np.sqrt(np.sum(total**2) * h**d))
+    x = np.arange(np.min(centers - 3.0 * radii), np.max(centers + 3.0 * radii) + h, h)
+    total = np.zeros(x.shape)
+    for c, r in fam.bumps:
+        total += smooth_bump_profile(np.abs(x - c) / r)
+    l2 = float(np.sqrt(np.sum(total**2) * h))
 
     # spectral quadrature for the Sobolev norm
-    xi = grid.axis()
-    rho = np.abs(xi) if d == 1 else np.hypot(xi[:, None], xi[None, :])
+    rho = np.abs(grid.axis())
     ghat = np.zeros(rho.shape, dtype=complex)
     for r in np.unique(radii):
         group = radii == r
-        weights = np.full(np.count_nonzero(group), r**d)
-        ghat += _phase_sum(centers[group], weights, grid) * smooth_bump_transform(r * rho, d)
-    weight = (1.0 + (2.0 * math.pi) ** 2 * rho**2) ** (d / 2.0)
+        weights = np.full(np.count_nonzero(group), r)
+        ghat += _phase_sum(centers[group, None], weights, grid) * smooth_bump_transform(r * rho)
+    weight = np.sqrt(1.0 + (2.0 * math.pi) ** 2 * rho**2)
     sob = float(np.sqrt(np.sum(weight**2 * np.abs(ghat) ** 2) * grid.cell_volume))
     return l2, sob, l2_bound, sob_bound
 

@@ -543,11 +543,19 @@ class TestSpectrumCommand:
                 "mass_exact '-1/2' is not the atom's mass '1.0'",
             ),
             (lambda doc: doc["atoms"][1].update(mass_exact="1/3"), "mass_exact '1/3' is not the atom's mass '0.5'"),
+            (
+                lambda doc: doc["atoms"][0].update(mass="1.0", mass_exact=True),
+                "mass_exact must be a fraction string, not True",
+            ),
+            (
+                lambda doc: doc["atoms"][0].update(mass="0.1", mass_exact=0.1),
+                "mass_exact must be a fraction string, not 0.1",
+            ),
         ],
         ids=[
             "version", "d", "atoms", "corner", "side", "mass", "mass_exact", "list", "list_atoms", "scalar_corner",
             "float_d", "bool_d", "string_d", "bool_side", "bool_corner", "bool_mass", "zero_denominator",
-            "negative_exact", "exact_not_mass",
+            "negative_exact", "exact_not_mass", "bool_exact", "float_exact",
         ],
     )
     def test_malformed_measure_exits_2(self, runner, tmp_path, spoil, message):

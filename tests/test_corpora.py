@@ -84,11 +84,10 @@ def _dd(seed):
     families = list(corpora.dd_corpus(seed, n))
     yield "n_families", len(families) == n
     for family in families:
-        centers = np.array([c for (c,), _ in family.bumps])
-        radii = np.array([r for _, r in family.bumps])
+        centers, radii = (np.array(col) for col in zip(*family.bumps))
         # each gap from a bump's left edge back to its neighbour's right edge, or to 0
         gaps = centers - radii - np.concatenate(([0.0], centers[:-1] + radii[:-1]))
-        yield "d", family.d == 1
+        yield "floats", all(type(v) is float for bump in family.bumps for v in bump)
         yield "bumps", _within([len(radii)], corpora.DD_BUMPS)
         yield "radii", _within(radii, corpora.DD_RADII)
         yield "gaps", _within(gaps, (corpora.DD_GAPS[0] - 1e-12, corpora.DD_GAPS[1] + 1e-12))

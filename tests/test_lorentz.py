@@ -373,9 +373,10 @@ class TestRowKernels:
 
     def test_work_set_arrays_follow_each_name_s_dtype_and_need(self):
         work = _Work()
-        assert work.get("x", (4,)).dtype == float
-        assert work.get("x", (2,), complex).dtype == complex  # replaced, not viewed
-        assert work.get("x", (3,), complex).shape == (3,)
+        assert work.get("x", (2,), complex).dtype == complex
+        with pytest.raises(TypeError, match="'x' is complex128, asked for as float64"):
+            work.get("x", (4,))  # a name keeps its dtype: refused, not replaced
+        assert work.get("x", (3,), complex).shape == (3,)  # grown
         first = work.arrays["x"]
         assert work.get("x", (1, 2), complex).base is first  # fits: a view
         work.get("y", (3, 5), np.int32)

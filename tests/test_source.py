@@ -33,6 +33,22 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+def test_package_imports_no_scipy():
+    # scipy is a test oracle, not a runtime dependency: no module of the
+    # package imports it, at the top or inside a function
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.relative_to(PACKAGE)}:{node.lineno}" for name in names if name.split(".")[0] == "scipy"]
+    assert found == []
+
+
 def test_package_keeps_no_process_wide_cache():
     # a memo lives as long as the call or the run that owns it: a cache kept
     # across runs would serve a later run the results of an earlier one,
